@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .detect import AvoidanceMode, LceIndex, contains_forbidden
+from .detect import AvoidanceMode, LceIndex, blocked_letters, contains_forbidden
 from .formulas import (
     EllCase,
     b_rec,
@@ -132,12 +132,6 @@ def _occ_detail(occ: Occurrence) -> dict[str, object]:
     return {"start": occ.start, "period": occ.period, "length": occ.length}
 
 
-def _suffix_hit(idx: LceIndex, exponent: Exponent, mode: AvoidanceMode) -> tuple[int, int] | None:
-    if mode is THRESHOLD:
-        return idx.threshold_hit(exponent.p, exponent.q)
-    return idx.exact_hit(exponent.p, exponent.q)
-
-
 def check_powerfree(
     source: str | Sequence[int],
     exponent: Exponent | None = None,
@@ -176,22 +170,18 @@ def check_minimality(
     violation = None
     decrements = 0
     for i, v in enumerate(letters):
-        for m in range(v):
-            idx.append(m)
-            hit = _suffix_hit(idx, exponent, mode)
-            idx.pop()
-            if hit is None:
-                violation = Violation(
-                    "decrement-survives", i, {"letter": v, "decremented_to": m}
-                )
-                break
-            decrements += 1
-        if violation is not None:
+        blocked = blocked_letters(idx, exponent, mode)
+        free = next((m for m in range(v) if m not in blocked), v)
+        decrements += free
+        if free < v:
+            violation = Violation(
+                "decrement-survives", i, {"letter": v, "decremented_to": free}
+            )
             break
-        idx.append(v)
-        if _suffix_hit(idx, exponent, mode) is not None:
+        if v in blocked:
             violation = Violation("source-not-clean", i, {"letter": v})
             break
+        idx.append(v)
     return CheckReport(
         "minimality", params, violation is None, violation, time.perf_counter() - t0,
         extras={"positions": len(letters), "decrements_verified": decrements},
@@ -370,28 +360,21 @@ def check_x_squares(
     unit: Counter[int] = Counter()
     first_unit: dict[int, int] = {}
     for i, v in enumerate(letters):
-        idx.append(v)
-        n = i + 1
         if i >= 1 and letters[i] == letters[i - 1]:
             if v > 1:
                 violation = Violation("square-letter", i, {"root": [v]})
                 break
             unit[v] += 1
             first_unit.setdefault(v, i - 1)
-        kmax = n // 2
-        if kmax >= 2:
-            roots = np.arange(2, kmax + 1)
-            found = None
-            for k in idx._hash_candidates(roots, roots, n):
-                root = int(roots[k])
-                if idx._equal_ranges(n - root, n - 2 * root, root):
-                    found = root
-                    break
-            if found is not None:
-                violation = Violation(
-                    "square-root-too-long", i, {"start": n - 2 * found, "root_length": found}
-                )
-                break
+        roots = np.arange(2, (i + 1) // 2 + 1)
+        found = idx.blocked(roots, roots, letter=v)
+        if found:
+            root = found[v]
+            violation = Violation(
+                "square-root-too-long", i, {"start": i + 1 - 2 * root, "root_length": root}
+            )
+            break
+        idx.append(v)
     extras = {
         "count_00": unit.get(0, 0),
         "count_11": unit.get(1, 0),
@@ -414,22 +397,13 @@ def check_x_overlapfree(
     idx = LceIndex()
     violation = None
     for i, v in enumerate(letters):
-        idx.append(v)
-        n = i + 1
-        kmax = (n - 1) // 2
-        if kmax < 1:
-            continue
-        periods = np.arange(1, kmax + 1)
-        needs = periods + 1
-        for k in idx._hash_candidates(periods, needs, n):
-            period = int(periods[k])
-            if idx._equal_ranges(n - period - 1, n - 2 * period - 1, period + 1):
-                violation = Violation(
-                    "overlap", i, {"start": n - 2 * period - 1, "period": period}
-                )
-                break
-        if violation is not None:
+        periods = np.arange(1, i // 2 + 1)
+        found = idx.blocked(periods, periods + 1, letter=v)
+        if found:
+            period = found[v]
+            violation = Violation("overlap", i, {"start": i - 2 * period, "period": period})
             break
+        idx.append(v)
     return CheckReport(
         "x-overlap", params, violation is None, violation, time.perf_counter() - t0
     )

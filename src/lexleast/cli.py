@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import count, islice
 from typing import Iterable, Iterator, TextIO
@@ -173,10 +174,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
             with open(args.path, "r", encoding="utf-8") as handle:
                 text = handle.read()
         letters = parse_letters_text(text)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        occ = contains_forbidden(letters, args.exponent, args.mode)
+    except (OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    occ = contains_forbidden(letters, args.exponent, args.mode)
     if occ is None:
         print("clean")
         return 0
@@ -277,7 +278,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (``| head``): point stdout at devnull so the
+        # flush at exit cannot fail again, and end quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

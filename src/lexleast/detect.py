@@ -8,11 +8,17 @@ Two avoidance disciplines share one rational exponent p/q:
   p*t with period q*t.  Squares of odd period, for instance, survive
   exact-3/2 avoidance.
 
-``forbidden_suffix`` looks for a forbidden factor ending at the last
-position.  That is the only place a new one can appear when the preceding
-prefix is clean, which is what makes letter-by-letter generation cheap.
+When the prefix before position n is clean, a new forbidden factor can only
+end at n, so every question here is one query: which letters at position n
+would complete a forbidden factor?  For each candidate period P, every
+compared letter but the last is already committed, and the last pits the
+letter at n against ``word[n - P]``.  One scan over the periods therefore
+yields every blocked letter with its smallest period
+(``LceIndex.blocked``).  Greedy generation takes the least letter missing
+from that map, minimality needs every smaller letter in it, and a scan or a
+structure check asks about the one letter actually present.
 
-``LceIndex`` accelerates the per-position period scan with double-modulus
+``LceIndex`` runs the period scan as a vectorized filter on double-modulus
 rolling hashes over append-only arrays.  Hash inequality is exact, and every
 hash match that is about to become a verdict is confirmed by direct letter
 comparison, so a collision can never produce a wrong answer.
@@ -42,8 +48,8 @@ class LceIndex:
     """Append-only word with fast backward substring-equality queries.
 
     Letters are stored as int64; hashes use two 31-bit moduli so that all
-    intermediate products stay below 2**62.  ``pop`` supports tentative
-    appends (try a letter, test, retract).
+    intermediate products stay below 2**62.  ``pop`` retracts the last
+    letter, for walks that backtrack.
     """
 
     __slots__ = ("_n", "_cap", "_let", "_h1", "_h2", "_p1", "_p2")
@@ -121,64 +127,85 @@ class LceIndex:
             int(h2[a2 + length]) - int(h2[a2]) * int(p2[length])
         ) % _M2
 
-    def _hash_candidates(self, periods: np.ndarray, needs: np.ndarray, end: int) -> np.ndarray:
-        """Indices k where the needs[k] letters ending at end-1 hash-match the
-        needs[k] letters ending at end-1-periods[k].  Unconfirmed."""
+    def _hash_candidates(
+        self, periods: np.ndarray, needs: np.ndarray, end: int, letter: int | None
+    ) -> np.ndarray:
+        """Indices k where the needs[k] letters ending at position ``end`` hash-match
+        the ones periods[k] earlier.  Position ``end`` holds ``letter``, folded
+        into the hash as a scalar; when ``letter`` is None that position is
+        left out of both sides.  Unconfirmed."""
+        top = end if letter is None else end + 1
         h1 = self._h1
-        a1 = end - needs
+        a1 = end + 1 - needs
         a2 = a1 - periods
-        b2 = end - periods
-        pw = self._p1[needs]
-        lhs = (int(h1[end]) - h1[a1] * pw) % _M1
+        b2 = top - periods
+        pw = self._p1[needs if letter is not None else needs - 1]
+        head = int(h1[end]) if letter is None else (int(h1[end]) * _B1 + letter + 1) % _M1
+        lhs = (head - h1[a1] * pw) % _M1
         rhs = (h1[b2] - h1[a2] * pw) % _M1
         cand = np.flatnonzero(lhs == rhs)
         if cand.size == 0:
             return cand
         h2 = self._h2
-        pw2 = self._p2[needs[cand]]
-        lhs2 = (int(h2[end]) - h2[a1[cand]] * pw2) % _M2
+        a1 = a1[cand]
+        pw2 = self._p2[top - a1]
+        head = int(h2[end]) if letter is None else (int(h2[end]) * _B2 + letter + 1) % _M2
+        lhs2 = (head - h2[a1] * pw2) % _M2
         rhs2 = (h2[b2[cand]] - h2[a2[cand]] * pw2) % _M2
         return cand[lhs2 == rhs2]
 
-    def threshold_hit(self, p: int, q: int, end: int | None = None) -> tuple[int, int] | None:
-        """Smallest period P whose minimal >= p/q-power ends at position end-1.
+    def blocked(
+        self,
+        periods: np.ndarray,
+        needs: np.ndarray,
+        end: int | None = None,
+        letter: int | None = None,
+    ) -> dict[int, int]:
+        """Letters at position ``end`` that would complete a repetition there.
 
-        Returns (P, matched) where `matched` letters beyond the period block
-        were verified equal, or None if the suffix is clean.
+        A letter is blocked through period periods[k] when the needs[k]
+        letters ending at ``end`` repeat the ones periods[k] earlier; all but
+        the last are committed, so that letter is ``word[end - periods[k]]``.
+        ``end`` defaults to the length, and letters from ``end`` on are
+        ignored.  Periods must ascend, and each needs[k] + periods[k] is at
+        most end + 1.  Returns each blocked letter with its smallest period.
+        Given ``letter``, only that letter is asked about: the map holds it
+        or is empty.
         """
         n = self._n if end is None else end
         if not 0 <= n <= self._n:
             raise ValueError(f"end {n} out of range for length {self._n}")
-        pmax = (n * q) // p
-        if pmax < 1:
-            return None
-        periods = np.arange(1, pmax + 1)
-        needs = (periods * (p - q) + q - 1) // q
-        for k in self._hash_candidates(periods, needs, n):
-            period, need = int(periods[k]), int(needs[k])
-            if self._equal_ranges(n - need, n - need - period, need):
-                return period, need
-        return None
+        found: dict[int, int] = {}
+        let = self._let
+        for k in self._hash_candidates(periods, needs, n, letter):
+            period = int(periods[k])
+            repeat = int(let[n - period])
+            if repeat in found or (letter is not None and repeat != letter):
+                continue
+            start = n + 1 - int(needs[k])
+            if self._equal_ranges(start, start - period, n - start):
+                found[repeat] = period
+                if letter is not None:
+                    break
+        return found
 
-    def exact_hit(self, p: int, q: int, end: int | None = None) -> tuple[int, int] | None:
-        """Smallest t such that an exact p/q-power of length p*t ends at end-1.
-
-        Returns (t, q*t) or None.
-        """
+    def threshold_hit(
+        self, p: int, q: int, end: int | None = None, letter: int | None = None
+    ) -> dict[int, int]:
+        """``blocked`` for factors of exponent >= p/q: period P needs
+        ceil(P(p-q)/q) letters past its period block."""
         n = self._n if end is None else end
-        if not 0 <= n <= self._n:
-            raise ValueError(f"end {n} out of range for length {self._n}")
-        tmax = n // p
-        if tmax < 1:
-            return None
-        ts = np.arange(1, tmax + 1)
-        periods = q * ts
-        needs = (p - q) * ts
-        for k in self._hash_candidates(periods, needs, n):
-            t, period, need = int(ts[k]), int(periods[k]), int(needs[k])
-            if self._equal_ranges(n - need, n - need - period, need):
-                return t, period
-        return None
+        periods = np.arange(1, ((n + 1) * q) // p + 1)
+        return self.blocked(periods, (periods * (p - q) + q - 1) // q, end, letter)
+
+    def exact_hit(
+        self, p: int, q: int, end: int | None = None, letter: int | None = None
+    ) -> dict[int, int]:
+        """``blocked`` for exact p/q-powers: period q*t needs (p-q)*t letters
+        past its period block."""
+        n = self._n if end is None else end
+        periods = np.arange(q, q * ((n + 1) // p) + 1, q)
+        return self.blocked(periods, periods // q * (p - q), end, letter)
 
     def lce_backward(self, i: int, j: int) -> int:
         """Largest L such that the L letters ending at i equal those ending at j."""
@@ -205,44 +232,29 @@ class LceIndex:
         return length
 
 
-def _forbidden_suffix_indexed(
-    idx: LceIndex, exponent: Exponent, mode: AvoidanceMode, end: int
-) -> Occurrence | None:
-    if mode is AvoidanceMode.THRESHOLD:
-        hit = idx.threshold_hit(exponent.p, exponent.q, end)
-        if hit is None:
-            return None
-        period, _ = hit
-        run = idx.lce_backward(end - 1, end - 1 - period)
-        return Occurrence(end - period - run, period, period + run)
-    hit = idx.exact_hit(exponent.p, exponent.q, end)
-    if hit is None:
-        return None
-    t, period = hit
-    length = exponent.p * t
-    return Occurrence(end - length, period, length)
+def blocked_letters(
+    idx: LceIndex,
+    exponent: Exponent,
+    mode: AvoidanceMode,
+    end: int | None = None,
+    letter: int | None = None,
+) -> dict[int, int]:
+    """``LceIndex.blocked`` under the given discipline: each letter at position
+    ``end`` that would complete a forbidden factor, with its smallest period."""
+    query = idx.threshold_hit if mode is AvoidanceMode.THRESHOLD else idx.exact_hit
+    return query(exponent.p, exponent.q, end, letter)
 
 
-def _forbidden_suffix_direct(
-    word: Word, exponent: Exponent, mode: AvoidanceMode, end: int
-) -> Occurrence | None:
-    n = end
-    p, q = exponent.p, exponent.q
-    if mode is AvoidanceMode.THRESHOLD:
-        for period in range(1, (n * q) // p + 1):
-            run = 0
-            while run < n - period and word[n - 1 - run] == word[n - 1 - period - run]:
-                run += 1
-            length = period + run
-            if length * q >= period * p:
-                return Occurrence(n - length, period, length)
+def _witness(idx: LceIndex, exponent: Exponent, mode: AvoidanceMode, last: int) -> Occurrence | None:
+    hit = blocked_letters(idx, exponent, mode, last, idx[last])
+    if not hit:
         return None
-    for t in range(1, n // p + 1):
-        period, length = q * t, p * t
-        start = n - length
-        if all(word[start + i] == word[start + i + period] for i in range(length - period)):
-            return Occurrence(start, period, length)
-    return None
+    (period,) = hit.values()
+    if mode is AvoidanceMode.THRESHOLD:
+        length = period + idx.lce_backward(last, last - period)
+    else:
+        length = period // exponent.q * exponent.p
+    return Occurrence(last + 1 - length, period, length)
 
 
 def forbidden_suffix(
@@ -262,9 +274,8 @@ def forbidden_suffix(
         raise ValueError(f"end {n} out of range for word of length {len(word)}")
     if n == 0:
         return None
-    if isinstance(word, LceIndex):
-        return _forbidden_suffix_indexed(word, exponent, mode, n)
-    return _forbidden_suffix_direct(word, exponent, mode, n)
+    idx = word if isinstance(word, LceIndex) else LceIndex(word[:n])
+    return _witness(idx, exponent, mode, n - 1)
 
 
 def contains_forbidden(
@@ -274,8 +285,8 @@ def contains_forbidden(
 ) -> Occurrence | None:
     """First forbidden factor in end-position order over the whole word."""
     idx = word if isinstance(word, LceIndex) else LceIndex(word)
-    for end in range(1, len(idx) + 1):
-        occ = _forbidden_suffix_indexed(idx, exponent, mode, end)
+    for last in range(len(idx)):
+        occ = _witness(idx, exponent, mode, last)
         if occ is not None:
             return occ
     return None

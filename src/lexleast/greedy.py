@@ -1,15 +1,15 @@
 """Greedy construction of lexicographically least power-avoiding words.
 
 Extend the word one position at a time with the smallest letter that does
-not complete a forbidden repetition.  No backtracking is ever needed: a
-letter that does not yet occur in the word cannot complete a repetition
-ending at the new position, so some candidate below ``max letter + 2``
-always succeeds.
+not complete a forbidden repetition: one detector query gives every blocked
+letter at the next position, and the least letter missing from it wins.  No
+backtracking is ever needed: a blocked letter repeats an earlier letter of
+the word, so some letter up to ``max letter + 1`` is always free.
 """
 
 from __future__ import annotations
 
-from .detect import AvoidanceMode, LceIndex
+from .detect import AvoidanceMode, LceIndex, blocked_letters
 from .words import Exponent
 
 
@@ -33,25 +33,13 @@ class GreedyState:
     def max_letter(self) -> int:
         return self._max_letter
 
-    def _clean_after(self, letter: int) -> bool:
-        idx = self._idx
-        idx.append(letter)
-        if self.mode is AvoidanceMode.THRESHOLD:
-            hit = idx.threshold_hit(self.exponent.p, self.exponent.q)
-        else:
-            hit = idx.exact_hit(self.exponent.p, self.exponent.q)
-        idx.pop()
-        return hit is None
-
     def next_letter(self) -> int:
         """Least letter whose appending leaves the word free of forbidden suffixes."""
-        for candidate in range(self._max_letter + 2):
-            if self._clean_after(candidate):
-                return candidate
-        raise RuntimeError(
-            "no candidate letter admissible below the fresh-letter bound; "
-            "the repetition detector is inconsistent"
-        )
+        blocked = blocked_letters(self._idx, self.exponent, self.mode)
+        letter = 0
+        while letter in blocked:
+            letter += 1
+        return letter
 
     def step(self) -> int:
         """Append the next letter and return it."""

@@ -17,7 +17,7 @@ from lexleast.checks import (
     check_x_squares,
 )
 from lexleast.detect import AvoidanceMode
-from lexleast.formulas import b_rec
+from lexleast.formulas import b_rec, w32_prefix, x32_prefix
 from lexleast.words import Exponent
 
 E32 = Exponent(3, 2)
@@ -62,12 +62,22 @@ def test_minimality_catches_inflated_letter():
     # bump one letter of the least word: the bumped position now admits a
     # smaller clean choice, namely the original letter
     word = SOURCES["w32"].make(50)
+    original = word[4]
     word[4] += 1
     report = check_minimality(word, exponent=E32, mode=THRESHOLD, length=50)
     assert not report.passed
     assert report.violation is not None
     assert report.violation.kind == "decrement-survives"
     assert report.violation.position == 4
+    assert report.violation.detail == {"letter": original + 1, "decremented_to": original}
+
+
+def test_minimality_report_counts_decrements():
+    # a passing position verifies every smaller letter
+    for source, make in (("w32", w32_prefix), ("x32", x32_prefix)):
+        report = check_minimality(source, length=400)
+        assert report.passed
+        assert report.extras["decrements_verified"] == sum(make(400))
 
 
 def test_cross_small():

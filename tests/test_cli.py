@@ -118,6 +118,17 @@ def test_scan_parse_error(capsys, tmp_path):
     assert run_cli(capsys, "scan", str(tmp_path / "missing.txt"))[0] == 2
 
 
+def test_scan_overwide_letter_is_a_usage_error(capsys, tmp_path):
+    # letters must fit the detector's 31-bit width; wider ones are bad input,
+    # not a forbidden factor
+    path = tmp_path / "word.txt"
+    path.write_text("0 3000000000\n")
+    code, out, err = run_cli(capsys, "scan", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_scan_stdin(capsys, monkeypatch):
     import io
 
@@ -185,6 +196,21 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "6\n"
+
+
+def test_generate_into_closed_pipe_exits_quietly():
+    # the reader takes one line and closes the pipe, as `| head -1` does
+    with subprocess.Popen(
+        [sys.executable, "-m", "lexleast", "generate", "--length", "200000",
+         "--method", "closed", "--format", "lines"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline() == b"0\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 @settings(max_examples=60)

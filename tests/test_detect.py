@@ -86,14 +86,36 @@ def _random_word(rng):
 
 
 def test_indexed_equals_direct_on_random_words():
-    # 10_000 random words: the hashed path and the plain-comparison path
-    # return identical witnesses in both modes
+    # 10_000 random words: the hashed detector and the oracle's direct letter
+    # loops return identical witnesses in both modes
     rng = random.Random(20110118)
     for _ in range(10_000):
         word = _random_word(rng)
         idx = LceIndex(word)
         for mode in (THRESHOLD, EXACT):
-            assert forbidden_suffix(idx, E32, mode) == forbidden_suffix(word, E32, mode)
+            assert forbidden_suffix(idx, E32, mode) == oracle.naive_forbidden_suffix(word, E32, mode)
+
+
+@given(
+    st.lists(st.integers(0, 3), max_size=24),
+    st.sampled_from([Exponent(4, 3), E32, Exponent(2, 1), Exponent(5, 2)]),
+    st.sampled_from([THRESHOLD, EXACT]),
+)
+def test_blocked_letters_match_naive_oracle(word, exponent, mode):
+    # the whole-set query names every letter whose appending completes a
+    # forbidden suffix, with the oracle's smallest period; asking about one
+    # letter returns that entry or nothing
+    idx = LceIndex(word)
+    query = idx.threshold_hit if mode is THRESHOLD else idx.exact_hit
+    expected = {}
+    for m in range(max(word, default=-1) + 2):
+        occ = oracle.naive_forbidden_suffix(word + [m], exponent, mode)
+        if occ is not None:
+            expected[m] = occ.period
+    assert query(exponent.p, exponent.q) == expected
+    for m in range(max(word, default=-1) + 2):
+        single = {m: expected[m]} if m in expected else {}
+        assert query(exponent.p, exponent.q, letter=m) == single
 
 
 def test_lce_against_scan_on_random_words():
