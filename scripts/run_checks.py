@@ -1,44 +1,15 @@
 #!/usr/bin/env python3
 """Run the whole verification battery at desk scale and print a summary.
 
-Default bounds match the acceptance suite; --fast shrinks everything for a
-quick smoke run.  Exits non-zero if any check fails.
+The battery and its bounds are ``lexleast.checks.BATTERY``; default bounds
+match the acceptance suite, and --fast shrinks everything for a quick smoke
+run.  Exits non-zero if any check fails.
 """
 
 import argparse
 import sys
 
-from lexleast.checks import (
-    check_b_inequality,
-    check_b_window,
-    check_cross,
-    check_ell_claim,
-    check_eq6_intervals,
-    check_minimality,
-    check_powerfree,
-    check_x_overlapfree,
-    check_x_squares,
-)
-
-
-def battery(fast: bool):
-    n = 1_000 if fast else 10_000
-    n_min = 200 if fast else 2_000
-    grid = 40 if fast else 300
-    return [
-        lambda: check_powerfree("w32", length=n),
-        lambda: check_powerfree("x32", length=n),
-        lambda: check_powerfree("ruler", length=n),
-        lambda: check_cross(length=n),
-        lambda: check_minimality("w32", length=n_min),
-        lambda: check_minimality("x32", length=n_min),
-        lambda: check_b_window(n_max=n_min, r_max=grid if fast else 200),
-        lambda: check_b_inequality(s_max=grid, j_max=grid),
-        lambda: check_ell_claim(n_max=n_min),
-        lambda: check_eq6_intervals(n_max=n_min),
-        lambda: check_x_squares(length=n),
-        lambda: check_x_overlapfree(length=n),
-    ]
+from lexleast.checks import BATTERY
 
 
 def main() -> int:
@@ -48,8 +19,8 @@ def main() -> int:
 
     failures = 0
     total_elapsed = 0.0
-    for job in battery(args.fast):
-        report = job()
+    for check, bounds, fast_bounds in BATTERY:
+        report = check(**(fast_bounds if args.fast else bounds))
         total_elapsed += report.elapsed
         print(f"{report.summary()}  [{report.elapsed:.2f}s]")
         if not report.passed:

@@ -366,8 +366,9 @@ def check_x_squares(
                 break
             unit[v] += 1
             first_unit.setdefault(v, i - 1)
-        roots = np.arange(2, (i + 1) // 2 + 1)
-        found = idx.blocked(roots, roots, letter=v)
+        roots = range(2, (i + 1) // 2 + 1)
+        # a square of root r ends here when the r - 1 letters before repeat
+        found = idx.blocked(roots, np.arange(1, roots.stop - 1), letter=v)
         if found:
             root = found[v]
             violation = Violation(
@@ -397,8 +398,9 @@ def check_x_overlapfree(
     idx = LceIndex()
     violation = None
     for i, v in enumerate(letters):
-        periods = np.arange(1, i // 2 + 1)
-        found = idx.blocked(periods, periods + 1, letter=v)
+        periods = range(1, i // 2 + 1)
+        # a x a x a with |a x| = P ends here when the P letters before repeat
+        found = idx.blocked(periods, np.arange(1, periods.stop), letter=v)
         if found:
             period = found[v]
             violation = Violation("overlap", i, {"start": i - 2 * period, "period": period})
@@ -407,3 +409,21 @@ def check_x_overlapfree(
     return CheckReport(
         "x-overlap", params, violation is None, violation, time.perf_counter() - t0
     )
+
+
+# The verification battery run by scripts/run_checks.py: each check with its
+# desk-scale bounds, then the smaller bounds of a --fast smoke run.
+BATTERY: tuple[tuple[Callable[..., CheckReport], dict[str, object], dict[str, object]], ...] = (
+    (check_powerfree, {"source": "w32", "length": 10_000}, {"source": "w32", "length": 1_000}),
+    (check_powerfree, {"source": "x32", "length": 10_000}, {"source": "x32", "length": 1_000}),
+    (check_powerfree, {"source": "ruler", "length": 10_000}, {"source": "ruler", "length": 1_000}),
+    (check_cross, {"length": 10_000}, {"length": 1_000}),
+    (check_minimality, {"source": "w32", "length": 2_000}, {"source": "w32", "length": 200}),
+    (check_minimality, {"source": "x32", "length": 2_000}, {"source": "x32", "length": 200}),
+    (check_b_window, {"n_max": 2_000, "r_max": 200}, {"n_max": 200, "r_max": 40}),
+    (check_b_inequality, {"s_max": 300, "j_max": 300}, {"s_max": 40, "j_max": 40}),
+    (check_ell_claim, {"n_max": 2_000}, {"n_max": 200}),
+    (check_eq6_intervals, {"n_max": 2_000}, {"n_max": 200}),
+    (check_x_squares, {"length": 10_000}, {"length": 1_000}),
+    (check_x_overlapfree, {"length": 10_000}, {"length": 1_000}),
+)

@@ -18,25 +18,22 @@ yields every blocked letter with its smallest period
 from that map, minimality needs every smaller letter in it, and a scan or a
 structure check asks about the one letter actually present.
 
-``LceIndex`` runs the period scan as a vectorized filter on double-modulus
-rolling hashes over append-only arrays.  Hash inequality is exact, and every
-hash match that is about to become a verdict is confirmed by direct letter
-comparison, so a collision can never produce a wrong answer.
+``LceIndex`` keeps, for every period P, the length of the longest suffix of
+the word with period P.  Each append updates that run table from one
+comparison of the new letter with the word read backwards, and each query
+compares every run with the number of letters its period needs.  There are
+no hashes: every verdict rests on letter comparisons, at a cost of O(n)
+vectorized work per letter.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .words import Exponent, Occurrence, Word
-
-_M1 = (1 << 31) - 1
-_M2 = (1 << 31) - 19
-_B1 = 1_000_003
-_B2 = 1_000_033
 
 
 class AvoidanceMode(Enum):
@@ -44,28 +41,37 @@ class AvoidanceMode(Enum):
     EXACT = "exact"
 
 
-class LceIndex:
-    """Append-only word with fast backward substring-equality queries.
+def _checked(letter: int) -> int:
+    if letter < 0:
+        raise ValueError(f"letters are natural numbers, got {letter}")
+    if letter >= (1 << 31):
+        # letters and runs are stored as int64; the CLI promises this bound
+        raise OverflowError(f"letter {letter} exceeds the supported width")
+    return int(letter)
 
-    Letters are stored as int64; hashes use two 31-bit moduli so that all
-    intermediate products stay below 2**62.  ``pop`` retracts the last
-    letter, for walks that backtrack.
+
+class LceIndex:
+    """Word with the run table of its suffixes.
+
+    ``run(P)`` is the length of the longest suffix of the word that has
+    period P, i.e. how many letters ending at position n-1 equal the ones P
+    earlier.  Letters are natural numbers below 2**31, stored as int64 and
+    right-aligned in reverse order, so that the word read backwards is one
+    contiguous slice.  ``append`` updates the table in place; building from
+    letters and ``pop`` rebuild it exactly in O(n), for walks that backtrack.
     """
 
-    __slots__ = ("_n", "_cap", "_let", "_h1", "_h2", "_p1", "_p2")
+    __slots__ = ("_n", "_rev", "_run")
 
     def __init__(self, letters: Iterable[int] = ()) -> None:
-        self._n = 0
-        self._cap = 64
-        self._let = np.zeros(self._cap, dtype=np.int64)
-        self._h1 = np.zeros(self._cap + 1, dtype=np.int64)
-        self._h2 = np.zeros(self._cap + 1, dtype=np.int64)
-        self._p1 = np.zeros(self._cap + 1, dtype=np.int64)
-        self._p2 = np.zeros(self._cap + 1, dtype=np.int64)
-        self._p1[0] = 1
-        self._p2[0] = 1
-        for v in letters:
-            self.append(v)
+        word = [_checked(v) for v in letters]
+        n = self._n = len(word)
+        cap = max(64, 1 << n.bit_length())
+        self._rev = np.zeros(cap, dtype=np.int64)
+        self._rev[cap - n :] = word[::-1]
+        # run[P] for P in 0..cap; entries from P = n on stay 0
+        self._run = np.zeros(cap + 1, dtype=np.int64)
+        self._rebuild()
 
     def __len__(self) -> int:
         return self._n
@@ -73,188 +79,144 @@ class LceIndex:
     def __getitem__(self, i: int) -> int:
         if not 0 <= i < self._n:
             raise IndexError(i)
-        return int(self._let[i])
+        return int(self._rev[-1 - i])
+
+    def _backwards(self) -> np.ndarray:
+        """The word read from its last letter to its first (a view)."""
+        return self._rev[len(self._rev) - self._n :]
 
     def to_list(self) -> list[int]:
-        return [int(v) for v in self._let[: self._n]]
+        return self._backwards()[::-1].tolist()
 
-    def _grow(self) -> None:
-        new_cap = self._cap * 2
-        for name in ("_let", "_h1", "_h2", "_p1", "_p2"):
-            old = getattr(self, name)
-            extra = new_cap - self._cap
-            setattr(self, name, np.concatenate([old, np.zeros(extra, dtype=np.int64)]))
-        self._cap = new_cap
+    def run(self, period: int) -> int:
+        """Length of the longest suffix with the given period (0 when the
+        period is the length or more)."""
+        if period < 1:
+            raise ValueError(f"period must be positive, got {period}")
+        return int(self._run[period]) if period < self._n else 0
+
+    def _rebuild(self) -> None:
+        # run[P] is entry P of the Z-function of the word read backwards
+        n = self._n
+        rev = self._backwards().tolist()
+        z = [0] * n
+        left = right = 0
+        for i in range(1, n):
+            k = min(right - i, z[i - left]) if i < right else 0
+            while i + k < n and rev[k] == rev[i + k]:
+                k += 1
+            z[i] = k
+            if i + k > right:
+                left, right = i, i + k
+        self._run[:] = 0
+        self._run[1:n] = z[1:]
 
     def append(self, letter: int) -> None:
-        if letter < 0:
-            raise ValueError(f"letters are natural numbers, got {letter}")
-        if letter >= (1 << 31):
-            # int64 storage plus the hash arithmetic cap letter magnitude
-            raise OverflowError(f"letter {letter} exceeds the supported width")
+        letter = _checked(letter)
         n = self._n
-        if n + 2 > self._cap:
-            self._grow()
-        self._let[n] = letter
-        x = letter + 1
-        self._h1[n + 1] = (int(self._h1[n]) * _B1 + x) % _M1
-        self._h2[n + 1] = (int(self._h2[n]) * _B2 + x) % _M2
-        self._p1[n + 1] = (int(self._p1[n]) * _B1) % _M1
-        self._p2[n + 1] = (int(self._p2[n]) * _B2) % _M2
+        cap = len(self._rev)
+        if n == cap:
+            zeros = np.zeros(cap, dtype=np.int64)
+            self._rev = np.concatenate([zeros, self._rev])
+            self._run = np.concatenate([self._run, zeros])
+            cap *= 2
+        # the suffix with period P grows by one letter when the new letter
+        # repeats word[n - P], and is empty otherwise
+        runs = self._run[1 : n + 1]
+        runs += 1
+        runs *= self._rev[cap - n :] == letter
+        self._rev[cap - 1 - n] = letter
         self._n = n + 1
 
     def pop(self) -> int:
         if self._n == 0:
             raise IndexError("pop from empty index")
+        letter = int(self._backwards()[0])
         self._n -= 1
-        return int(self._let[self._n])
-
-    def extend(self, letters: Iterable[int]) -> None:
-        for v in letters:
-            self.append(v)
-
-    def _equal_ranges(self, a1: int, a2: int, length: int) -> bool:
-        return bool(np.array_equal(self._let[a1 : a1 + length], self._let[a2 : a2 + length]))
-
-    def _hash_equal(self, a1: int, a2: int, length: int) -> bool:
-        h1, p1 = self._h1, self._p1
-        if (int(h1[a1 + length]) - int(h1[a1]) * int(p1[length])) % _M1 != (
-            int(h1[a2 + length]) - int(h1[a2]) * int(p1[length])
-        ) % _M1:
-            return False
-        h2, p2 = self._h2, self._p2
-        return (int(h2[a1 + length]) - int(h2[a1]) * int(p2[length])) % _M2 == (
-            int(h2[a2 + length]) - int(h2[a2]) * int(p2[length])
-        ) % _M2
-
-    def _hash_candidates(
-        self, periods: np.ndarray, needs: np.ndarray, end: int, letter: int | None
-    ) -> np.ndarray:
-        """Indices k where the needs[k] letters ending at position ``end`` hash-match
-        the ones periods[k] earlier.  Position ``end`` holds ``letter``, folded
-        into the hash as a scalar; when ``letter`` is None that position is
-        left out of both sides.  Unconfirmed."""
-        top = end if letter is None else end + 1
-        h1 = self._h1
-        a1 = end + 1 - needs
-        a2 = a1 - periods
-        b2 = top - periods
-        pw = self._p1[needs if letter is not None else needs - 1]
-        head = int(h1[end]) if letter is None else (int(h1[end]) * _B1 + letter + 1) % _M1
-        lhs = (head - h1[a1] * pw) % _M1
-        rhs = (h1[b2] - h1[a2] * pw) % _M1
-        cand = np.flatnonzero(lhs == rhs)
-        if cand.size == 0:
-            return cand
-        h2 = self._h2
-        a1 = a1[cand]
-        pw2 = self._p2[top - a1]
-        head = int(h2[end]) if letter is None else (int(h2[end]) * _B2 + letter + 1) % _M2
-        lhs2 = (head - h2[a1] * pw2) % _M2
-        rhs2 = (h2[b2[cand]] - h2[a2[cand]] * pw2) % _M2
-        return cand[lhs2 == rhs2]
+        self._rebuild()
+        return letter
 
     def blocked(
-        self,
-        periods: np.ndarray,
-        needs: np.ndarray,
-        end: int | None = None,
-        letter: int | None = None,
+        self, periods: range, min_runs: np.ndarray, letter: int | None = None, scale: int = 1
     ) -> dict[int, int]:
-        """Letters at position ``end`` that would complete a repetition there.
+        """Letters at the next position that would complete a repetition there.
 
-        A letter is blocked through period periods[k] when the needs[k]
-        letters ending at ``end`` repeat the ones periods[k] earlier; all but
-        the last are committed, so that letter is ``word[end - periods[k]]``.
-        ``end`` defaults to the length, and letters from ``end`` on are
-        ignored.  Periods must ascend, and each needs[k] + periods[k] is at
-        most end + 1.  Returns each blocked letter with its smallest period.
-        Given ``letter``, only that letter is asked about: the map holds it
-        or is empty.
+        Period periods[k] blocks a letter when the letters ending at the next
+        position repeat the ones periods[k] earlier: the run of periods[k]
+        covers all but the last, and the last is the letter
+        ``word[n - periods[k]]``.  The run qualifies when ``scale`` times it
+        is at least min_runs[k], so that a rule with a fractional bound stays
+        in integers.  Periods ascend from 1 or more and stay at most the
+        length n; ``min_runs`` is as long as ``periods``.  Returns each
+        blocked letter with its smallest period.  Given ``letter``, only that
+        letter is asked about: the map holds it or is empty.
         """
-        n = self._n if end is None else end
-        if not 0 <= n <= self._n:
-            raise ValueError(f"end {n} out of range for length {self._n}")
+        runs = self._run[periods.start : periods.stop : periods.step]
+        if scale != 1:
+            runs = runs * scale
         found: dict[int, int] = {}
-        let = self._let
-        for k in self._hash_candidates(periods, needs, n, letter):
-            period = int(periods[k])
-            repeat = int(let[n - period])
-            if repeat in found or (letter is not None and repeat != letter):
-                continue
-            start = n + 1 - int(needs[k])
-            if self._equal_ranges(start, start - period, n - start):
-                found[repeat] = period
-                if letter is not None:
-                    break
+        backwards = self._backwards()
+        for k in np.flatnonzero(runs >= min_runs).tolist():
+            period = periods[k]
+            repeat = int(backwards[period - 1])
+            if letter is None:
+                found.setdefault(repeat, period)
+            elif repeat == letter:
+                return {letter: period}
         return found
 
-    def threshold_hit(
-        self, p: int, q: int, end: int | None = None, letter: int | None = None
-    ) -> dict[int, int]:
+    def threshold_hit(self, p: int, q: int, letter: int | None = None) -> dict[int, int]:
         """``blocked`` for factors of exponent >= p/q: period P needs
-        ceil(P(p-q)/q) letters past its period block."""
-        n = self._n if end is None else end
-        periods = np.arange(1, ((n + 1) * q) // p + 1)
-        return self.blocked(periods, (periods * (p - q) + q - 1) // q, end, letter)
+        ceil(P(p-q)/q) letters past its period block, that is a run r with
+        q(r + 1) >= P(p-q)."""
+        top = ((self._n + 1) * q) // p
+        bounds = np.arange(p - 2 * q, (p - q) * top - q + 1, p - q)
+        return self.blocked(range(1, top + 1), bounds, letter, scale=q)
 
-    def exact_hit(
-        self, p: int, q: int, end: int | None = None, letter: int | None = None
-    ) -> dict[int, int]:
+    def exact_hit(self, p: int, q: int, letter: int | None = None) -> dict[int, int]:
         """``blocked`` for exact p/q-powers: period q*t needs (p-q)*t letters
         past its period block."""
-        n = self._n if end is None else end
-        periods = np.arange(q, q * ((n + 1) // p) + 1, q)
-        return self.blocked(periods, periods // q * (p - q), end, letter)
+        top = (self._n + 1) // p
+        min_runs = np.arange(p - q - 1, (p - q) * top, p - q)
+        return self.blocked(range(q, q * top + 1, q), min_runs, letter)
 
     def lce_backward(self, i: int, j: int) -> int:
         """Largest L such that the L letters ending at i equal those ending at j."""
         n = self._n
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"indices ({i}, {j}) out of range for length {n}")
-        if self._let[i] != self._let[j]:
-            return 0
-        lo, hi = 1, min(i, j) + 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._hash_equal(i - mid + 1, j - mid + 1, mid):
-                lo = mid
-            else:
-                hi = mid - 1
-        if self._equal_ranges(i - lo + 1, j - lo + 1, lo):
-            return lo
-        # hash collision: fall back to the direct scan
-        length = 0
         bound = min(i, j) + 1
-        let = self._let
-        while length < bound and let[i - length] == let[j - length]:
-            length += 1
-        return length
+        backwards = self._backwards()
+        a, b = n - 1 - i, n - 1 - j
+        differ = np.flatnonzero(backwards[a : a + bound] != backwards[b : b + bound])
+        return int(differ[0]) if differ.size else bound
 
 
 def blocked_letters(
-    idx: LceIndex,
-    exponent: Exponent,
-    mode: AvoidanceMode,
-    end: int | None = None,
-    letter: int | None = None,
+    idx: LceIndex, exponent: Exponent, mode: AvoidanceMode, letter: int | None = None
 ) -> dict[int, int]:
-    """``LceIndex.blocked`` under the given discipline: each letter at position
-    ``end`` that would complete a forbidden factor, with its smallest period."""
+    """``LceIndex.blocked`` under the given discipline: each letter at the
+    next position that would complete a forbidden factor, with its smallest
+    period."""
     query = idx.threshold_hit if mode is AvoidanceMode.THRESHOLD else idx.exact_hit
-    return query(exponent.p, exponent.q, end, letter)
+    return query(exponent.p, exponent.q, letter)
 
 
-def _witness(idx: LceIndex, exponent: Exponent, mode: AvoidanceMode, last: int) -> Occurrence | None:
-    hit = blocked_letters(idx, exponent, mode, last, idx[last])
+def _witness(idx: LceIndex, exponent: Exponent, mode: AvoidanceMode, letter: int) -> Occurrence | None:
+    """The forbidden factor that appending ``letter`` would complete, if any."""
+    hit = blocked_letters(idx, exponent, mode, letter)
     if not hit:
         return None
     (period,) = hit.values()
     if mode is AvoidanceMode.THRESHOLD:
-        length = period + idx.lce_backward(last, last - period)
+        length = period + idx.run(period) + 1
     else:
         length = period // exponent.q * exponent.p
-    return Occurrence(last + 1 - length, period, length)
+    return Occurrence(len(idx) + 1 - length, period, length)
+
+
+def _letters(word: Word | LceIndex) -> Sequence[int]:
+    return word.to_list() if isinstance(word, LceIndex) else word
 
 
 def forbidden_suffix(
@@ -269,13 +231,13 @@ def forbidden_suffix(
     smallest period is returned, extended to the longest length for that
     period in threshold mode (exact powers have their length pinned to p*t).
     """
-    n = len(word) if end is None else end
-    if not 0 <= n <= len(word):
-        raise ValueError(f"end {n} out of range for word of length {len(word)}")
+    letters = _letters(word)
+    n = len(letters) if end is None else end
+    if not 0 <= n <= len(letters):
+        raise ValueError(f"end {n} out of range for word of length {len(letters)}")
     if n == 0:
         return None
-    idx = word if isinstance(word, LceIndex) else LceIndex(word[:n])
-    return _witness(idx, exponent, mode, n - 1)
+    return _witness(LceIndex(letters[: n - 1]), exponent, mode, _checked(letters[n - 1]))
 
 
 def contains_forbidden(
@@ -283,10 +245,18 @@ def contains_forbidden(
     exponent: Exponent,
     mode: AvoidanceMode = AvoidanceMode.THRESHOLD,
 ) -> Occurrence | None:
-    """First forbidden factor in end-position order over the whole word."""
-    idx = word if isinstance(word, LceIndex) else LceIndex(word)
-    for last in range(len(idx)):
-        occ = _witness(idx, exponent, mode, last)
+    """First forbidden factor in end-position order over the whole word.
+
+    Every letter is checked against the ``LceIndex`` bound first; the scan
+    then stops at the first position that completes a forbidden factor.
+    """
+    letters = _letters(word)
+    for v in letters:
+        _checked(v)
+    idx = LceIndex()
+    for v in letters:
+        occ = _witness(idx, exponent, mode, v)
         if occ is not None:
             return occ
+        idx.append(v)
     return None

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexleast.detect import AvoidanceMode, LceIndex, contains_forbidden, forbidden_suffix
+from lexleast.detect import (
+    AvoidanceMode,
+    LceIndex,
+    blocked_letters,
+    contains_forbidden,
+    forbidden_suffix,
+)
 from lexleast.formulas import w32_prefix
 from lexleast.words import Exponent, Occurrence
 
@@ -116,6 +122,36 @@ def test_blocked_letters_match_naive_oracle(word, exponent, mode):
     for m in range(max(word, default=-1) + 2):
         single = {m: expected[m]} if m in expected else {}
         assert query(exponent.p, exponent.q, letter=m) == single
+
+
+@given(
+    st.lists(st.one_of(st.none(), st.integers(0, 2)), max_size=30),
+    st.sampled_from([Exponent(4, 3), E32, Exponent(2, 1), Exponent(5, 2)]),
+    st.sampled_from([THRESHOLD, EXACT]),
+)
+def test_run_table_follows_append_pop_walks(steps, exponent, mode):
+    # a letter appends and None pops: after every step each run equals the
+    # direct backward scan, which pins the rebuild in pop, and the query
+    # built on the runs matches the oracle
+    idx = LceIndex()
+    word = []
+    for step in steps:
+        if step is None:
+            if word:
+                assert idx.pop() == word.pop()
+        else:
+            idx.append(step)
+            word.append(step)
+        n = len(word)
+        assert idx.to_list() == word
+        for period in range(1, n + 1):
+            assert idx.run(period) == oracle.lce_backward_scan(word, n - 1, n - 1 - period)
+        expected = {}
+        for m in range(max(word, default=-1) + 2):
+            occ = oracle.naive_forbidden_suffix(word + [m], exponent, mode)
+            if occ is not None:
+                expected[m] = occ.period
+        assert blocked_letters(idx, exponent, mode) == expected
 
 
 def test_lce_against_scan_on_random_words():

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexleast.detect import AvoidanceMode, contains_forbidden, forbidden_suffix
-from lexleast.formulas import w32_prefix
+from lexleast.formulas import w32_prefix, x32_prefix
 from lexleast.greedy import GreedyState, generate
 from lexleast.words import Exponent
 
@@ -62,6 +62,11 @@ def test_local_lexicographic_minimality(exponent, mode):
     for i in range(len(word)):
         for m in range(word[i]):
             assert forbidden_suffix(word[:i] + [m], exponent, mode) is not None, (i, m)
+
+
+@pytest.mark.parametrize("mode,closed", [(THRESHOLD, w32_prefix), (EXACT, x32_prefix)])
+def test_greedy_equals_closed_form_at_20000(mode, closed):
+    assert generate(E32, mode, 20_000) == closed(20_000)
 
 
 def test_prefix_stability():

@@ -1,0 +1,36 @@
+"""Smoke runs of the scripts under ``scripts/``, each in a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from lexleast.checks import BATTERY
+
+import golden
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=300,
+    )
+
+
+def test_run_checks_fast():
+    proc = run_script("run_checks.py", "--fast")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("PASS ") == len(BATTERY)
+    assert "\n0 failing check(s)" in proc.stdout
+
+
+def test_explore_exponents_small():
+    proc = run_script("explore_exponents.py", "--length", "60", "--exponents", "3/2", "2/1")
+    assert proc.returncode == 0, proc.stderr
+    lines = [line for line in proc.stdout.splitlines() if line]
+    assert len(lines) == 4
+    assert lines[0].startswith("3/2 threshold")
+    assert lines[0].endswith("head " + " ".join(map(str, golden.W32_100[:30])))
