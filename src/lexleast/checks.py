@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .detect import AvoidanceMode, LceIndex, blocked_letters, contains_forbidden
+from .detect import AvoidanceMode, LceIndex, contains_forbidden
 from .formulas import (
     EllCase,
     b_rec,
@@ -26,7 +26,7 @@ from .formulas import (
     w32_prefix,
     x32_prefix,
 )
-from .greedy import generate
+from .greedy import GreedyState, generate
 from .morphic import w32_via_morphism, x32_via_morphism
 from .words import Exponent, Occurrence
 
@@ -55,14 +55,13 @@ class Violation:
 class CheckReport:
     name: str
     params: dict[str, object]
-    passed: bool
     violation: Violation | None
     elapsed: float
     extras: dict[str, object] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if not self.passed and self.violation is None:
-            raise ValueError("failing report requires a violation")
+    @property
+    def passed(self) -> bool:
+        return self.violation is None
 
     def to_dict(self) -> dict[str, object]:
         # deliberately excludes elapsed time so serialized reports are
@@ -133,7 +132,7 @@ def _occ_detail(occ: Occurrence) -> dict[str, object]:
 
 
 def check_powerfree(
-    source: str | Sequence[int],
+    source: str | Sequence[int] = "w32",
     exponent: Exponent | None = None,
     mode: AvoidanceMode | None = None,
     length: int = 10_000,
@@ -145,45 +144,44 @@ def check_powerfree(
     occ = contains_forbidden(letters, exponent, mode)
     violation = None if occ is None else Violation("forbidden-factor", occ.end - 1, _occ_detail(occ))
     return CheckReport(
-        "powerfree", params, violation is None, violation, time.perf_counter() - t0,
+        "powerfree", params, violation, time.perf_counter() - t0,
         extras={"scanned": len(letters)},
     )
 
 
 def check_minimality(
-    source: str | Sequence[int],
+    source: str | Sequence[int] = "w32",
     exponent: Exponent | None = None,
     mode: AvoidanceMode | None = None,
     length: int = 2_000,
 ) -> CheckReport:
     """Every decrement of every letter creates a forbidden suffix.
 
-    Since the prefix before position i is clean, it is enough to test the
-    mutated word for a forbidden factor ending exactly at i.  The scan also
-    re-verifies that the source letters themselves stay clean, so a
-    non-power-free input fails here rather than passing vacuously.
+    Since the prefix before position i is clean, that holds at i exactly
+    when greedy generation along the source picks the source letter: a
+    smaller pick is a decrement that survives, and a larger one means the
+    source letter itself is blocked, so a non-power-free input fails here
+    rather than passing vacuously.
     """
     t0 = time.perf_counter()
     name, letters, exponent, mode = _resolve(source, exponent, mode, length)
     params = {"target": name, "length": length, "exponent": str(exponent), "mode": mode.value}
-    idx = LceIndex()
+    state = GreedyState(exponent, mode)
     violation = None
     decrements = 0
     for i, v in enumerate(letters):
-        blocked = blocked_letters(idx, exponent, mode)
-        free = next((m for m in range(v) if m not in blocked), v)
-        decrements += free
+        free = state.step()
+        decrements += min(free, v)
         if free < v:
             violation = Violation(
                 "decrement-survives", i, {"letter": v, "decremented_to": free}
             )
             break
-        if v in blocked:
+        if free > v:
             violation = Violation("source-not-clean", i, {"letter": v})
             break
-        idx.append(v)
     return CheckReport(
-        "minimality", params, violation is None, violation, time.perf_counter() - t0,
+        "minimality", params, violation, time.perf_counter() - t0,
         extras={"positions": len(letters), "decrements_verified": decrements},
     )
 
@@ -212,7 +210,7 @@ def check_cross(length: int = 10_000) -> CheckReport:
                 break
         if violation is not None:
             break
-    return CheckReport("cross", params, violation is None, violation, time.perf_counter() - t0)
+    return CheckReport("cross", params, violation, time.perf_counter() - t0)
 
 
 def _b_slot_decrements(n_max: int):
@@ -264,7 +262,7 @@ def check_ell_claim(n_max: int = 2_000) -> CheckReport:
         by_case[key] += 1
         by_ell[ell] += 1
     return CheckReport(
-        "ell-claim", params, violation is None, violation, time.perf_counter() - t0,
+        "ell-claim", params, violation, time.perf_counter() - t0,
         extras={
             "verified": sum(by_case.values()),
             "skipped": skipped,
@@ -305,7 +303,7 @@ def check_eq6_intervals(n_max: int = 2_000) -> CheckReport:
             break
         checked += 1
     return CheckReport(
-        "eq6-intervals", params, violation is None, violation, time.perf_counter() - t0,
+        "eq6-intervals", params, violation, time.perf_counter() - t0,
         extras={"checked": checked, "skipped": skipped},
     )
 
@@ -324,9 +322,7 @@ def check_b_inequality(s_max: int = 300, j_max: int = 300) -> CheckReport:
                 break
         if violation is not None:
             break
-    return CheckReport(
-        "b-inequality", params, violation is None, violation, time.perf_counter() - t0
-    )
+    return CheckReport("b-inequality", params, violation, time.perf_counter() - t0)
 
 
 def check_b_window(n_max: int = 2_000, r_max: int = 200) -> CheckReport:
@@ -343,9 +339,7 @@ def check_b_window(n_max: int = 2_000, r_max: int = 200) -> CheckReport:
                 break
         if violation is not None:
             break
-    return CheckReport(
-        "b-window", params, violation is None, violation, time.perf_counter() - t0
-    )
+    return CheckReport("b-window", params, violation, time.perf_counter() - t0)
 
 
 def check_x_squares(
@@ -382,9 +376,7 @@ def check_x_squares(
         "first_00": first_unit.get(0),
         "first_11": first_unit.get(1),
     }
-    return CheckReport(
-        "x-squares", params, violation is None, violation, time.perf_counter() - t0, extras
-    )
+    return CheckReport("x-squares", params, violation, time.perf_counter() - t0, extras)
 
 
 def check_x_overlapfree(
@@ -406,9 +398,7 @@ def check_x_overlapfree(
             violation = Violation("overlap", i, {"start": i - 2 * period, "period": period})
             break
         idx.append(v)
-    return CheckReport(
-        "x-overlap", params, violation is None, violation, time.perf_counter() - t0
-    )
+    return CheckReport("x-overlap", params, violation, time.perf_counter() - t0)
 
 
 # The verification battery run by scripts/run_checks.py: each check with its

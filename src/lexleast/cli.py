@@ -197,23 +197,16 @@ _VERIFY = {
     "x-overlap": (checks.check_x_overlapfree, ("source", "length")),
 }
 
-_VERIFY_DEFAULT_TARGET = {"powerfree": "w32", "minimality": "w32"}
-
 
 def cmd_verify(args: argparse.Namespace) -> int:
     runner, accepted = _VERIFY[args.check]
     kwargs: dict[str, object] = {}
-    if "source" in accepted:
-        kwargs["source"] = args.target or _VERIFY_DEFAULT_TARGET.get(args.check, "x32")
-    for cli_name, kw_name in (
-        ("length", "length"),
-        ("n_max", "n_max"),
-        ("r_max", "r_max"),
-        ("s_max", "s_max"),
-        ("j_max", "j_max"),
-    ):
-        if kw_name in accepted and getattr(args, cli_name) is not None:
-            kwargs[kw_name] = getattr(args, cli_name)
+    # each check keeps its own default target and bounds
+    if "source" in accepted and args.target is not None:
+        kwargs["source"] = args.target
+    for name in ("length", "n_max", "r_max", "s_max", "j_max"):
+        if name in accepted and getattr(args, name) is not None:
+            kwargs[name] = getattr(args, name)
     try:
         report = runner(**kwargs)
     except ValueError as exc:

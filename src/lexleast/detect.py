@@ -29,7 +29,7 @@ vectorized work per letter.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -215,12 +215,8 @@ def _witness(idx: LceIndex, exponent: Exponent, mode: AvoidanceMode, letter: int
     return Occurrence(len(idx) + 1 - length, period, length)
 
 
-def _letters(word: Word | LceIndex) -> Sequence[int]:
-    return word.to_list() if isinstance(word, LceIndex) else word
-
-
 def forbidden_suffix(
-    word: Word | LceIndex,
+    word: Word,
     exponent: Exponent,
     mode: AvoidanceMode = AvoidanceMode.THRESHOLD,
     end: int | None = None,
@@ -231,17 +227,16 @@ def forbidden_suffix(
     smallest period is returned, extended to the longest length for that
     period in threshold mode (exact powers have their length pinned to p*t).
     """
-    letters = _letters(word)
-    n = len(letters) if end is None else end
-    if not 0 <= n <= len(letters):
-        raise ValueError(f"end {n} out of range for word of length {len(letters)}")
+    n = len(word) if end is None else end
+    if not 0 <= n <= len(word):
+        raise ValueError(f"end {n} out of range for word of length {len(word)}")
     if n == 0:
         return None
-    return _witness(LceIndex(letters[: n - 1]), exponent, mode, _checked(letters[n - 1]))
+    return _witness(LceIndex(word[: n - 1]), exponent, mode, _checked(word[n - 1]))
 
 
 def contains_forbidden(
-    word: Word | LceIndex,
+    word: Word,
     exponent: Exponent,
     mode: AvoidanceMode = AvoidanceMode.THRESHOLD,
 ) -> Occurrence | None:
@@ -250,11 +245,10 @@ def contains_forbidden(
     Every letter is checked against the ``LceIndex`` bound first; the scan
     then stops at the first position that completes a forbidden factor.
     """
-    letters = _letters(word)
-    for v in letters:
+    for v in word:
         _checked(v)
     idx = LceIndex()
-    for v in letters:
+    for v in word:
         occ = _witness(idx, exponent, mode, v)
         if occ is not None:
             return occ

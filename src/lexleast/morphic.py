@@ -11,7 +11,7 @@ of the helper sequence b.  Two codings flatten the fixed point: ``tau``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 
@@ -85,23 +85,19 @@ def upsilon(word: Iterable[BarLetter]) -> list[int]:
 
 
 def bar_fixed_point() -> Iterator[BarLetter]:
-    """The fixed point of ``phi`` starting from the plain letter 3.
+    """The fixed point x of ``phi`` starting from the plain letter 3.
 
-    Letters are produced by expanding the buffer entry at the read pointer;
-    the image of position k lands at positions 6k..6k+5, so the buffer is
-    always ahead of the pointer and only O(1) work is done per letter.
+    Since x = phi(x), the letters after x[0] are phi(x[0]) without its first
+    letter, then phi(x[1]), phi(x[2]), ...; they are read off a nested copy
+    of this generator.  Letter k of the copy is needed only once 6k letters
+    are out, so n letters keep about log_6 n generators alive: O(log n)
+    memory and O(1) amortized work per letter.
     """
-    buf = [_P3]
-    expand_at = 0
-    emitted = 0
-    while True:
-        while emitted < len(buf):
-            yield buf[emitted]
-            emitted += 1
-        image = phi_letter(buf[expand_at])
-        # the seed re-derives itself as the first letter of its own image
-        buf.extend(image[1:] if expand_at == 0 else image)
-        expand_at += 1
+    yield _P3
+    inner = bar_fixed_point()
+    next(inner)
+    yield from phi_letter(_P3)[1:]
+    yield from chain.from_iterable(map(phi_letter, inner))
 
 
 def phi_fixed_prefix(length: int) -> list[BarLetter]:

@@ -21,6 +21,7 @@ from lexleast.checks import (
     check_x_overlapfree,
     check_x_squares,
 )
+from lexleast import detect
 from lexleast.detect import AvoidanceMode, LceIndex, forbidden_suffix
 from lexleast.formulas import (
     b_closed,
@@ -140,16 +141,18 @@ def test_criterion_10_oracle_equivalence():
             idx = LceIndex()
 
             def track(word, idx=idx):
+                # keep idx one letter behind the word, by appends and pops
                 while len(idx) > len(word) - 1:
                     idx.pop()
-                idx.append(word[-1])
+                if len(idx) < len(word) - 1:
+                    idx.append(word[-2])
 
             visited, covered = oracle.ternary_suffix_agreement(
                 12,
                 (
                     lambda w: oracle.naive_forbidden_suffix(w, E32, mode),
                     lambda w: forbidden_suffix(w, E32, mode),
-                    lambda w: forbidden_suffix(idx, E32, mode),
+                    lambda w: detect._witness(idx, E32, mode, w[-1]),
                 ),
                 on_node=track,
             )

@@ -172,9 +172,8 @@ def test_report_serialization_shape():
 
 
 def test_failing_report_has_violation_field():
-    with pytest.raises(ValueError):
-        CheckReport("x", {}, False, None, 0.0)
-    report = CheckReport("x", {"n": 1}, False, Violation("kind", 3, {"a": 1}), 0.1)
+    report = CheckReport("x", {"n": 1}, Violation("kind", 3, {"a": 1}), 0.1)
+    assert not report.passed
     data = report.to_dict()
     assert data["status"] == "fail"
     assert data["violation"] == {"kind": "kind", "position": 3, "detail": {"a": 1}}

@@ -175,6 +175,19 @@ def test_verify_json_format(capsys):
     assert data["params"] == {"s_max": 10, "j_max": 10}
 
 
+def test_verify_default_targets(capsys):
+    # without --target each check runs on its own default word
+    for name, expected in (
+        ("powerfree", "w32"),
+        ("minimality", "w32"),
+        ("x-squares", "x32"),
+        ("x-overlap", "x32"),
+    ):
+        code, out, _ = run_cli(capsys, "verify", name, "--length", "60", "--format", "json")
+        assert code == 0, (name, out)
+        assert json.loads(out)["params"]["target"] == expected, name
+
+
 def test_verify_bad_target(capsys):
     assert run_cli(capsys, "verify", "powerfree", "--target", "nope")[0] == 2
 

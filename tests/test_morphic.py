@@ -1,3 +1,7 @@
+import tracemalloc
+from collections import deque
+from itertools import islice
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,7 +14,9 @@ from lexleast.morphic import (
     phi_fixed_prefix,
     tau,
     upsilon,
+    w32_stream,
     w32_via_morphism,
+    x32_stream,
     x32_via_morphism,
 )
 
@@ -91,6 +97,19 @@ def test_codings_match_closed_forms():
     n = 100_000
     assert w32_via_morphism(n) == w32_prefix(n)
     assert x32_via_morphism(n) == x32_prefix(n)
+
+
+def test_streams_run_in_logarithmic_memory():
+    # 10^6 letters keep about log_6 of that many generators alive: a few
+    # KiB, where a buffer of the fixed point would take megabytes
+    for stream in (w32_stream, x32_stream):
+        tracemalloc.start()
+        try:
+            deque(islice(stream(), 10**6), maxlen=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, (stream.__name__, peak)
 
 
 def test_stream_is_incremental():
