@@ -8,7 +8,6 @@ desk scale and every bound is overridable from the CLI.
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -56,7 +55,6 @@ class CheckReport:
     name: str
     params: dict[str, object]
     violation: Violation | None
-    elapsed: float
     extras: dict[str, object] = field(default_factory=dict)
 
     @property
@@ -64,8 +62,6 @@ class CheckReport:
         return self.violation is None
 
     def to_dict(self) -> dict[str, object]:
-        # deliberately excludes elapsed time so serialized reports are
-        # byte-identical across runs
         return {
             "schema": "check-report/1",
             "check": self.name,
@@ -138,13 +134,12 @@ def check_powerfree(
     length: int = 10_000,
 ) -> CheckReport:
     """No forbidden factor anywhere in the length-``length`` prefix."""
-    t0 = time.perf_counter()
     name, letters, exponent, mode = _resolve(source, exponent, mode, length)
     params = {"target": name, "length": length, "exponent": str(exponent), "mode": mode.value}
     occ = contains_forbidden(letters, exponent, mode)
     violation = None if occ is None else Violation("forbidden-factor", occ.end - 1, _occ_detail(occ))
     return CheckReport(
-        "powerfree", params, violation, time.perf_counter() - t0,
+        "powerfree", params, violation,
         extras={"scanned": len(letters)},
     )
 
@@ -163,7 +158,6 @@ def check_minimality(
     source letter itself is blocked, so a non-power-free input fails here
     rather than passing vacuously.
     """
-    t0 = time.perf_counter()
     name, letters, exponent, mode = _resolve(source, exponent, mode, length)
     params = {"target": name, "length": length, "exponent": str(exponent), "mode": mode.value}
     state = GreedyState(exponent, mode)
@@ -181,7 +175,7 @@ def check_minimality(
             violation = Violation("source-not-clean", i, {"letter": v})
             break
     return CheckReport(
-        "minimality", params, violation, time.perf_counter() - t0,
+        "minimality", params, violation,
         extras={"positions": len(letters), "decrements_verified": decrements},
     )
 
@@ -189,7 +183,6 @@ def check_minimality(
 def check_cross(length: int = 10_000) -> CheckReport:
     """Greedy search, closed form, and morphic coding agree pointwise, for
     both the threshold and the exact discipline."""
-    t0 = time.perf_counter()
     params = {"length": length}
     violation = None
     triples = (
@@ -210,7 +203,7 @@ def check_cross(length: int = 10_000) -> CheckReport:
                 break
         if violation is not None:
             break
-    return CheckReport("cross", params, violation, time.perf_counter() - t0)
+    return CheckReport("cross", params, violation)
 
 
 def _b_slot_decrements(n_max: int):
@@ -229,7 +222,6 @@ def check_ell_claim(n_max: int = 2_000) -> CheckReport:
     to have period 2*ell by direct comparison.  Pairs whose window starts
     before position 0 are counted as skipped.
     """
-    t0 = time.perf_counter()
     params = {"n_max": n_max}
     word = w32_prefix(10 * n_max + 10)
     violation = None
@@ -262,7 +254,7 @@ def check_ell_claim(n_max: int = 2_000) -> CheckReport:
         by_case[key] += 1
         by_ell[ell] += 1
     return CheckReport(
-        "ell-claim", params, violation, time.perf_counter() - t0,
+        "ell-claim", params, violation,
         extras={
             "verified": sum(by_case.values()),
             "skipped": skipped,
@@ -276,7 +268,6 @@ def check_eq6_intervals(n_max: int = 2_000) -> CheckReport:
     """The b-interval identity behind the decrement witnesses: with L =
     ell/10, the L-1 values of b starting at n+1-3L equal those starting at
     n+1-L, and b(n-2L) = m.  Windows reaching below 0 are skipped."""
-    t0 = time.perf_counter()
     params = {"n_max": n_max}
     violation = None
     checked = 0
@@ -303,14 +294,13 @@ def check_eq6_intervals(n_max: int = 2_000) -> CheckReport:
             break
         checked += 1
     return CheckReport(
-        "eq6-intervals", params, violation, time.perf_counter() - t0,
+        "eq6-intervals", params, violation,
         extras={"checked": checked, "skipped": skipped},
     )
 
 
 def check_b_inequality(s_max: int = 300, j_max: int = 300) -> CheckReport:
     """b(d(s)j + c(s)) differs from b(d(s)j + c(s) + 6s) for all s, j in range."""
-    t0 = time.perf_counter()
     params = {"s_max": s_max, "j_max": j_max}
     violation = None
     for s in range(1, s_max + 1):
@@ -322,12 +312,11 @@ def check_b_inequality(s_max: int = 300, j_max: int = 300) -> CheckReport:
                 break
         if violation is not None:
             break
-    return CheckReport("b-inequality", params, violation, time.perf_counter() - t0)
+    return CheckReport("b-inequality", params, violation)
 
 
 def check_b_window(n_max: int = 2_000, r_max: int = 200) -> CheckReport:
     """For every n and r in range some offset j < r has b(n+j) != b(n+2r+j)."""
-    t0 = time.perf_counter()
     params = {"n_max": n_max, "r_max": r_max}
     table = [b_rec(i) for i in range(n_max + 3 * r_max + 1)]
     violation = None
@@ -339,14 +328,13 @@ def check_b_window(n_max: int = 2_000, r_max: int = 200) -> CheckReport:
                 break
         if violation is not None:
             break
-    return CheckReport("b-window", params, violation, time.perf_counter() - t0)
+    return CheckReport("b-window", params, violation)
 
 
 def check_x_squares(
     length: int = 10_000, source: str | Sequence[int] = "x32"
 ) -> CheckReport:
     """Every square factor has a one-letter root, and that letter is 0 or 1."""
-    t0 = time.perf_counter()
     name, letters, _, _ = _resolve(source, E32, EXACT, length)
     params = {"target": name, "length": length}
     idx = LceIndex()
@@ -362,9 +350,8 @@ def check_x_squares(
             first_unit.setdefault(v, i - 1)
         roots = range(2, (i + 1) // 2 + 1)
         # a square of root r ends here when the r - 1 letters before repeat
-        found = idx.blocked(roots, np.arange(1, roots.stop - 1), letter=v)
-        if found:
-            root = found[v]
+        root = idx.blocked(roots, np.arange(1, roots.stop - 1)).get(v)
+        if root is not None:
             violation = Violation(
                 "square-root-too-long", i, {"start": i + 1 - 2 * root, "root_length": root}
             )
@@ -376,7 +363,7 @@ def check_x_squares(
         "first_00": first_unit.get(0),
         "first_11": first_unit.get(1),
     }
-    return CheckReport("x-squares", params, violation, time.perf_counter() - t0, extras)
+    return CheckReport("x-squares", params, violation, extras)
 
 
 def check_x_overlapfree(
@@ -384,7 +371,6 @@ def check_x_overlapfree(
 ) -> CheckReport:
     """No factor of shape a x a x a (single letter a, x possibly empty);
     equivalently no factor of exponent above 2."""
-    t0 = time.perf_counter()
     name, letters, _, _ = _resolve(source, E32, EXACT, length)
     params = {"target": name, "length": length}
     idx = LceIndex()
@@ -392,13 +378,12 @@ def check_x_overlapfree(
     for i, v in enumerate(letters):
         periods = range(1, i // 2 + 1)
         # a x a x a with |a x| = P ends here when the P letters before repeat
-        found = idx.blocked(periods, np.arange(1, periods.stop), letter=v)
-        if found:
-            period = found[v]
+        period = idx.blocked(periods, np.arange(1, periods.stop)).get(v)
+        if period is not None:
             violation = Violation("overlap", i, {"start": i - 2 * period, "period": period})
             break
         idx.append(v)
-    return CheckReport("x-overlap", params, violation, time.perf_counter() - t0)
+    return CheckReport("x-overlap", params, violation)
 
 
 # The verification battery run by scripts/run_checks.py: each check with its

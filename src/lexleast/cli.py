@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from itertools import count, islice
 from typing import Iterable, Iterator, TextIO
 
@@ -207,16 +208,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for name in ("length", "n_max", "r_max", "s_max", "j_max"):
         if name in accepted and getattr(args, name) is not None:
             kwargs[name] = getattr(args, name)
+    t0 = time.perf_counter()
     try:
         report = runner(**kwargs)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    elapsed = time.perf_counter() - t0
     if args.format == "json":
         print(json.dumps(report.to_dict(), sort_keys=True))
     else:
         print(report.summary())
-    print(f"elapsed: {report.elapsed:.3f}s", file=sys.stderr)
+    print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
     return 0 if report.passed else 1
 
 

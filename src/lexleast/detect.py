@@ -16,14 +16,14 @@ letter at n against ``word[n - P]``.  One scan over the periods therefore
 yields every blocked letter with its smallest period
 (``LceIndex.blocked``).  Greedy generation takes the least letter missing
 from that map, minimality needs every smaller letter in it, and a scan or a
-structure check asks about the one letter actually present.
+structure check looks up the one letter actually present.
 
 ``LceIndex`` keeps, for every period P, the length of the longest suffix of
-the word with period P.  Each append updates that run table from one
-comparison of the new letter with the word read backwards, and each query
-compares every run with the number of letters its period needs.  There are
-no hashes: every verdict rests on letter comparisons, at a cost of O(n)
-vectorized work per letter.
+the word with period P.  Appends are the only way into that run table: each
+one updates it from one comparison of the new letter with the word read
+backwards, and each query compares every run with the number of letters its
+period needs.  There are no hashes: every verdict rests on letter
+comparisons, at a cost of O(n) vectorized work per letter.
 """
 
 from __future__ import annotations
@@ -57,29 +57,22 @@ class LceIndex:
     period P, i.e. how many letters ending at position n-1 equal the ones P
     earlier.  Letters are natural numbers below 2**31, stored as int64 and
     right-aligned in reverse order, so that the word read backwards is one
-    contiguous slice.  ``append`` updates the table in place; building from
-    letters and ``pop`` rebuild it exactly in O(n), for walks that backtrack.
+    contiguous slice.  ``append`` updates the table in place, and building
+    from letters appends them one by one.
     """
 
     __slots__ = ("_n", "_rev", "_run")
 
     def __init__(self, letters: Iterable[int] = ()) -> None:
-        word = [_checked(v) for v in letters]
-        n = self._n = len(word)
-        cap = max(64, 1 << n.bit_length())
-        self._rev = np.zeros(cap, dtype=np.int64)
-        self._rev[cap - n :] = word[::-1]
-        # run[P] for P in 0..cap; entries from P = n on stay 0
-        self._run = np.zeros(cap + 1, dtype=np.int64)
-        self._rebuild()
+        self._n = 0
+        self._rev = np.zeros(64, dtype=np.int64)
+        # run[P] for P in 0..capacity; entries from P = n on stay 0
+        self._run = np.zeros(65, dtype=np.int64)
+        for v in letters:
+            self.append(v)
 
     def __len__(self) -> int:
         return self._n
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self._n:
-            raise IndexError(i)
-        return int(self._rev[-1 - i])
 
     def _backwards(self) -> np.ndarray:
         """The word read from its last letter to its first (a view)."""
@@ -94,22 +87,6 @@ class LceIndex:
         if period < 1:
             raise ValueError(f"period must be positive, got {period}")
         return int(self._run[period]) if period < self._n else 0
-
-    def _rebuild(self) -> None:
-        # run[P] is entry P of the Z-function of the word read backwards
-        n = self._n
-        rev = self._backwards().tolist()
-        z = [0] * n
-        left = right = 0
-        for i in range(1, n):
-            k = min(right - i, z[i - left]) if i < right else 0
-            while i + k < n and rev[k] == rev[i + k]:
-                k += 1
-            z[i] = k
-            if i + k > right:
-                left, right = i, i + k
-        self._run[:] = 0
-        self._run[1:n] = z[1:]
 
     def append(self, letter: int) -> None:
         letter = _checked(letter)
@@ -129,16 +106,15 @@ class LceIndex:
         self._n = n + 1
 
     def pop(self) -> int:
+        """Remove and return the last letter.  The rest is appended again
+        into a fresh table, so a pop costs n appends."""
         if self._n == 0:
             raise IndexError("pop from empty index")
-        letter = int(self._backwards()[0])
-        self._n -= 1
-        self._rebuild()
+        *rest, letter = self.to_list()
+        self.__init__(rest)
         return letter
 
-    def blocked(
-        self, periods: range, min_runs: np.ndarray, letter: int | None = None, scale: int = 1
-    ) -> dict[int, int]:
+    def blocked(self, periods: range, min_runs: np.ndarray, scale: int = 1) -> dict[int, int]:
         """Letters at the next position that would complete a repetition there.
 
         Period periods[k] blocks a letter when the letters ending at the next
@@ -148,8 +124,7 @@ class LceIndex:
         is at least min_runs[k], so that a rule with a fractional bound stays
         in integers.  Periods ascend from 1 or more and stay at most the
         length n; ``min_runs`` is as long as ``periods``.  Returns each
-        blocked letter with its smallest period.  Given ``letter``, only that
-        letter is asked about: the map holds it or is empty.
+        blocked letter with its smallest period.
         """
         runs = self._run[periods.start : periods.stop : periods.step]
         if scale != 1:
@@ -158,56 +133,38 @@ class LceIndex:
         backwards = self._backwards()
         for k in np.flatnonzero(runs >= min_runs).tolist():
             period = periods[k]
-            repeat = int(backwards[period - 1])
-            if letter is None:
-                found.setdefault(repeat, period)
-            elif repeat == letter:
-                return {letter: period}
+            found.setdefault(int(backwards[period - 1]), period)
         return found
 
-    def threshold_hit(self, p: int, q: int, letter: int | None = None) -> dict[int, int]:
+    def threshold_hit(self, p: int, q: int) -> dict[int, int]:
         """``blocked`` for factors of exponent >= p/q: period P needs
         ceil(P(p-q)/q) letters past its period block, that is a run r with
         q(r + 1) >= P(p-q)."""
         top = ((self._n + 1) * q) // p
         bounds = np.arange(p - 2 * q, (p - q) * top - q + 1, p - q)
-        return self.blocked(range(1, top + 1), bounds, letter, scale=q)
+        return self.blocked(range(1, top + 1), bounds, scale=q)
 
-    def exact_hit(self, p: int, q: int, letter: int | None = None) -> dict[int, int]:
+    def exact_hit(self, p: int, q: int) -> dict[int, int]:
         """``blocked`` for exact p/q-powers: period q*t needs (p-q)*t letters
         past its period block."""
         top = (self._n + 1) // p
         min_runs = np.arange(p - q - 1, (p - q) * top, p - q)
-        return self.blocked(range(q, q * top + 1, q), min_runs, letter)
-
-    def lce_backward(self, i: int, j: int) -> int:
-        """Largest L such that the L letters ending at i equal those ending at j."""
-        n = self._n
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"indices ({i}, {j}) out of range for length {n}")
-        bound = min(i, j) + 1
-        backwards = self._backwards()
-        a, b = n - 1 - i, n - 1 - j
-        differ = np.flatnonzero(backwards[a : a + bound] != backwards[b : b + bound])
-        return int(differ[0]) if differ.size else bound
+        return self.blocked(range(q, q * top + 1, q), min_runs)
 
 
-def blocked_letters(
-    idx: LceIndex, exponent: Exponent, mode: AvoidanceMode, letter: int | None = None
-) -> dict[int, int]:
+def blocked_letters(idx: LceIndex, exponent: Exponent, mode: AvoidanceMode) -> dict[int, int]:
     """``LceIndex.blocked`` under the given discipline: each letter at the
     next position that would complete a forbidden factor, with its smallest
     period."""
     query = idx.threshold_hit if mode is AvoidanceMode.THRESHOLD else idx.exact_hit
-    return query(exponent.p, exponent.q, letter)
+    return query(exponent.p, exponent.q)
 
 
 def _witness(idx: LceIndex, exponent: Exponent, mode: AvoidanceMode, letter: int) -> Occurrence | None:
     """The forbidden factor that appending ``letter`` would complete, if any."""
-    hit = blocked_letters(idx, exponent, mode, letter)
-    if not hit:
+    period = blocked_letters(idx, exponent, mode).get(letter)
+    if period is None:
         return None
-    (period,) = hit.values()
     if mode is AvoidanceMode.THRESHOLD:
         length = period + idx.run(period) + 1
     else:
@@ -219,20 +176,16 @@ def forbidden_suffix(
     word: Word,
     exponent: Exponent,
     mode: AvoidanceMode = AvoidanceMode.THRESHOLD,
-    end: int | None = None,
 ) -> Occurrence | None:
-    """Witness of a forbidden factor ending at position ``end - 1``, or None.
+    """Witness of a forbidden factor ending at the last letter, or None.
 
-    ``end`` defaults to the full length.  Among witnesses the one with the
-    smallest period is returned, extended to the longest length for that
-    period in threshold mode (exact powers have their length pinned to p*t).
+    Among witnesses the one with the smallest period is returned, extended
+    to the longest length for that period in threshold mode (exact powers
+    have their length pinned to p*t).
     """
-    n = len(word) if end is None else end
-    if not 0 <= n <= len(word):
-        raise ValueError(f"end {n} out of range for word of length {len(word)}")
-    if n == 0:
+    if len(word) == 0:
         return None
-    return _witness(LceIndex(word[: n - 1]), exponent, mode, _checked(word[n - 1]))
+    return _witness(LceIndex(word[:-1]), exponent, mode, _checked(word[-1]))
 
 
 def contains_forbidden(

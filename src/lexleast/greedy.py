@@ -20,7 +20,6 @@ class GreedyState:
         self.exponent = exponent
         self.mode = mode
         self._idx = LceIndex()
-        self._max_letter = -1
 
     def __len__(self) -> int:
         return len(self._idx)
@@ -28,10 +27,6 @@ class GreedyState:
     @property
     def word(self) -> list[int]:
         return self._idx.to_list()
-
-    @property
-    def max_letter(self) -> int:
-        return self._max_letter
 
     def next_letter(self) -> int:
         """Least letter whose appending leaves the word free of forbidden suffixes."""
@@ -45,8 +40,6 @@ class GreedyState:
         """Append the next letter and return it."""
         letter = self.next_letter()
         self._idx.append(letter)
-        if letter > self._max_letter:
-            self._max_letter = letter
         return letter
 
     def extend_to(self, length: int) -> None:

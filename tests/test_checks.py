@@ -172,7 +172,7 @@ def test_report_serialization_shape():
 
 
 def test_failing_report_has_violation_field():
-    report = CheckReport("x", {"n": 1}, Violation("kind", 3, {"a": 1}), 0.1)
+    report = CheckReport("x", {"n": 1}, Violation("kind", 3, {"a": 1}))
     assert not report.passed
     data = report.to_dict()
     assert data["status"] == "fail"

@@ -129,6 +129,17 @@ def test_scan_overwide_letter_is_a_usage_error(capsys, tmp_path):
     assert err.startswith("error: ")
 
 
+def test_scan_overwide_letter_after_a_violation_is_a_usage_error(capsys, tmp_path):
+    # every letter's width is checked before the scan, so the forbidden 01010
+    # in front of the wide letter is not reported
+    path = tmp_path / "word.txt"
+    path.write_text("0 1 0 1 0 3000000000\n")
+    code, out, err = run_cli(capsys, "scan", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_scan_stdin(capsys, monkeypatch):
     import io
 

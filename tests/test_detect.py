@@ -12,7 +12,6 @@ from lexleast.detect import (
     contains_forbidden,
     forbidden_suffix,
 )
-from lexleast.formulas import w32_prefix
 from lexleast.words import Exponent, Occurrence
 
 import golden
@@ -40,27 +39,6 @@ def test_contains_forbidden_examples():
     assert contains_forbidden(golden.X32_144, E32, EXACT) is None
 
 
-def test_lce_backward_examples():
-    idx = LceIndex([0, 1, 0, 1])
-    assert idx.lce_backward(3, 1) == 2
-    idx = LceIndex([0, 1, 2])
-    assert idx.lce_backward(2, 1) == 0
-    # first 20 letters of w32: every backward window hits one of the two
-    # letters that differ between consecutive ten-blocks, so extensions are
-    # short; values pinned by the direct scan
-    w20 = w32_prefix(20)
-    idx = LceIndex(w20)
-    assert idx.lce_backward(19, 9) == oracle.lce_backward_scan(w20, 19, 9) == 0
-    assert idx.lce_backward(18, 8) == oracle.lce_backward_scan(w20, 18, 8) == 4
-
-
-def test_lce_backward_domain_errors():
-    idx = LceIndex([0, 1, 2])
-    for i, j in ((3, 0), (0, 3), (-1, 0), (0, -1)):
-        with pytest.raises(ValueError):
-            idx.lce_backward(i, j)
-
-
 def test_lce_index_append_pop():
     idx = LceIndex()
     for v in [0, 1, 2, 0, 3]:
@@ -70,7 +48,6 @@ def test_lce_index_append_pop():
     idx.append(1)
     assert idx.to_list() == [0, 1, 2, 0, 1]
     assert len(idx) == 5
-    assert idx[4] == 1
     with pytest.raises(ValueError):
         idx.append(-1)
     with pytest.raises(OverflowError):
@@ -108,9 +85,8 @@ def test_indexed_equals_direct_on_random_words():
     st.sampled_from([THRESHOLD, EXACT]),
 )
 def test_blocked_letters_match_naive_oracle(word, exponent, mode):
-    # the whole-set query names every letter whose appending completes a
-    # forbidden suffix, with the oracle's smallest period; asking about one
-    # letter returns that entry or nothing
+    # the query names every letter whose appending completes a forbidden
+    # suffix, with the oracle's smallest period
     idx = LceIndex(word)
     query = idx.threshold_hit if mode is THRESHOLD else idx.exact_hit
     expected = {}
@@ -119,9 +95,6 @@ def test_blocked_letters_match_naive_oracle(word, exponent, mode):
         if occ is not None:
             expected[m] = occ.period
     assert query(exponent.p, exponent.q) == expected
-    for m in range(max(word, default=-1) + 2):
-        single = {m: expected[m]} if m in expected else {}
-        assert query(exponent.p, exponent.q, letter=m) == single
 
 
 @given(
@@ -131,7 +104,7 @@ def test_blocked_letters_match_naive_oracle(word, exponent, mode):
 )
 def test_run_table_follows_append_pop_walks(steps, exponent, mode):
     # a letter appends and None pops: after every step each run equals the
-    # direct backward scan, which pins the rebuild in pop, and the query
+    # direct backward scan, which pins the re-appending pop, and the query
     # built on the runs matches the oracle
     idx = LceIndex()
     word = []
@@ -152,16 +125,6 @@ def test_run_table_follows_append_pop_walks(steps, exponent, mode):
             if occ is not None:
                 expected[m] = occ.period
         assert blocked_letters(idx, exponent, mode) == expected
-
-
-def test_lce_against_scan_on_random_words():
-    rng = random.Random(987)
-    for _ in range(2_000):
-        word = _random_word(rng)
-        idx = LceIndex(word)
-        i = rng.randrange(len(word))
-        j = rng.randrange(len(word))
-        assert idx.lce_backward(i, j) == oracle.lce_backward_scan(word, i, j)
 
 
 @given(words, st.sampled_from([THRESHOLD, EXACT]))

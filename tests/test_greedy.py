@@ -87,7 +87,7 @@ def test_prefix_stability_property(n):
 def test_max_letter_matches_closed_form():
     state = GreedyState(E32, THRESHOLD)
     state.extend_to(2_000)
-    assert state.max_letter == max(w32_prefix(2_000))
+    assert max(state.word) == max(w32_prefix(2_000))
 
 
 def test_state_bookkeeping():
@@ -96,4 +96,4 @@ def test_state_bookkeeping():
     state.extend_to(12)
     assert len(state) == 12
     assert state.word == golden.X32_144[:12]
-    assert state.max_letter == 2
+    assert max(state.word) == 2
