@@ -12,8 +12,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
 from .detect import AvoidanceMode, LceIndex, contains_forbidden
 from .formulas import (
     EllCase,
@@ -348,9 +346,8 @@ def check_x_squares(
                 break
             unit[v] += 1
             first_unit.setdefault(v, i - 1)
-        roots = range(2, (i + 1) // 2 + 1)
-        # a square of root r ends here when the r - 1 letters before repeat
-        root = idx.blocked(roots, np.arange(1, roots.stop - 1)).get(v)
+        # a square with a root of two letters or more ends here
+        root = idx.blocked(range(2, (i + 1) // 2 + 1), 2, 1).get(v)
         if root is not None:
             violation = Violation(
                 "square-root-too-long", i, {"start": i + 1 - 2 * root, "root_length": root}
@@ -376,9 +373,8 @@ def check_x_overlapfree(
     idx = LceIndex()
     violation = None
     for i, v in enumerate(letters):
-        periods = range(1, i // 2 + 1)
-        # a x a x a with |a x| = P ends here when the P letters before repeat
-        period = idx.blocked(periods, np.arange(1, periods.stop)).get(v)
+        # a x a x a ends here: a factor of exponent above 2, period |a x|
+        period = idx.blocked(range(1, i // 2 + 1), 2, 1, strict=True).get(v)
         if period is not None:
             violation = Violation("overlap", i, {"start": i - 2 * period, "period": period})
             break

@@ -12,6 +12,7 @@ output is fully deterministic; timings go to stderr.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -187,27 +188,31 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 _VERIFY = {
-    "powerfree": (checks.check_powerfree, ("source", "length")),
-    "minimality": (checks.check_minimality, ("source", "length")),
-    "cross": (checks.check_cross, ("length",)),
-    "ell-claim": (checks.check_ell_claim, ("n_max",)),
-    "eq6-intervals": (checks.check_eq6_intervals, ("n_max",)),
-    "b-inequality": (checks.check_b_inequality, ("s_max", "j_max")),
-    "b-window": (checks.check_b_window, ("n_max", "r_max")),
-    "x-squares": (checks.check_x_squares, ("source", "length")),
-    "x-overlap": (checks.check_x_overlapfree, ("source", "length")),
+    "powerfree": checks.check_powerfree,
+    "minimality": checks.check_minimality,
+    "cross": checks.check_cross,
+    "ell-claim": checks.check_ell_claim,
+    "eq6-intervals": checks.check_eq6_intervals,
+    "b-inequality": checks.check_b_inequality,
+    "b-window": checks.check_b_window,
+    "x-squares": checks.check_x_squares,
+    "x-overlap": checks.check_x_overlapfree,
 }
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    runner, accepted = _VERIFY[args.check]
+    runner = _VERIFY[args.check]
+    accepted = inspect.signature(runner).parameters
     kwargs: dict[str, object] = {}
-    # each check keeps its own default target and bounds
-    if "source" in accepted and args.target is not None:
-        kwargs["source"] = args.target
-    for name in ("length", "n_max", "r_max", "s_max", "j_max"):
-        if name in accepted and getattr(args, name) is not None:
-            kwargs[name] = getattr(args, name)
+    for name in ("source", "length", "n_max", "r_max", "s_max", "j_max"):
+        value = getattr(args, name)
+        if value is None:
+            continue  # the check keeps its own default
+        if name not in accepted:
+            flag = "--target" if name == "source" else "--" + name.replace("_", "-")
+            print(f"error: verify {args.check} takes no {flag}", file=sys.stderr)
+            return 2
+        kwargs[name] = value
     t0 = time.perf_counter()
     try:
         report = runner(**kwargs)
@@ -252,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a structural check")
     verify.add_argument("check", choices=sorted(_VERIFY))
-    verify.add_argument("--target", default=None, help="generator id for targeted checks")
+    verify.add_argument("--target", dest="source", default=None, help="generator id for targeted checks")
     verify.add_argument("--length", type=_nonnegative, default=None)
     verify.add_argument("--n-max", dest="n_max", type=_nonnegative, default=None)
     verify.add_argument("--r-max", dest="r_max", type=_nonnegative, default=None)

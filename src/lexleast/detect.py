@@ -18,17 +18,21 @@ yields every blocked letter with its smallest period
 from that map, minimality needs every smaller letter in it, and a scan or a
 structure check looks up the one letter actually present.
 
-``LceIndex`` keeps, for every period P, the length of the longest suffix of
-the word with period P.  Appends are the only way into that run table: each
-one updates it from one comparison of the new letter with the word read
-backwards, and each query compares every run with the number of letters its
-period needs.  There are no hashes: every verdict rests on letter
-comparisons, at a cost of O(n) vectorized work per letter.
+``LceIndex`` keeps, for every period P, the length run(P) of the longest
+suffix of the word with period P; appends are the only way into that run
+table.  Every query asks one need rule: P blocks ``word[n - P]`` when
+q * run(P) >= (p - q) * P - q, i.e. when the factor of length
+P + run(P) + 1 reaches exponent p/q.  Threshold mode asks it over every
+period, exact mode over the multiples of q (period q*t reaches exponent
+p/q exactly at length p*t), and the x32 structure checks for exponent 2.
+There are no hashes: every verdict rests on letter comparisons, at a cost
+of O(n) vectorized work per letter.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from math import gcd
 from typing import Iterable
 
 import numpy as np
@@ -114,42 +118,41 @@ class LceIndex:
         self.__init__(rest)
         return letter
 
-    def blocked(self, periods: range, min_runs: np.ndarray, scale: int = 1) -> dict[int, int]:
-        """Letters at the next position that would complete a repetition there.
+    def blocked(self, periods: range, p: int, q: int, strict: bool = False) -> dict[int, int]:
+        """Letters at the next position that would complete a factor of
+        exponent at least p/q (above p/q when ``strict``), each with its
+        smallest period in ``periods``.
 
-        Period periods[k] blocks a letter when the letters ending at the next
-        position repeat the ones periods[k] earlier: the run of periods[k]
-        covers all but the last, and the last is the letter
-        ``word[n - periods[k]]``.  The run qualifies when ``scale`` times it
-        is at least min_runs[k], so that a rule with a fractional bound stays
-        in integers.  Periods ascend from 1 or more and stay at most the
-        length n; ``min_runs`` is as long as ``periods``.  Returns each
-        blocked letter with its smallest period.
+        The need rule lives here alone: appending ``word[n - P]`` gives a
+        factor of length P + run(P) + 1 with period P, whose exponent
+        reaches p/q when q * run(P) >= (p - q) * P - q, and exceeds it with
+        one more on the right (for q = 1, one more letter).  Exact p/q-powers
+        are this rule on multiples of q: period q*t reaches p/q exactly at
+        length p*t.  Periods ascend from 1 or more and stay at most n.
         """
+        # bounds rise linearly with P; dividing the rule by this gcd spares
+        # exact mode and every q = 1 rule a multiply per run
+        first, step = (p - q) * periods.start - q + strict, (p - q) * periods.step
+        g = gcd(q, first, step)
         runs = self._run[periods.start : periods.stop : periods.step]
-        if scale != 1:
-            runs = runs * scale
+        if q != g:
+            runs = runs * (q // g)
+        needs = np.arange(first // g, (first + step * len(periods)) // g, step // g)
         found: dict[int, int] = {}
         backwards = self._backwards()
-        for k in np.flatnonzero(runs >= min_runs).tolist():
+        for k in np.flatnonzero(runs >= needs).tolist():
             period = periods[k]
             found.setdefault(int(backwards[period - 1]), period)
         return found
 
     def threshold_hit(self, p: int, q: int) -> dict[int, int]:
-        """``blocked`` for factors of exponent >= p/q: period P needs
-        ceil(P(p-q)/q) letters past its period block, that is a run r with
-        q(r + 1) >= P(p-q)."""
-        top = ((self._n + 1) * q) // p
-        bounds = np.arange(p - 2 * q, (p - q) * top - q + 1, p - q)
-        return self.blocked(range(1, top + 1), bounds, scale=q)
+        """``blocked`` for factors of exponent >= p/q, over every period
+        whose shortest such factor fits in n + 1 letters."""
+        return self.blocked(range(1, (self._n + 1) * q // p + 1), p, q)
 
     def exact_hit(self, p: int, q: int) -> dict[int, int]:
-        """``blocked`` for exact p/q-powers: period q*t needs (p-q)*t letters
-        past its period block."""
-        top = (self._n + 1) // p
-        min_runs = np.arange(p - q - 1, (p - q) * top, p - q)
-        return self.blocked(range(q, q * top + 1, q), min_runs)
+        """``blocked`` for exact p/q-powers: the same rule on multiples of q."""
+        return self.blocked(range(q, (self._n + 1) * q // p + 1, q), p, q)
 
 
 def blocked_letters(idx: LceIndex, exponent: Exponent, mode: AvoidanceMode) -> dict[int, int]:

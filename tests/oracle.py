@@ -81,6 +81,50 @@ def lce_backward_scan(word: Word, i: int, j: int) -> int:
     return length
 
 
+def _repeats(word: Word, start: int, period: int, length: int) -> bool:
+    """Does ``word[start : start + length]`` have the given period?"""
+    return all(word[start + i] == word[start + period + i] for i in range(length - period))
+
+
+def x_squares_scan(word: Word) -> tuple[tuple[str, int, dict] | None, dict[str, object]]:
+    """First square factor, in end-position order, that is not 00 or 11,
+    by direct letter loops; with the counts and first positions of the
+    unit squares 00 and 11 seen up to there.
+
+    At each end position the unit square is looked at first, then the
+    roots of two letters or more from the shortest.
+    """
+    count = {0: 0, 1: 0}
+    first: dict[int, int | None] = {0: None, 1: None}
+    found = None
+    for i in range(len(word)):
+        v = word[i]
+        if i >= 1 and word[i - 1] == v:
+            if v > 1:
+                found = ("square-letter", i, {"root": [v]})
+                break
+            count[v] += 1
+            if first[v] is None:
+                first[v] = i - 1
+        roots = [r for r in range(2, (i + 1) // 2 + 1) if _repeats(word, i + 1 - 2 * r, r, 2 * r)]
+        if roots:
+            found = ("square-root-too-long", i, {"start": i + 1 - 2 * roots[0], "root_length": roots[0]})
+            break
+    stats = {"count_00": count[0], "count_11": count[1], "first_00": first[0], "first_11": first[1]}
+    return found, stats
+
+
+def overlap_scan(word: Word) -> tuple[int, dict] | None:
+    """First factor of length 2P + 1 with period P (a x a x a with
+    |a x| = P), in end-position order and then by the smallest P, by direct
+    letter loops."""
+    for i in range(len(word)):
+        for period in range(1, i // 2 + 1):
+            if _repeats(word, i - 2 * period, period, 2 * period + 1):
+                return i, {"start": i - 2 * period, "period": period}
+    return None
+
+
 def xyx_suffix(word: Word, gaps: tuple[int, ...]) -> bool:
     """Is there an x y x factor ending at the last position with
     |y| - |x| in ``gaps`` (each gap offset is |y| - |x|, so 0 or -1)?"""

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lexleast.checks import (
     SOURCES,
@@ -19,6 +21,8 @@ from lexleast.checks import (
 from lexleast.detect import AvoidanceMode
 from lexleast.formulas import b_rec, w32_prefix, x32_prefix
 from lexleast.words import Exponent
+
+import oracle
 
 E32 = Exponent(3, 2)
 THRESHOLD = AvoidanceMode.THRESHOLD
@@ -157,6 +161,25 @@ def test_x_overlapfree_pass_and_fail():
     # a x a x a with non-empty x
     report = check_x_overlapfree(length=5, source=[0, 1, 0, 1, 0])
     assert not report.passed
+
+
+@given(st.lists(st.integers(0, 2), max_size=30))
+def test_x32_structure_checks_match_letter_loops(word):
+    # both checks report the oracle's first violation, and the square check
+    # its unit-square counts up to there
+    found, stats = oracle.x_squares_scan(word)
+    report = check_x_squares(length=len(word), source=word)
+    assert report.passed == (found is None)
+    if found is not None:
+        v = report.violation
+        assert (v.kind, v.position, v.detail) == found
+    assert report.extras == stats
+    found = oracle.overlap_scan(word)
+    report = check_x_overlapfree(length=len(word), source=word)
+    assert report.passed == (found is None)
+    if found is not None:
+        v = report.violation
+        assert (v.kind, v.position, v.detail) == ("overlap", *found)
 
 
 def test_report_serialization_shape():

@@ -203,6 +203,17 @@ def test_verify_bad_target(capsys):
     assert run_cli(capsys, "verify", "powerfree", "--target", "nope")[0] == 2
 
 
+def test_verify_rejects_options_its_check_does_not_take(capsys):
+    for argv in (
+        ("cross", "--target", "nope", "--length", "50"),
+        ("b-inequality", "--length", "5", "--s-max", "4", "--j-max", "4"),
+        ("x-squares", "--n-max", "5", "--length", "50"),
+    ):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: "), argv
+
+
 def test_stdout_is_deterministic(capsys):
     first = run_cli(capsys, "verify", "cross", "--length", "64", "--format", "json")
     second = run_cli(capsys, "verify", "cross", "--length", "64", "--format", "json")

@@ -81,7 +81,7 @@ def test_indexed_equals_direct_on_random_words():
 
 @given(
     st.lists(st.integers(0, 3), max_size=24),
-    st.sampled_from([Exponent(4, 3), E32, Exponent(2, 1), Exponent(5, 2)]),
+    st.sampled_from([Exponent(4, 3), E32, Exponent(2, 1), Exponent(5, 2), Exponent(7, 4)]),
     st.sampled_from([THRESHOLD, EXACT]),
 )
 def test_blocked_letters_match_naive_oracle(word, exponent, mode):
@@ -99,7 +99,7 @@ def test_blocked_letters_match_naive_oracle(word, exponent, mode):
 
 @given(
     st.lists(st.one_of(st.none(), st.integers(0, 2)), max_size=30),
-    st.sampled_from([Exponent(4, 3), E32, Exponent(2, 1), Exponent(5, 2)]),
+    st.sampled_from([Exponent(4, 3), E32, Exponent(2, 1), Exponent(5, 2), Exponent(7, 4)]),
     st.sampled_from([THRESHOLD, EXACT]),
 )
 def test_run_table_follows_append_pop_walks(steps, exponent, mode):
