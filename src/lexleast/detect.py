@@ -18,24 +18,47 @@ yields every blocked letter with its smallest period
 from that map, minimality needs every smaller letter in it, and a scan or a
 structure check looks up the one letter actually present.
 
-``LceIndex`` keeps, for every period P, the length run(P) of the longest
-suffix of the word with period P; appends are the only way into that run
-table.  Every query asks one need rule: P blocks ``word[n - P]`` when
+Let run(P) be the length of the longest suffix of the word with period P.
+Every query asks one need rule: P blocks ``word[n - P]`` when
 q * run(P) >= (p - q) * P - q, i.e. when the factor of length
-P + run(P) + 1 reaches exponent p/q.  Threshold mode asks it over every
-period, exact mode over the multiples of q (period q*t reaches exponent
-p/q exactly at length p*t), and the x32 structure checks for exponent 2.
-There are no hashes: every verdict rests on letter comparisons, at a cost
-of O(n) vectorized work per letter.
+P + run(P) + 1 reaches exponent p/q; need(P) is the least such run.
+Threshold mode asks it over every period, exact mode over the multiples of
+q (period q*t reaches exponent p/q exactly at length p*t), and the x32
+structure checks for exponent 2.  There are no hashes: every verdict rests
+on letter comparisons.
+
+``LceIndex`` keeps the letters in a list and, for each rule it is asked
+about, only the periods whose run can still reach their need:
+
+* Periods below S keep a dense list of runs (as need(P) - run(P)), updated
+  on every append.  S is 32, doubled until need(S) >= 15.
+* Periods in a band [S * 2**i, S * 2**(i+1)) are kept sparsely.  Let nu be
+  the need of the band's lowest period, L = max(1, nu // 2) and
+  F = nu - L + 1.  Every L letters a refresh keeps the band's periods whose
+  run is at least F: it filters them one letter at a time, first on the
+  largest of the last F letters (the rarest on greedy words), until at
+  most two remain, then checks each survivor with a slice comparison and
+  measures its run up to need(P).  Between refreshes, an append grows a
+  kept period's run when the new letter repeats ``word[n - P]`` and drops
+  the period otherwise.
+
+No period is missed, on any word: a run of at least nu at time n was at
+least F at the last refresh, fewer than L letters earlier, and has not
+broken since, so the refresh kept it and no append dropped it.  A period
+the refresh did not keep had a run of at most F - 1 and reaches at most
+F + L - 2 < nu before the next refresh; a dropped period restarts from 0
+and reaches at most L - 1 < nu.  Along the greedy words few periods pass
+a refresh: the tests hold the periods kept above S at or below log2 n up to
+2 * 10**4 letters of w32, x32 and the ruler word.  On a word full of long
+runs a band can keep most of its periods, and a letter costs up to O(n),
+as a dense run table does.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from math import gcd
+from itertools import compress
 from typing import Iterable
-
-import numpy as np
 
 from .words import Exponent, Occurrence, Word
 
@@ -49,72 +72,217 @@ def _checked(letter: int) -> int:
     if letter < 0:
         raise ValueError(f"letters are natural numbers, got {letter}")
     if letter >= (1 << 31):
-        # letters and runs are stored as int64; the CLI promises this bound
+        # the supported width; `scan` reports a wider letter as a usage error
         raise OverflowError(f"letter {letter} exceeds the supported width")
     return int(letter)
 
 
-class LceIndex:
-    """Word with the run table of its suffixes.
+class _Band:
+    """The ``periods`` of one band, whose lowest need is ``nu``: refreshed
+    every ``every`` letters (next at length ``due``), keeping the periods
+    with runs of ``floor`` letters or more."""
 
-    ``run(P)`` is the length of the longest suffix of the word that has
-    period P, i.e. how many letters ending at position n-1 equal the ones P
-    earlier.  Letters are natural numbers below 2**31, stored as int64 and
-    right-aligned in reverse order, so that the word read backwards is one
-    contiguous slice.  ``append`` updates the table in place, and building
-    from letters appends them one by one.
+    __slots__ = ("periods", "every", "floor", "due")
+
+    def __init__(self, periods: range, nu: int, due: int) -> None:
+        self.periods = periods
+        self.every = max(1, nu // 2)
+        self.floor = nu - self.every + 1
+        self.due = due
+
+
+class _Rule:
+    """One need rule over one arithmetic range of periods, tracked along the
+    word: slack = need(P) - run(P) for every small period, and for the kept
+    periods above them (P, slack) pairs in ascending P.  A period blocks
+    when its slack is 0 or less."""
+
+    __slots__ = ("_a", "_b", "_q", "_step", "_small", "_needs", "_slack", "_last",
+                 "_lo", "_first", "_bands", "_kept", "_due")
+
+    def __init__(self, word: list[int], p: int, q: int, strict: bool, start: int, step: int) -> None:
+        self._a, self._b, self._q, self._step = p - q, strict - q, q, step
+        top = 32
+        while self.need(top) < 15:
+            top *= 2
+        self._small = range(start, top, step)
+        self._needs = [self.need(P) for P in self._small]
+        self._last = self._small[-1] if self._small else 0
+        n = len(word)
+        self._slack = [d - _run(word, n, P, d) for P, d in zip(self._small, self._needs)]
+        # the next band to open: its lower bound and its first period
+        self._lo = top
+        self._first = self._first_from(top)
+        self._bands: list[_Band] = []
+        self._kept: list[tuple[int, int]] = []
+        self._due = float("inf")
+
+    def need(self, period: int) -> int:
+        """Least run with which ``period`` blocks a letter."""
+        return max(0, -(-(self._a * period + self._b) // self._q))
+
+    def _first_from(self, lo: int) -> int:
+        """The first period of the range at ``lo`` or above."""
+        start, step = self._small.start, self._step
+        return start + max(0, -((start - lo) // step)) * step
+
+    def push(self, word: list[int], letter: int) -> None:
+        """Follow the append of ``letter`` at position len(word)."""
+        n = len(word)
+        if n > self._last:
+            # word[n - P] for every small P, in ascending P
+            back = word[n - self._small.start : n - self._last - 1 : -self._step]
+        else:
+            back = [word[n - P] if P <= n else None for P in self._small]
+        self._slack = [s - 1 if c == letter else d for s, c, d in zip(self._slack, back, self._needs)]
+        if self._kept:
+            self._kept = [(P, s - 1) for P, s in self._kept if word[n - P] == letter]
+
+    def blocked(self, word: list[int], stop: int) -> dict[int, int]:
+        """Each letter that a period below ``stop`` blocks, with the
+        smallest such period."""
+        n = len(word)
+        while self._first < stop:
+            periods = range(self._first, 2 * self._lo, self._step)
+            if periods:
+                self._bands.append(_Band(periods, self.need(periods.start), n))
+                self._due = n
+            self._lo *= 2
+            self._first = self._first_from(self._lo)
+        if n >= self._due:
+            self._refresh(word, n)
+        found: dict[int, int] = {}
+        for P in compress(self._small, map((0).__ge__, self._slack)):
+            if P < stop:
+                found.setdefault(word[n - P], P)
+        for P, s in self._kept:
+            if s <= 0 and P < stop:
+                found.setdefault(word[n - P], P)
+        return found
+
+    def _refresh(self, word: list[int], n: int) -> None:
+        """Refresh every band that is due at length n."""
+        kept = self._kept
+        for band in self._bands:
+            if band.due > n:
+                continue
+            band.due = n + band.every
+            lo, hi = band.periods.start, band.periods.stop
+            kept = [e for e in kept if not lo <= e[0] < hi]
+            kept += self._survivors(word, n, band)
+        kept.sort()
+        self._kept = kept
+        self._due = min(band.due for band in self._bands)
+
+    def _survivors(self, word: list[int], n: int, band: _Band) -> list[tuple[int, int]]:
+        """(P, slack) for the band's periods whose run is at least its floor."""
+        floor = band.floor
+        # a run of ``floor`` letters needs P <= n - floor
+        count = (n - floor - band.periods.start) // self._step + 1
+        if count <= 0:
+            return []
+        periods = band.periods[:count]
+        tail = word[n - floor :]
+        # filter first on the largest letter of the tail, the rarest on the
+        # words greedy builds: P survives when word[end - P] == word[end]
+        letter = max(tail)
+        end = n - floor + tail.index(letter)
+        first, step = periods.start, self._step
+        alive = [
+            end - j
+            for j in reversed(_positions(word, letter, end - periods[-1], end - first + 1))
+            if (end - j - first) % step == 0
+        ]
+        # then one letter at a time back from the end
+        k = 1
+        while len(alive) > 2 and k <= floor:
+            letter = word[n - k]
+            alive = [P for P in alive if word[n - k - P] == letter]
+            k += 1
+        found = []
+        for P in alive:
+            if word[n - floor - P : n - P] == tail:
+                need = self.need(P)
+                found.append((P, need - _run(word, n, P, need, floor)))
+        return found
+
+
+def _positions(word: list[int], letter: int, lo: int, hi: int) -> list[int]:
+    """The positions of ``letter`` in ``word[lo:hi]``, ascending."""
+    found = []
+    try:
+        while True:
+            lo = word.index(letter, lo, hi)
+            found.append(lo)
+            lo += 1
+    except ValueError:
+        return found
+
+
+def _run(word: list[int], n: int, period: int, cap: int, known: int = 0) -> int:
+    """run(period) of ``word[:n]``, capped at ``cap``, given that it is at
+    least ``known``.  Compares slices, doubling their length while they
+    match and halving it on a mismatch."""
+    cap = min(cap, n - period)
+    run, step = known, 8
+    while run < cap:
+        step = min(step, cap - run)
+        end = n - run
+        if word[end - step : end] == word[end - step - period : end - period]:
+            run += step
+            step *= 2
+        elif step > 1:
+            step //= 2
+        else:
+            break
+    return run
+
+
+class LceIndex:
+    """Word with the repetition state of its suffixes.
+
+    Letters are natural numbers below 2**31, kept in a list.  ``run(P)`` is
+    the length of the longest suffix of the word that has period P, counted
+    on demand.  Each need rule asked of ``blocked`` gets its own tracked
+    state (see the module docstring), built from the word at the first such
+    query and then followed by every ``append``.
     """
 
-    __slots__ = ("_n", "_rev", "_run")
+    __slots__ = ("_word", "_rules")
 
     def __init__(self, letters: Iterable[int] = ()) -> None:
-        self._n = 0
-        self._rev = np.zeros(64, dtype=np.int64)
-        # run[P] for P in 0..capacity; entries from P = n on stay 0
-        self._run = np.zeros(65, dtype=np.int64)
+        self._word: list[int] = []
+        # (p, q, strict, first period, period step) -> tracked state
+        self._rules: dict[tuple, _Rule] = {}
         for v in letters:
             self.append(v)
 
     def __len__(self) -> int:
-        return self._n
-
-    def _backwards(self) -> np.ndarray:
-        """The word read from its last letter to its first (a view)."""
-        return self._rev[len(self._rev) - self._n :]
+        return len(self._word)
 
     def to_list(self) -> list[int]:
-        return self._backwards()[::-1].tolist()
+        return list(self._word)
 
     def run(self, period: int) -> int:
         """Length of the longest suffix with the given period (0 when the
         period is the length or more)."""
         if period < 1:
             raise ValueError(f"period must be positive, got {period}")
-        return int(self._run[period]) if period < self._n else 0
+        n = len(self._word)
+        return _run(self._word, n, period, n)
 
     def append(self, letter: int) -> None:
         letter = _checked(letter)
-        n = self._n
-        cap = len(self._rev)
-        if n == cap:
-            zeros = np.zeros(cap, dtype=np.int64)
-            self._rev = np.concatenate([zeros, self._rev])
-            self._run = np.concatenate([self._run, zeros])
-            cap *= 2
-        # the suffix with period P grows by one letter when the new letter
-        # repeats word[n - P], and is empty otherwise
-        runs = self._run[1 : n + 1]
-        runs += 1
-        runs *= self._rev[cap - n :] == letter
-        self._rev[cap - 1 - n] = letter
-        self._n = n + 1
+        for rule in self._rules.values():
+            rule.push(self._word, letter)
+        self._word.append(letter)
 
     def pop(self) -> int:
         """Remove and return the last letter.  The rest is appended again
-        into a fresh table, so a pop costs n appends."""
-        if self._n == 0:
+        into a fresh index, so a pop costs n appends."""
+        if not self._word:
             raise IndexError("pop from empty index")
-        *rest, letter = self.to_list()
+        *rest, letter = self._word
         self.__init__(rest)
         return letter
 
@@ -130,29 +298,20 @@ class LceIndex:
         are this rule on multiples of q: period q*t reaches p/q exactly at
         length p*t.  Periods ascend from 1 or more and stay at most n.
         """
-        # bounds rise linearly with P; dividing the rule by this gcd spares
-        # exact mode and every q = 1 rule a multiply per run
-        first, step = (p - q) * periods.start - q + strict, (p - q) * periods.step
-        g = gcd(q, first, step)
-        runs = self._run[periods.start : periods.stop : periods.step]
-        if q != g:
-            runs = runs * (q // g)
-        needs = np.arange(first // g, (first + step * len(periods)) // g, step // g)
-        found: dict[int, int] = {}
-        backwards = self._backwards()
-        for k in np.flatnonzero(runs >= needs).tolist():
-            period = periods[k]
-            found.setdefault(int(backwards[period - 1]), period)
-        return found
+        key = (p, q, bool(strict), periods.start, periods.step)
+        rule = self._rules.get(key)
+        if rule is None:
+            rule = self._rules[key] = _Rule(self._word, p, q, strict, periods.start, periods.step)
+        return rule.blocked(self._word, periods.stop)
 
     def threshold_hit(self, p: int, q: int) -> dict[int, int]:
         """``blocked`` for factors of exponent >= p/q, over every period
         whose shortest such factor fits in n + 1 letters."""
-        return self.blocked(range(1, (self._n + 1) * q // p + 1), p, q)
+        return self.blocked(range(1, (len(self._word) + 1) * q // p + 1), p, q)
 
     def exact_hit(self, p: int, q: int) -> dict[int, int]:
         """``blocked`` for exact p/q-powers: the same rule on multiples of q."""
-        return self.blocked(range(q, (self._n + 1) * q // p + 1, q), p, q)
+        return self.blocked(range(q, (len(self._word) + 1) * q // p + 1, q), p, q)
 
 
 def blocked_letters(idx: LceIndex, exponent: Exponent, mode: AvoidanceMode) -> dict[int, int]:

@@ -2,13 +2,16 @@
 
 Everything here trades speed for obviousness: periods are established by
 direct letter loops, exponent comparisons by cross-multiplication, and
-enumeration is exhaustive.  The production code must agree with these on
-every input they can both handle.
+enumeration is exhaustive.  ``DenseRunTable`` sits between: the run of
+every period, updated on each append, O(n) per letter.  The production
+code must agree with these on every input they can both handle.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
+
+import numpy as np
 
 from lexleast.detect import AvoidanceMode
 from lexleast.words import Exponent, Occurrence
@@ -72,6 +75,67 @@ def naive_forbidden_suffix(
         if all(word[start + i] == word[start + i + period] for i in range(length - period)):
             return Occurrence(start, period, length)
     return None
+
+
+class DenseRunTable:
+    """Mid-speed reference detector: the run of every period, kept in a
+    numpy array and updated by vectorized passes, O(n) per letter.
+
+    ``run[P]`` is the length of the longest suffix with period P.  Letters
+    are stored right-aligned in reverse order, so that the word read
+    backwards is one contiguous slice.  It answers ``blocked`` (and the two
+    mode queries ``detect.blocked_letters`` calls) by comparing every run
+    with its need at once, so it can check the production detector after
+    every letter of words far too long for the direct loops above.
+    """
+
+    def __init__(self) -> None:
+        self._n = 0
+        self._rev = np.zeros(64, dtype=np.int64)
+        # run[P] for P in 0..capacity; entries from P = n on stay 0
+        self._run = np.zeros(65, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return self._n
+
+    def _backwards(self) -> np.ndarray:
+        return self._rev[len(self._rev) - self._n :]
+
+    def run(self, period: int) -> int:
+        return int(self._run[period]) if period < self._n else 0
+
+    def append(self, letter: int) -> None:
+        n = self._n
+        cap = len(self._rev)
+        if n == cap:
+            zeros = np.zeros(cap, dtype=np.int64)
+            self._rev = np.concatenate([zeros, self._rev])
+            self._run = np.concatenate([self._run, zeros])
+            cap *= 2
+        # the suffix with period P grows by one letter when the new letter
+        # repeats word[n - P], and is empty otherwise
+        runs = self._run[1 : n + 1]
+        runs += 1
+        runs *= self._rev[cap - n :] == letter
+        self._rev[cap - 1 - n] = letter
+        self._n = n + 1
+
+    def blocked(self, periods: range, p: int, q: int, strict: bool = False) -> dict[int, int]:
+        """Same contract as ``LceIndex.blocked``: P blocks ``word[n - P]``
+        when q * run(P) >= (p - q) * P - q (+1 when ``strict``)."""
+        ps = np.arange(periods.start, periods.stop, periods.step, dtype=np.int64)
+        hits = q * self._run[ps] >= (p - q) * ps - q + strict
+        backwards = self._backwards()
+        found: dict[int, int] = {}
+        for period in ps[hits].tolist():
+            found.setdefault(int(backwards[period - 1]), period)
+        return found
+
+    def threshold_hit(self, p: int, q: int) -> dict[int, int]:
+        return self.blocked(range(1, (self._n + 1) * q // p + 1), p, q)
+
+    def exact_hit(self, p: int, q: int) -> dict[int, int]:
+        return self.blocked(range(q, (self._n + 1) * q // p + 1, q), p, q)
 
 
 def lce_backward_scan(word: Word, i: int, j: int) -> int:
@@ -246,8 +310,6 @@ def family_match_counts(limit: int):
     Returns (counts, values): how many patterns matched each n, and the
     2t + family constant of the last match.
     """
-    import numpy as np
-
     n = np.arange(limit, dtype=np.int64)
     counts = np.zeros(limit, dtype=np.int16)
     values = np.zeros(limit, dtype=np.int16)

@@ -258,3 +258,17 @@ def test_format_round_trip(letters, fmt):
     buffer = io.StringIO()
     _emit(buffer, letters, fmt)
     assert parse_letters_text(buffer.getvalue()) == letters
+
+
+def test_package_runs_without_numpy():
+    # numpy is a test dependency only: importing the CLI, and with it every
+    # module of the package, must not load it
+    proc = subprocess.run(
+        [sys.executable, "-c", "import lexleast.cli, sys; print(*sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "lexleast.checks" in loaded and "lexleast.detect" in loaded
+    assert [m for m in loaded if m.split(".")[0] == "numpy"] == []

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -12,6 +13,8 @@ from lexleast.detect import (
     contains_forbidden,
     forbidden_suffix,
 )
+from lexleast.formulas import x32_prefix
+from lexleast.greedy import GreedyState, generate
 from lexleast.words import Exponent, Occurrence
 
 import golden
@@ -205,3 +208,83 @@ def test_detectors_against_oracle_small_exhaustive():
             on_node=track,
         )
         assert covered == (3**8 - 1) // 2
+
+
+EXPONENTS = [Exponent(4, 3), E32, Exponent(5, 3), Exponent(2, 1), Exponent(5, 2), Exponent(7, 4), Exponent(3, 1), Exponent(5, 4)]
+MODE_QUERIES = [
+    (lambda idx, e=e, m=m: blocked_letters(idx, e, m), f"{e} {m.value}")
+    for e in EXPONENTS for m in (THRESHOLD, EXACT)
+]
+# the x32 structure checks' rules: squares on roots from 2, overlaps
+X32_QUERIES = [
+    (lambda idx: idx.blocked(range(2, (len(idx) + 1) // 2 + 1), 2, 1), "2/1 from 2"),
+    (lambda idx: idx.blocked(range(1, len(idx) // 2 + 1), 2, 1, strict=True), "2/1 strict"),
+]
+
+
+def _follow_dense(word, queries, seed):
+    """Append ``word`` letter by letter to an ``LceIndex`` and to the dense
+    run table; after every append the whole blocked map of each query and
+    the run of a few seeded periods must agree."""
+    rng = random.Random(seed)
+    idx, dense = LceIndex(), oracle.DenseRunTable()
+    for v in word:
+        idx.append(v)
+        dense.append(v)
+        n = len(idx)
+        for query, name in queries:
+            assert query(idx) == query(dense), (name, n)
+        for period in rng.sample(range(1, n + 1), min(n, 3)):
+            assert idx.run(period) == dense.run(period), (period, n)
+
+
+@pytest.mark.parametrize("mode", [THRESHOLD, EXACT], ids=["threshold", "exact"])
+@pytest.mark.parametrize("exponent", EXPONENTS, ids=str)
+def test_blocked_maps_equal_dense_table_along_greedy_words(exponent, mode):
+    word = generate(exponent, mode, 3_000)
+    query = [(lambda idx: blocked_letters(idx, exponent, mode), f"{exponent} {mode.value}")]
+    _follow_dense(word, query, seed=3_000)
+
+
+def _near_periodic(rng, n):
+    """Repetitions of random blocks of 1 to 511 letters over a few hundred
+    letters each, with a few letters changed: long runs for many periods,
+    the worst case for a sparse tracker."""
+    word = []
+    while len(word) < n:
+        block = [rng.randrange(3) for _ in range(int(2 ** rng.uniform(0, 9)))]
+        word += block * max(2, rng.randrange(800) // len(block))
+    word = word[:n]
+    for _ in range(n // 100):
+        word[rng.randrange(n)] = rng.randrange(4)
+    return word
+
+
+@pytest.mark.parametrize("kind", ["random", "near-periodic"])
+def test_blocked_maps_equal_dense_table_on_words_with_repetitions(kind):
+    # scan-path words, far from power-free: every mode query of every
+    # exponent and both x32 structure rules, on one index
+    rng = random.Random(f"dense/{kind}")
+    if kind == "random":
+        word = [rng.randrange(2) for _ in range(2_500)]
+    else:
+        word = _near_periodic(rng, 2_500)
+    _follow_dense(word, MODE_QUERIES + X32_QUERIES, seed=kind)
+
+
+def test_blocked_maps_equal_dense_table_for_x32_checks():
+    _follow_dense(x32_prefix(3_000), X32_QUERIES, seed=32)
+
+
+@pytest.mark.parametrize(
+    "exponent,mode", [(E32, THRESHOLD), (E32, EXACT), (Exponent(2, 1), THRESHOLD)], ids=["w32", "x32", "ruler"]
+)
+def test_tracked_periods_stay_logarithmic_along_greedy(exponent, mode):
+    # the periods kept above the small dense window, right after each query
+    # (when a refresh may just have filled them), stay at or below log2 n
+    state = GreedyState(exponent, mode)
+    while len(state) < 20_000:
+        state.next_letter()
+        kept = sum(len(rule._kept) for rule in state._idx._rules.values())
+        assert kept <= math.log2(max(len(state), 1)), (len(state), kept)
+        state.step()

@@ -69,6 +69,11 @@ def test_greedy_equals_closed_form_at_20000(mode, closed):
     assert generate(E32, mode, 20_000) == closed(20_000)
 
 
+@pytest.mark.parametrize("mode,closed", [(THRESHOLD, w32_prefix), (EXACT, x32_prefix)])
+def test_greedy_equals_closed_form_at_100000(mode, closed):
+    assert generate(E32, mode, 100_000) == closed(100_000)
+
+
 def test_prefix_stability():
     long = generate(E32, THRESHOLD, 240)
     for n in (0, 1, 7, 59, 120, 239):
