@@ -10,9 +10,9 @@ alphabet finite, and this gives a quick empirical look.
 import argparse
 from collections import Counter
 
+from lexleast.cli import _exponent_arg
 from lexleast.detect import AvoidanceMode
 from lexleast.greedy import generate
-from lexleast.words import Exponent
 
 DEFAULT_EXPONENTS = ("4/3", "3/2", "5/3", "2/1", "5/2", "3/1")
 
@@ -20,11 +20,15 @@ DEFAULT_EXPONENTS = ("4/3", "3/2", "5/3", "2/1", "5/2", "3/1")
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--length", type=int, default=2_000)
-    parser.add_argument("--exponents", nargs="*", default=DEFAULT_EXPONENTS, metavar="P/Q")
+    parser.add_argument(
+        "--exponents", nargs="*", type=_exponent_arg,
+        default=[_exponent_arg(text) for text in DEFAULT_EXPONENTS], metavar="P/Q",
+    )
     args = parser.parse_args()
+    if args.length < 1:
+        parser.error(f"--length must be at least 1, got {args.length}")
 
-    for text in args.exponents:
-        exponent = Exponent.parse(text)
+    for exponent in args.exponents:
         for mode in AvoidanceMode:
             word = generate(exponent, mode, args.length)
             usage = Counter(word)

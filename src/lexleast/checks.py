@@ -232,14 +232,8 @@ def check_ell_claim(n_max: int = 2_000) -> CheckReport:
             skipped += 1
             continue
         start = end - 3 * ell + 1
-        ok = True
-        for pos in range(start, start + ell):
-            left = word[pos]
-            right = m if pos + 2 * ell == end else word[pos + 2 * ell]
-            if left != right:
-                ok = False
-                break
-        if not ok:
+        # the decremented letter m at ``end`` pairs with word[end - 2*ell]
+        if word[start : end - 2 * ell] != word[start + 2 * ell : end] or word[end - 2 * ell] != m:
             violation = Violation(
                 "decrement-witness-broken", end, {"n": n, "m": m, "ell": ell}
             )
@@ -314,18 +308,17 @@ def check_b_inequality(s_max: int = 300, j_max: int = 300) -> CheckReport:
 
 
 def check_b_window(n_max: int = 2_000, r_max: int = 200) -> CheckReport:
-    """For every n and r in range some offset j < r has b(n+j) != b(n+2r+j)."""
+    """For every n and r in range some offset j < r has b(n+j) != b(n+2r+j).
+
+    Equal windows make b(n..n+3r-1) an exact 3/2-power (period 2r), so the
+    exact-mode detector scans the prefix of length n_max + 3*r_max: every
+    window in range, and every other window that fits in it too.
+    """
     params = {"n_max": n_max, "r_max": r_max}
-    table = [b_rec(i) for i in range(n_max + 3 * r_max + 1)]
+    occ = contains_forbidden([b_rec(i) for i in range(n_max + 3 * r_max)], E32, EXACT)
     violation = None
-    for n in range(n_max + 1):
-        for r in range(1, r_max + 1):
-            shift = 2 * r
-            if all(table[n + j] == table[n + shift + j] for j in range(r)):
-                violation = Violation("window-repeats", n, {"n": n, "r": r})
-                break
-        if violation is not None:
-            break
+    if occ is not None:
+        violation = Violation("window-repeats", occ.start, {"n": occ.start, "r": occ.period // 2})
     return CheckReport("b-window", params, violation)
 
 
@@ -347,7 +340,7 @@ def check_x_squares(
             unit[v] += 1
             first_unit.setdefault(v, i - 1)
         # a square with a root of two letters or more ends here
-        root = idx.blocked(range(2, (i + 1) // 2 + 1), 2, 1).get(v)
+        root = idx.blocked(2, 1, first=2).get(v)
         if root is not None:
             violation = Violation(
                 "square-root-too-long", i, {"start": i + 1 - 2 * root, "root_length": root}
@@ -374,7 +367,7 @@ def check_x_overlapfree(
     violation = None
     for i, v in enumerate(letters):
         # a x a x a ends here: a factor of exponent above 2, period |a x|
-        period = idx.blocked(range(1, i // 2 + 1), 2, 1, strict=True).get(v)
+        period = idx.blocked(2, 1, strict=True).get(v)
         if period is not None:
             violation = Violation("overlap", i, {"start": i - 2 * period, "period": period})
             break

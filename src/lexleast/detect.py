@@ -21,11 +21,13 @@ structure check looks up the one letter actually present.
 Let run(P) be the length of the longest suffix of the word with period P.
 Every query asks one need rule: P blocks ``word[n - P]`` when
 q * run(P) >= (p - q) * P - q, i.e. when the factor of length
-P + run(P) + 1 reaches exponent p/q; need(P) is the least such run.
-Threshold mode asks it over every period, exact mode over the multiples of
-q (period q*t reaches exponent p/q exactly at length p*t), and the x32
-structure checks for exponent 2.  There are no hashes: every verdict rests
-on letter comparisons.
+P + run(P) + 1 reaches exponent p/q; need(P) is the least such run.  As
+run(P) <= n - P, only a period with P + need(P) <= n can block, so the rule
+bounds the periods itself: a caller names an exponent, a first period and
+a step.  Threshold mode asks it over every period, exact mode over the
+multiples of q (period q*t reaches exponent p/q exactly at length p*t), and
+the x32 structure checks for exponent 2.  There are no hashes: every
+verdict rests on letter comparisons.
 
 ``LceIndex`` keeps the letters in a list and, for each rule it is asked
 about, only the periods whose run can still reach their need:
@@ -112,19 +114,15 @@ class _Rule:
         self._slack = [d - _run(word, n, P, d) for P, d in zip(self._small, self._needs)]
         # the next band to open: its lower bound and its first period
         self._lo = top
-        self._first = self._first_from(top)
+        self._first = start + len(self._small) * step
         self._bands: list[_Band] = []
         self._kept: list[tuple[int, int]] = []
-        self._due = float("inf")
+        # the length at which the next band opens or is refreshed
+        self._due = 0
 
     def need(self, period: int) -> int:
         """Least run with which ``period`` blocks a letter."""
         return max(0, -(-(self._a * period + self._b) // self._q))
-
-    def _first_from(self, lo: int) -> int:
-        """The first period of the range at ``lo`` or above."""
-        start, step = self._small.start, self._step
-        return start + max(0, -((start - lo) // step)) * step
 
     def push(self, word: list[int], letter: int) -> None:
         """Follow the append of ``letter`` at position len(word)."""
@@ -138,30 +136,30 @@ class _Rule:
         if self._kept:
             self._kept = [(P, s - 1) for P, s in self._kept if word[n - P] == letter]
 
-    def blocked(self, word: list[int], stop: int) -> dict[int, int]:
-        """Each letter that a period below ``stop`` blocks, with the
-        smallest such period."""
+    def blocked(self, word: list[int]) -> dict[int, int]:
+        """Each letter that a period blocks, with the smallest such period."""
         n = len(word)
-        while self._first < stop:
-            periods = range(self._first, 2 * self._lo, self._step)
-            if periods:
-                self._bands.append(_Band(periods, self.need(periods.start), n))
-                self._due = n
-            self._lo *= 2
-            self._first = self._first_from(self._lo)
         if n >= self._due:
             self._refresh(word, n)
         found: dict[int, int] = {}
         for P in compress(self._small, map((0).__ge__, self._slack)):
-            if P < stop:
-                found.setdefault(word[n - P], P)
+            if P > n:
+                break
+            found.setdefault(word[n - P], P)
         for P, s in self._kept:
-            if s <= 0 and P < stop:
+            if s <= 0:
                 found.setdefault(word[n - P], P)
         return found
 
     def _refresh(self, word: list[int], n: int) -> None:
-        """Refresh every band that is due at length n."""
+        """Open every band whose first period can block at length n (P +
+        need(P) <= n), then refresh every band that is due."""
+        while self._first + self.need(self._first) <= n:
+            periods = range(self._first, 2 * self._lo, self._step)
+            if periods:
+                self._bands.append(_Band(periods, self.need(periods.start), n))
+            self._lo *= 2
+            self._first += len(periods) * self._step
         kept = self._kept
         for band in self._bands:
             if band.due > n:
@@ -172,7 +170,7 @@ class _Rule:
             kept += self._survivors(word, n, band)
         kept.sort()
         self._kept = kept
-        self._due = min(band.due for band in self._bands)
+        self._due = min([self._first + self.need(self._first)] + [band.due for band in self._bands])
 
     def _survivors(self, word: list[int], n: int, band: _Band) -> list[tuple[int, int]]:
         """(P, slack) for the band's periods whose run is at least its floor."""
@@ -286,32 +284,32 @@ class LceIndex:
         self.__init__(rest)
         return letter
 
-    def blocked(self, periods: range, p: int, q: int, strict: bool = False) -> dict[int, int]:
+    def blocked(self, p: int, q: int, strict: bool = False, first: int = 1, step: int = 1) -> dict[int, int]:
         """Letters at the next position that would complete a factor of
         exponent at least p/q (above p/q when ``strict``), each with its
-        smallest period in ``periods``.
+        smallest period among first, first + step, ... (first >= 1).
 
         The need rule lives here alone: appending ``word[n - P]`` gives a
         factor of length P + run(P) + 1 with period P, whose exponent
         reaches p/q when q * run(P) >= (p - q) * P - q, and exceeds it with
         one more on the right (for q = 1, one more letter).  Exact p/q-powers
         are this rule on multiples of q: period q*t reaches p/q exactly at
-        length p*t.  Periods ascend from 1 or more and stay at most n.
+        length p*t.  The rule also bounds the periods: P can block only
+        when P + need(P) <= n, so callers name no upper bound.
         """
-        key = (p, q, bool(strict), periods.start, periods.step)
+        key = (p, q, bool(strict), first, step)
         rule = self._rules.get(key)
         if rule is None:
-            rule = self._rules[key] = _Rule(self._word, p, q, strict, periods.start, periods.step)
-        return rule.blocked(self._word, periods.stop)
+            rule = self._rules[key] = _Rule(self._word, p, q, strict, first, step)
+        return rule.blocked(self._word)
 
     def threshold_hit(self, p: int, q: int) -> dict[int, int]:
-        """``blocked`` for factors of exponent >= p/q, over every period
-        whose shortest such factor fits in n + 1 letters."""
-        return self.blocked(range(1, (len(self._word) + 1) * q // p + 1), p, q)
+        """``blocked`` for factors of exponent >= p/q, over every period."""
+        return self.blocked(p, q)
 
     def exact_hit(self, p: int, q: int) -> dict[int, int]:
         """``blocked`` for exact p/q-powers: the same rule on multiples of q."""
-        return self.blocked(range(q, (len(self._word) + 1) * q // p + 1, q), p, q)
+        return self.blocked(p, q, first=q, step=q)
 
 
 def blocked_letters(idx: LceIndex, exponent: Exponent, mode: AvoidanceMode) -> dict[int, int]:

@@ -120,10 +120,11 @@ class DenseRunTable:
         self._rev[cap - 1 - n] = letter
         self._n = n + 1
 
-    def blocked(self, periods: range, p: int, q: int, strict: bool = False) -> dict[int, int]:
+    def blocked(self, p: int, q: int, strict: bool = False, first: int = 1, step: int = 1) -> dict[int, int]:
         """Same contract as ``LceIndex.blocked``: P blocks ``word[n - P]``
-        when q * run(P) >= (p - q) * P - q (+1 when ``strict``)."""
-        ps = np.arange(periods.start, periods.stop, periods.step, dtype=np.int64)
+        when q * run(P) >= (p - q) * P - q (+1 when ``strict``), for every
+        P in first, first + step, ... up to n."""
+        ps = np.arange(first, self._n + 1, step, dtype=np.int64)
         hits = q * self._run[ps] >= (p - q) * ps - q + strict
         backwards = self._backwards()
         found: dict[int, int] = {}
@@ -132,10 +133,10 @@ class DenseRunTable:
         return found
 
     def threshold_hit(self, p: int, q: int) -> dict[int, int]:
-        return self.blocked(range(1, (self._n + 1) * q // p + 1), p, q)
+        return self.blocked(p, q)
 
     def exact_hit(self, p: int, q: int) -> dict[int, int]:
-        return self.blocked(range(q, (self._n + 1) * q // p + 1, q), p, q)
+        return self.blocked(p, q, first=q, step=q)
 
 
 def lce_backward_scan(word: Word, i: int, j: int) -> int:

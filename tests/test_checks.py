@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lexleast import checks
 from lexleast.checks import (
     SOURCES,
     CheckReport,
@@ -107,6 +108,22 @@ def test_ell_witness_spot_values():
         assert all(window[i] == window[i + 2 * ell] for i in range(ell)), (m, ell)
 
 
+@pytest.mark.parametrize("pos", [0, 88], ids=["left-end", "right-end"])
+def test_ell_claim_reports_a_broken_witness(monkeypatch, pos):
+    # the first decrement with a whole window: b(8) = 6 decremented to 5 at
+    # position 89, ell = 30, so word[0:29] is compared with word[60:89]
+    real = checks.w32_prefix
+
+    def mutated(n):
+        word = real(n)
+        word[pos] += 1
+        return word
+
+    monkeypatch.setattr(checks, "w32_prefix", mutated)
+    report = check_ell_claim(n_max=8)
+    assert report.violation == Violation("decrement-witness-broken", 89, {"n": 8, "m": 5, "ell": 30})
+
+
 def test_eq6_intervals_small():
     report = check_eq6_intervals(n_max=250)
     assert report.passed
@@ -122,6 +139,20 @@ def test_eq6_anchor_spot_value():
 def test_b_inequalities_small():
     assert check_b_inequality(s_max=60, j_max=60).passed
     assert check_b_window(n_max=300, r_max=60).passed
+
+
+def test_b_window_at_scale():
+    assert check_b_window(n_max=20_000, r_max=2_000).passed
+
+
+def test_b_window_reports_a_planted_repeat(monkeypatch):
+    # distinct letters but for b(15..18) = b(7..10): one xyx with |x| = |y| = 4
+    # at n = 7, the last window that n_max = 7, r_max = 4 reaches
+    monkeypatch.setattr(checks, "b_rec", lambda i: i - 8 if 15 <= i < 19 else i)
+    report = check_b_window(n_max=7, r_max=4)
+    assert report.violation == Violation("window-repeats", 7, {"n": 7, "r": 4})
+    assert report.summary() == "FAIL b-window (n_max=7, r_max=4) -- window-repeats at position 7 n=7, r=4"
+    assert check_b_window(n_max=6, r_max=4).passed
 
 
 def test_x_squares_pass_and_positions():

@@ -217,8 +217,8 @@ MODE_QUERIES = [
 ]
 # the x32 structure checks' rules: squares on roots from 2, overlaps
 X32_QUERIES = [
-    (lambda idx: idx.blocked(range(2, (len(idx) + 1) // 2 + 1), 2, 1), "2/1 from 2"),
-    (lambda idx: idx.blocked(range(1, len(idx) // 2 + 1), 2, 1, strict=True), "2/1 strict"),
+    (lambda idx: idx.blocked(2, 1, first=2), "2/1 from 2"),
+    (lambda idx: idx.blocked(2, 1, strict=True), "2/1 strict"),
 ]
 
 

@@ -34,3 +34,14 @@ def test_explore_exponents_small():
     assert len(lines) == 4
     assert lines[0].startswith("3/2 threshold")
     assert lines[0].endswith("head " + " ".join(map(str, golden.W32_100[:30])))
+
+
+def test_explore_exponents_usage_errors():
+    for args, message in (
+        (("--length", "0"), "--length must be at least 1"),
+        (("--exponents", "1/2"), "exponent needs p > q >= 1"),
+        (("--exponents", "3"), "expected 'P/Q'"),
+    ):
+        proc = run_script("explore_exponents.py", *args)
+        assert proc.returncode == 2, (args, proc.stderr)
+        assert message in proc.stderr and "Traceback" not in proc.stderr, args
