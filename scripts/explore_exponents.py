@@ -8,6 +8,8 @@ alphabet finite, and this gives a quick empirical look.
 """
 
 import argparse
+import os
+import sys
 from collections import Counter
 
 from lexleast.cli import _exponent_arg
@@ -39,4 +41,10 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (``| head``): point stdout at devnull so the
+        # flush at exit cannot fail again, and end quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -10,7 +10,7 @@ about the 3/2 sequences at desk scale.
 
 from .detect import AvoidanceMode, LceIndex, contains_forbidden, forbidden_suffix
 from .greedy import GreedyState, generate
-from .words import Exponent, Occurrence, has_period, is_exact_power, least_period, max_exponent
+from .words import Exponent, Occurrence
 
 __all__ = [
     "AvoidanceMode",
@@ -21,8 +21,4 @@ __all__ = [
     "contains_forbidden",
     "forbidden_suffix",
     "generate",
-    "has_period",
-    "is_exact_power",
-    "least_period",
-    "max_exponent",
 ]

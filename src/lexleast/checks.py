@@ -205,11 +205,12 @@ def check_cross(length: int = 10_000) -> CheckReport:
 
 
 def _b_slot_decrements(n_max: int):
-    """(n, m, ell) triples for every decrement target m >= 5 at a b-slot."""
+    """(n, m, ell, case) for every decrement target m >= 5 at a b-slot."""
     for n in range(n_max + 1):
         value = b_rec(n)
         for m in range(5, value):
-            yield n, m, ell_m(EllCase.from_value(value, m))
+            case = EllCase.from_value(value, m)
+            yield n, m, ell_m(case), case
 
 
 def check_ell_claim(n_max: int = 2_000) -> CheckReport:
@@ -226,7 +227,7 @@ def check_ell_claim(n_max: int = 2_000) -> CheckReport:
     skipped = 0
     by_case: Counter[str] = Counter()
     by_ell: Counter[int] = Counter()
-    for n, m, ell in _b_slot_decrements(n_max):
+    for n, m, ell, case in _b_slot_decrements(n_max):
         end = 10 * n + 9
         if 3 * ell > end + 1:
             skipped += 1
@@ -238,7 +239,6 @@ def check_ell_claim(n_max: int = 2_000) -> CheckReport:
                 "decrement-witness-broken", end, {"n": n, "m": m, "ell": ell}
             )
             break
-        case = EllCase.from_value(b_rec(n), m)
         # the five branches of the length table
         key = f"b_{'odd' if case.b_odd else 'even'}_m_{'odd' if m % 2 else 'even'}"
         if not case.b_odd and m % 2 == 1 and case.is_pred:
@@ -264,7 +264,7 @@ def check_eq6_intervals(n_max: int = 2_000) -> CheckReport:
     violation = None
     checked = 0
     skipped = 0
-    for n, m, ell in _b_slot_decrements(n_max):
+    for n, m, ell, _ in _b_slot_decrements(n_max):
         block = ell // 10
         low = n + 1 - 3 * block
         if low < 0:

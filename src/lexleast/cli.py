@@ -18,7 +18,7 @@ import os
 import sys
 import time
 from itertools import count, islice
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, TextIO
 
 from . import checks
 from .detect import AvoidanceMode, contains_forbidden
@@ -98,12 +98,6 @@ def _emit(out: TextIO, letters: Iterable[int], fmt: str) -> None:
     out.write("\n")
 
 
-def _greedy_iter(exponent: Exponent, mode: AvoidanceMode) -> Iterator[int]:
-    state = GreedyState(exponent, mode)
-    while True:
-        yield state.step()
-
-
 _CLOSED = {
     (3, 2, THRESHOLD): w32_term,
     (3, 2, EXACT): f_term,
@@ -117,27 +111,15 @@ _MORPHIC = {
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    key = (args.exponent.p, args.exponent.q, args.mode)
     if args.method == "greedy":
-        stream: Iterator[int] = _greedy_iter(args.exponent, args.mode)
-    elif args.method == "closed":
-        term = _CLOSED.get(key)
-        if term is None:
-            print(
-                f"error: no closed form for exponent {args.exponent} in {args.mode.value} mode",
-                file=sys.stderr,
-            )
-            return 2
-        stream = (term(i) for i in count())
+        stream = iter(GreedyState(args.exponent, args.mode).step, None)
     else:
-        maker = _MORPHIC.get(key)
-        if maker is None:
-            print(
-                f"error: no morphic generator for exponent {args.exponent} in {args.mode.value} mode",
-                file=sys.stderr,
-            )
+        table, what = (_CLOSED, "closed form") if args.method == "closed" else (_MORPHIC, "morphic generator")
+        make = table.get((args.exponent.p, args.exponent.q, args.mode))
+        if make is None:
+            print(f"error: no {what} for exponent {args.exponent} in {args.mode.value} mode", file=sys.stderr)
             return 2
-        stream = maker()
+        stream = map(make, count()) if table is _CLOSED else make()
     _emit(sys.stdout, islice(stream, args.length), args.format)
     return 0
 

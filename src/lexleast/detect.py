@@ -349,21 +349,24 @@ def forbidden_suffix(
 
 
 def contains_forbidden(
-    word: Word,
+    word: Iterable[int],
     exponent: Exponent,
     mode: AvoidanceMode = AvoidanceMode.THRESHOLD,
 ) -> Occurrence | None:
     """First forbidden factor in end-position order over the whole word.
 
-    Every letter is checked against the ``LceIndex`` bound first; the scan
-    then stops at the first position that completes a forbidden factor.
+    One pass over any iterable: the scan stops at the first position that
+    completes a forbidden factor, but every letter, those after it too, is
+    checked against the ``LceIndex`` bound.
     """
-    for v in word:
-        _checked(v)
     idx = LceIndex()
-    for v in word:
+    letters = iter(word)
+    for v in letters:
+        v = _checked(v)
         occ = _witness(idx, exponent, mode, v)
         if occ is not None:
+            for rest in letters:
+                _checked(rest)
             return occ
         idx.append(v)
     return None

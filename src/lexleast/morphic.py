@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True)
@@ -27,8 +27,6 @@ class BarLetter:
     def __str__(self) -> str:
         return f"{self.value}~" if self.barred else str(self.value)
 
-
-BarWord = Sequence[BarLetter]
 
 _P3 = BarLetter(3)
 _P4 = BarLetter(4)

@@ -1,8 +1,10 @@
-"""Words over the natural numbers and primitive period/exponent tests.
+"""Words over the natural numbers: the vocabulary the detector speaks.
 
-A word is any 0-indexed sequence of non-negative ints; the functions here
-accept lists, tuples, or numpy arrays alike.  Rational comparisons are done
-with cross-multiplied integer arithmetic, never floats.
+A word is any 0-indexed sequence of non-negative ints.  ``Exponent`` is a
+rational repetition exponent p/q, compared by cross-multiplied integer
+arithmetic, never floats; ``Occurrence`` is the witness of a repetition;
+``check_letters`` validates a word read from outside.  Repetition itself is
+decided in ``lexleast.detect``.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
-Letter = int
 Word = Sequence[int]
 
 
@@ -66,42 +67,6 @@ class Occurrence:
     @property
     def end(self) -> int:
         return self.start + self.length
-
-
-def has_period(word: Word, period: int) -> bool:
-    """True iff word[i] == word[i + period] wherever both positions exist.
-
-    ``period == len(word)`` holds vacuously.
-    """
-    n = len(word)
-    if not 1 <= period <= n:
-        raise ValueError(f"period must be in 1..{n}, got {period}")
-    return all(word[i] == word[i + period] for i in range(n - period))
-
-
-def least_period(word: Word) -> int:
-    n = len(word)
-    if n == 0:
-        raise ValueError("empty word has no period")
-    for period in range(1, n + 1):
-        if has_period(word, period):
-            return period
-    raise AssertionError("unreachable: the full length is always a period")
-
-
-def max_exponent(word: Word) -> tuple[int, int]:
-    """Largest exponent of the word, as the unreduced pair (length, least period)."""
-    return len(word), least_period(word)
-
-
-def is_exact_power(word: Word, exponent: Exponent) -> bool:
-    """True iff the word is exactly a p/q-power: length p*t with period q*t."""
-    n = len(word)
-    if n == 0:
-        raise ValueError("empty word is not a power")
-    if n % exponent.p != 0:
-        return False
-    return has_period(word, exponent.q * (n // exponent.p))
 
 
 def check_letters(values: Sequence[object]) -> list[int]:

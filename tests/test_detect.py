@@ -40,6 +40,11 @@ def test_contains_forbidden_examples():
     occ = contains_forbidden([0, 1, 0, 1, 0], E32, THRESHOLD)
     assert occ is not None and occ.period == 2 and occ.length >= 3
     assert contains_forbidden(golden.X32_144, E32, EXACT) is None
+    # a one-shot iterator is scanned in one pass, and letters after the
+    # violation are still checked
+    assert contains_forbidden(iter([0, 0]), Exponent(2, 1)) == Occurrence(0, 1, 2)
+    with pytest.raises(OverflowError):
+        contains_forbidden(iter([0, 0, 1 << 31]), Exponent(2, 1))
 
 
 def test_lce_index_append_pop():

@@ -45,3 +45,19 @@ def test_explore_exponents_usage_errors():
         proc = run_script("explore_exponents.py", *args)
         assert proc.returncode == 2, (args, proc.stderr)
         assert message in proc.stderr and "Traceback" not in proc.stderr, args
+
+
+def test_explore_exponents_into_closed_pipe_exits_quietly():
+    # more output than a pipe holds, so a write fails after the reader
+    # takes one line and closes the pipe, as `| head -1` does
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    with subprocess.Popen(
+        [sys.executable, str(ROOT / "scripts" / "explore_exponents.py"),
+         "--length", "30", "--exponents", *["2/1"] * 600],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=ROOT,
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"2/1 threshold")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    assert err == b""

@@ -1,52 +1,6 @@
-from itertools import product
-
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from lexleast.detect import AvoidanceMode
-from lexleast.words import Exponent, Occurrence, check_letters, has_period, is_exact_power, least_period, max_exponent
-
-import oracle
-
-E32 = Exponent(3, 2)
-
-words = st.lists(st.integers(0, 2), min_size=1, max_size=14)
-
-
-def test_has_period_examples():
-    assert has_period([0, 1, 0], 2) is True
-    assert has_period([0, 1, 0], 1) is False
-    assert has_period([0, 1, 0, 1, 0], 2) is True
-    assert has_period([0, 1, 2], 3) is True  # full length, vacuous
-
-
-def test_has_period_domain_errors():
-    with pytest.raises(ValueError):
-        has_period([0, 1], 0)
-    with pytest.raises(ValueError):
-        has_period([0, 1], 3)
-    with pytest.raises(ValueError):
-        has_period([], 1)
-
-
-def test_max_exponent_examples():
-    assert max_exponent([0, 1, 0, 1, 0]) == (5, 2)
-    assert max_exponent([0, 1, 2]) == (3, 3)
-    assert max_exponent([0, 0]) == (2, 1)
-    with pytest.raises(ValueError):
-        max_exponent([])
-
-
-def test_is_exact_power_examples():
-    assert is_exact_power([0, 1, 0], E32) is True
-    assert is_exact_power([0, 0], E32) is False  # length 2 is not a multiple of 3
-    # t=3: length 9, period 6; double-checked by the brute-force factor test
-    w = [0, 0, 1, 0, 0, 1, 0, 0, 1]
-    assert is_exact_power(w, E32) is True
-    assert oracle.factor_is_forbidden(w, E32, AvoidanceMode.EXACT)
-    with pytest.raises(ValueError):
-        is_exact_power([], E32)
+from lexleast.words import Exponent, Occurrence, check_letters
 
 
 def test_exponent_validation():
@@ -84,47 +38,3 @@ def test_check_letters():
         check_letters([0, True])
     with pytest.raises(ValueError):
         check_letters([0, "1"])
-
-
-def test_max_exponent_exhaustive_small_words():
-    # every word of length <= 10 over {0, 1, 2}, against the direct scan
-    for length in range(1, 11):
-        for word in product((0, 1, 2), repeat=length):
-            assert least_period(word) == oracle.least_period_scan(word)
-
-
-@given(words, st.data())
-def test_has_period_truncation_monotone(word, data):
-    period = data.draw(st.integers(1, len(word)))
-    if not has_period(word, period):
-        return
-    lo = data.draw(st.integers(0, len(word)))
-    hi = data.draw(st.integers(lo, len(word)))
-    factor = word[lo:hi]
-    if len(factor) >= period:
-        assert has_period(factor, period)
-
-
-@given(st.lists(st.integers(0, 3), min_size=1, max_size=6), st.integers(1, 3), st.data())
-def test_exact_power_construction_detected(root, reps, data):
-    # build root^reps plus a prefix of root, i.e. an exact power by construction
-    extra = data.draw(st.integers(0, len(root)))
-    word = root * reps + root[:extra]
-    total, period = len(word), len(root)
-    # reduce total/period
-    from math import gcd
-
-    g = gcd(total, period)
-    p, q = total // g, period // g
-    if q < 1 or p <= q:
-        return
-    exponent = Exponent(p, q)
-    assert is_exact_power(word, exponent)
-    length, least = max_exponent(word)
-    # cross-multiplied: length/least >= p/q
-    assert length * q >= least * p
-
-
-@given(words)
-def test_max_exponent_against_oracle(word):
-    assert max_exponent(word) == (len(word), oracle.least_period_scan(word))
