@@ -30,12 +30,13 @@ the x32 structure checks for exponent 2.  There are no hashes: every
 verdict rests on letter comparisons.
 
 ``LceIndex`` keeps the letters in a list and, for each rule it is asked
-about, only the periods whose run can still reach their need:
+about, only the periods whose run can still reach their need, opened in
+ascending order by the same rule: each once P + need(P) <= n.
 
-* Periods below S keep a dense list of runs (as need(P) - run(P)), updated
-  on every append.  S is 32, doubled until need(S) >= 15.
-* Periods in a band [S * 2**i, S * 2**(i+1)) are kept sparsely.  Let nu be
-  the need of the band's lowest period, L = max(1, nu // 2) and
+* Below S (32, doubled until need(S) >= 15) each period opens alone, into
+  a dense list of slacks need(P) - run(P) kept exact by every append.
+* A band [S * 2**i, S * 2**(i+1)) opens with its lowest period and is kept
+  sparsely.  Let nu be that period's need, L = max(1, nu // 2) and
   F = nu - L + 1.  Every L letters a refresh keeps the band's periods whose
   run is at least F: it filters them one letter at a time, first on the
   largest of the last F letters (the rarest on greedy words), until at
@@ -44,16 +45,16 @@ about, only the periods whose run can still reach their need:
   kept period's run when the new letter repeats ``word[n - P]`` and drops
   the period otherwise.
 
-No period is missed, on any word: a run of at least nu at time n was at
-least F at the last refresh, fewer than L letters earlier, and has not
-broken since, so the refresh kept it and no append dropped it.  A period
-the refresh did not keep had a run of at most F - 1 and reaches at most
-F + L - 2 < nu before the next refresh; a dropped period restarts from 0
-and reaches at most L - 1 < nu.  Along the greedy words few periods pass
-a refresh: the tests hold the periods kept above S at or below log2 n up to
-2 * 10**4 letters of w32, x32 and the ruler word.  On a word full of long
-runs a band can keep most of its periods, and a letter costs up to O(n),
-as a dense run table does.
+No period is missed, on any word: a small period's slack is exact, and in a
+band a run of at least nu at time n was at least F at the last refresh,
+fewer than L letters earlier, and has not broken since, so the refresh kept
+it and no append dropped it.  A period the refresh did not keep had a run
+of at most F - 1 and reaches at most F + L - 2 < nu before the next
+refresh; a dropped period restarts from 0 and reaches at most L - 1 < nu.
+Along the greedy words few periods pass a refresh: the tests hold the
+periods kept above S at or below log2 n up to 2 * 10**4 letters of w32, x32
+and the ruler word.  On a word full of long runs a band can keep most of
+its periods, and a letter costs up to O(n), as a dense run table does.
 """
 
 from __future__ import annotations
@@ -95,29 +96,27 @@ class _Band:
 
 class _Rule:
     """One need rule over one arithmetic range of periods, tracked along the
-    word: slack = need(P) - run(P) for every small period, and for the kept
-    periods above them (P, slack) pairs in ascending P.  A period blocks
-    when its slack is 0 or less."""
+    word: slack = need(P) - run(P) for every small period, each opened alone
+    once P + need(P) <= n, and (P, slack) pairs in ascending P for the kept
+    periods of the bands above.  A period blocks when its slack is <= 0."""
 
-    __slots__ = ("_a", "_b", "_q", "_step", "_small", "_needs", "_slack", "_last",
+    __slots__ = ("_a", "_b", "_q", "_step", "_small", "_needs", "_slack",
                  "_lo", "_first", "_bands", "_kept", "_due")
 
-    def __init__(self, word: list[int], p: int, q: int, strict: bool, start: int, step: int) -> None:
+    def __init__(self, p: int, q: int, strict: bool, start: int, step: int) -> None:
+        if q < 1 or p <= q or start < 1 or step < 1:
+            raise ValueError(f"need p > q >= 1, first >= 1 and step >= 1, got {p}/{q}, {start}, {step}")
         self._a, self._b, self._q, self._step = p - q, strict - q, q, step
-        top = 32
-        while self.need(top) < 15:
-            top *= 2
-        self._small = range(start, top, step)
-        self._needs = [self.need(P) for P in self._small]
-        self._last = self._small[-1] if self._small else 0
-        n = len(word)
-        self._slack = [d - _run(word, n, P, d) for P, d in zip(self._small, self._needs)]
-        # the next band to open: its lower bound and its first period
-        self._lo = top
-        self._first = start + len(self._small) * step
+        # the next period to open and the lower bound of the next band (S)
+        self._first, self._lo = start, 32
+        while self.need(self._lo) < 15:
+            self._lo *= 2
+        self._small = range(start, start, step)
+        self._needs: list[int] = []
+        self._slack: list[int] = []
         self._bands: list[_Band] = []
         self._kept: list[tuple[int, int]] = []
-        # the length at which the next band opens or is refreshed
+        # the length at which the next period opens or a band is refreshed
         self._due = 0
 
     def need(self, period: int) -> int:
@@ -126,15 +125,11 @@ class _Rule:
 
     def push(self, word: list[int], letter: int) -> None:
         """Follow the append of ``letter`` at position len(word)."""
-        n = len(word)
-        if n > self._last:
-            # word[n - P] for every small P, in ascending P
-            back = word[n - self._small.start : n - self._last - 1 : -self._step]
-        else:
-            back = [word[n - P] if P <= n else None for P in self._small]
+        # word[n - P] for every open small P, ascending; indexed from the end, as P can be n
+        back = word[-self._small.start : -self._small.stop : -self._step]
         self._slack = [s - 1 if c == letter else d for s, c, d in zip(self._slack, back, self._needs)]
         if self._kept:
-            self._kept = [(P, s - 1) for P, s in self._kept if word[n - P] == letter]
+            self._kept = [(P, s - 1) for P, s in self._kept if word[-P] == letter]
 
     def blocked(self, word: list[int]) -> dict[int, int]:
         """Each letter that a period blocks, with the smallest such period."""
@@ -143,8 +138,6 @@ class _Rule:
             self._refresh(word, n)
         found: dict[int, int] = {}
         for P in compress(self._small, map((0).__ge__, self._slack)):
-            if P > n:
-                break
             found.setdefault(word[n - P], P)
         for P, s in self._kept:
             if s <= 0:
@@ -152,12 +145,20 @@ class _Rule:
         return found
 
     def _refresh(self, word: list[int], n: int) -> None:
-        """Open every band whose first period can block at length n (P +
-        need(P) <= n), then refresh every band that is due."""
+        """Open every period that can block at length n (P + need(P) <= n),
+        then refresh every band that is due."""
         while self._first + self.need(self._first) <= n:
-            periods = range(self._first, 2 * self._lo, self._step)
+            P = self._first
+            if P < self._lo:
+                need = self.need(P)
+                self._needs.append(need)
+                self._slack.append(need - _run(word, n, P, need))
+                self._first += self._step
+                self._small = range(self._small.start, self._first, self._step)
+                continue
+            periods = range(P, 2 * self._lo, self._step)
             if periods:
-                self._bands.append(_Band(periods, self.need(periods.start), n))
+                self._bands.append(_Band(periods, self.need(P), n))
             self._lo *= 2
             self._first += len(periods) * self._step
         kept = self._kept
@@ -165,8 +166,7 @@ class _Rule:
             if band.due > n:
                 continue
             band.due = n + band.every
-            lo, hi = band.periods.start, band.periods.stop
-            kept = [e for e in kept if not lo <= e[0] < hi]
+            kept = [e for e in kept if e[0] not in band.periods]
             kept += self._survivors(word, n, band)
         kept.sort()
         self._kept = kept
@@ -242,8 +242,8 @@ class LceIndex:
     Letters are natural numbers below 2**31, kept in a list.  ``run(P)`` is
     the length of the longest suffix of the word that has period P, counted
     on demand.  Each need rule asked of ``blocked`` gets its own tracked
-    state (see the module docstring), built from the word at the first such
-    query and then followed by every ``append``.
+    state (see the module docstring): periods open at queries and every
+    ``append`` follows them.
     """
 
     __slots__ = ("_word", "_rules")
@@ -300,7 +300,7 @@ class LceIndex:
         key = (p, q, bool(strict), first, step)
         rule = self._rules.get(key)
         if rule is None:
-            rule = self._rules[key] = _Rule(self._word, p, q, strict, first, step)
+            rule = self._rules[key] = _Rule(p, q, bool(strict), first, step)
         return rule.blocked(self._word)
 
     def threshold_hit(self, p: int, q: int) -> dict[int, int]:

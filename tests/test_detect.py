@@ -227,16 +227,19 @@ X32_QUERIES = [
 ]
 
 
-def _follow_dense(word, queries, seed):
+def _follow_dense(word, queries, seed, quiet=0):
     """Append ``word`` letter by letter to an ``LceIndex`` and to the dense
-    run table; after every append the whole blocked map of each query and
-    the run of a few seeded periods must agree."""
+    run table; after every append from the ``quiet``-th letter on, the whole
+    blocked map of each query and the run of a few seeded periods must
+    agree."""
     rng = random.Random(seed)
     idx, dense = LceIndex(), oracle.DenseRunTable()
     for v in word:
         idx.append(v)
         dense.append(v)
         n = len(idx)
+        if n < quiet:
+            continue
         for query, name in queries:
             assert query(idx) == query(dense), (name, n)
         for period in rng.sample(range(1, n + 1), min(n, 3)):
@@ -244,8 +247,10 @@ def _follow_dense(word, queries, seed):
 
 
 @pytest.mark.parametrize("mode", [THRESHOLD, EXACT], ids=["threshold", "exact"])
-@pytest.mark.parametrize("exponent", EXPONENTS, ids=str)
+@pytest.mark.parametrize("exponent", EXPONENTS + [Exponent(101, 100)], ids=str)
 def test_blocked_maps_equal_dense_table_along_greedy_words(exponent, mode):
+    # 101/100 passes its small-window bound S = 2048 and opens its first
+    # band at 2,068 letters
     word = generate(exponent, mode, 3_000)
     query = [(lambda idx: blocked_letters(idx, exponent, mode), f"{exponent} {mode.value}")]
     _follow_dense(word, query, seed=3_000)
@@ -277,6 +282,17 @@ def test_blocked_maps_equal_dense_table_on_words_with_repetitions(kind):
     _follow_dense(word, MODE_QUERIES + X32_QUERIES, seed=kind)
 
 
+@pytest.mark.parametrize("kind", ["near-periodic", "w32"])
+def test_blocked_maps_equal_dense_table_when_first_asked_on_a_long_word(kind):
+    # every rule is first asked at 1,500 letters, so one refresh opens its
+    # small periods (each with the run it already has) and its first bands
+    if kind == "w32":
+        word = generate(E32, THRESHOLD, 2_500)
+    else:
+        word = _near_periodic(random.Random("late/near-periodic"), 2_500)
+    _follow_dense(word, MODE_QUERIES + X32_QUERIES, seed=kind, quiet=1_500)
+
+
 def test_blocked_maps_equal_dense_table_for_x32_checks():
     _follow_dense(x32_prefix(3_000), X32_QUERIES, seed=32)
 
@@ -293,3 +309,31 @@ def test_tracked_periods_stay_logarithmic_along_greedy(exponent, mode):
         kept = sum(len(rule._kept) for rule in state._idx._rules.values())
         assert kept <= math.log2(max(len(state), 1)), (len(state), kept)
         state.step()
+
+
+def test_small_window_opens_with_the_word_near_exponent_one():
+    # at 401/400 the small window ends at S = 8192; along 300 greedy letters
+    # it holds no period longer than the word, so an append costs O(n)
+    state = GreedyState(Exponent(401, 400), THRESHOLD)
+    while len(state) < 300:
+        state.next_letter()
+        (rule,) = state._idx._rules.values()
+        assert max(rule._small, default=0) <= len(state), len(state)
+        state.step()
+
+
+def test_blocked_rejects_rules_it_cannot_track():
+    # need(P) is 0 for every P when p <= q, so no small-window bound exists;
+    # a first period or a step below 1 names no periods
+    idx = LceIndex([0, 1, 0])
+    for p, q, options in [(2, 2, {}), (1, 2, {}), (3, 0, {}), (3, 2, {"first": 0}), (3, 2, {"step": 0})]:
+        with pytest.raises(ValueError):
+            idx.blocked(p, q, **options)
+    with pytest.raises(ValueError):
+        LceIndex().blocked(2, 2)
+    assert idx.blocked(3, 2) == {0: 1, 1: 2}
+
+
+def test_blocked_strict_rule_is_keyed_and_built_alike():
+    # the rule is cached under bool(strict), so it is built from it too
+    assert LceIndex([0, 1, 2, 0]).blocked(3, 2, strict=2) == {0: 1, 1: 3}
