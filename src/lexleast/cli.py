@@ -2,7 +2,8 @@
 
 Subcommands: ``generate`` (write a prefix of a least avoiding word),
 ``term`` (one sequence value), ``scan`` (test an input word for forbidden
-repetitions), and ``verify`` (run a structural check).
+repetitions), and ``verify`` (run a structural check).  Only ``verify``
+imports ``lexleast.checks``, so the other commands start without it.
 
 Exit codes are uniform: 0 means pass or clean, 1 means a violation or
 forbidden factor was found, 2 means a usage or parse error.  Standard
@@ -12,7 +13,6 @@ output is fully deterministic; timings go to stderr.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import sys
@@ -20,7 +20,6 @@ import time
 from itertools import count, islice
 from typing import Iterable, TextIO
 
-from . import checks
 from .detect import AvoidanceMode, contains_forbidden
 from .formulas import (
     b_closed,
@@ -169,21 +168,27 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return 1
 
 
+# each check's function in ``lexleast.checks``, by name: the module is
+# imported, and the function looked up, only when ``verify`` runs
 _VERIFY = {
-    "powerfree": checks.check_powerfree,
-    "minimality": checks.check_minimality,
-    "cross": checks.check_cross,
-    "ell-claim": checks.check_ell_claim,
-    "eq6-intervals": checks.check_eq6_intervals,
-    "b-inequality": checks.check_b_inequality,
-    "b-window": checks.check_b_window,
-    "x-squares": checks.check_x_squares,
-    "x-overlap": checks.check_x_overlapfree,
+    "powerfree": "check_powerfree",
+    "minimality": "check_minimality",
+    "cross": "check_cross",
+    "ell-claim": "check_ell_claim",
+    "eq6-intervals": "check_eq6_intervals",
+    "b-inequality": "check_b_inequality",
+    "b-window": "check_b_window",
+    "x-squares": "check_x_squares",
+    "x-overlap": "check_x_overlapfree",
 }
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    runner = _VERIFY[args.check]
+    import inspect
+
+    from . import checks
+
+    runner = getattr(checks, _VERIFY[args.check])
     accepted = inspect.signature(runner).parameters
     kwargs: dict[str, object] = {}
     for name in ("source", "length", "n_max", "r_max", "s_max", "j_max"):

@@ -33,7 +33,7 @@ verdict rests on letter comparisons.
 about, only the periods whose run can still reach their need, opened in
 ascending order by the same rule: each once P + need(P) <= n.
 
-* Below S (32, doubled until need(S) >= 15) each period opens alone, into
+* Below S (32, doubled until need(S) >= 1) each period opens alone, into
   a dense list of slacks need(P) - run(P) kept exact by every append.
 * A band [S * 2**i, S * 2**(i+1)) opens with its lowest period and is kept
   sparsely.  Let nu be that period's need, L = max(1, nu // 2) and
@@ -109,7 +109,7 @@ class _Rule:
         self._a, self._b, self._q, self._step = p - q, strict - q, q, step
         # the next period to open and the lower bound of the next band (S)
         self._first, self._lo = start, 32
-        while self.need(self._lo) < 15:
+        while self.need(self._lo) < 1:
             self._lo *= 2
         self._small = range(start, start, step)
         self._needs: list[int] = []

@@ -10,7 +10,7 @@ O(log n) per term with plain iteration, no call-stack recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .words import Record
 
 
 def w32_term(n: int) -> int:
@@ -179,20 +179,18 @@ def ruler_term(n: int) -> int:
     return (m & -m).bit_length() - 1
 
 
-@dataclass(frozen=True)
-class EllCase:
+class EllCase(Record):
     """Shape of a decrement at a b-slot: the parity of the original letter
     b(n), the target letter m >= 5, and whether m is exactly b(n) - 1."""
 
-    b_odd: bool
-    m: int
-    is_pred: bool = False
+    __slots__ = ("b_odd", "m", "is_pred")
 
-    def __post_init__(self) -> None:
-        if self.m < 5:
-            raise ValueError(f"decrement targets below 5 have fixed short witnesses, got m={self.m}")
-        if self.is_pred and self.b_odd == (self.m % 2 == 1):
+    def __init__(self, b_odd: bool, m: int, is_pred: bool = False) -> None:
+        if m < 5:
+            raise ValueError(f"decrement targets below 5 have fixed short witnesses, got m={m}")
+        if is_pred and b_odd == (m % 2 == 1):
             raise ValueError("m = b(n) - 1 requires opposite parities")
+        self._set(b_odd, m, is_pred)
 
     @classmethod
     def from_value(cls, b_value: int, m: int) -> "EllCase":

@@ -10,19 +10,19 @@ of the helper sequence b.  Two codings flatten the fixed point: ``tau``
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Iterable, Iterator
 
+from .words import Record
 
-@dataclass(frozen=True)
-class BarLetter:
-    value: int
-    barred: bool = False
 
-    def __post_init__(self) -> None:
-        if self.value < 0:
-            raise ValueError(f"letter values are natural numbers, got {self.value}")
+class BarLetter(Record):
+    __slots__ = ("value", "barred")
+
+    def __init__(self, value: int, barred: bool = False) -> None:
+        if value < 0:
+            raise ValueError(f"letter values are natural numbers, got {value}")
+        self._set(value, barred)
 
     def __str__(self) -> str:
         return f"{self.value}~" if self.barred else str(self.value)

@@ -4,30 +4,67 @@ A word is any 0-indexed sequence of non-negative ints.  ``Exponent`` is a
 rational repetition exponent p/q, compared by cross-multiplied integer
 arithmetic, never floats; ``Occurrence`` is the witness of a repetition;
 ``check_letters`` validates a word read from outside.  Repetition itself is
-decided in ``lexleast.detect``.
+decided in ``lexleast.detect``.  ``Record`` is the base of the package's
+small immutable value classes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
 Word = Sequence[int]
 
 
-@dataclass(frozen=True)
-class Exponent:
+class Record:
+    """An immutable value whose fields are its ``__slots__``, each set once
+    by ``_set`` in ``__init__``: equality, hashing, repr and pickling follow
+    the fields in order, and assigning to a field raises ``AttributeError``.
+    (A frozen dataclass would do the same, at the cost of importing
+    ``dataclasses`` and ``inspect`` on every start of the CLI.)"""
+
+    __slots__ = ()
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Exponent(Record):
     """Rational repetition exponent p/q in lowest terms, with p > q >= 1."""
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self) -> None:
-        if self.q < 1 or self.p <= self.q:
-            raise ValueError(f"exponent needs p > q >= 1, got {self.p}/{self.q}")
-        if gcd(self.p, self.q) != 1:
-            raise ValueError(f"exponent {self.p}/{self.q} is not in lowest terms")
+    def __init__(self, p: int, q: int) -> None:
+        if q < 1 or p <= q:
+            raise ValueError(f"exponent needs p > q >= 1, got {p}/{q}")
+        if gcd(p, q) != 1:
+            raise ValueError(f"exponent {p}/{q} is not in lowest terms")
+        self._set(p, q)
 
     @classmethod
     def parse(cls, text: str) -> "Exponent":
@@ -52,16 +89,14 @@ class Exponent:
         return f"{self.p}/{self.q}"
 
 
-@dataclass(frozen=True)
-class Occurrence:
+class Occurrence(Record):
     """Witness of a repetition: ``word[start : start + length]`` has this period."""
 
-    start: int
-    period: int
-    length: int
+    __slots__ = ("start", "period", "length")
 
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.period < 1 or self.length <= self.period:
+    def __init__(self, start: int, period: int, length: int) -> None:
+        self._set(start, period, length)
+        if start < 0 or period < 1 or length <= period:
             raise ValueError(f"malformed occurrence {self!r}")
 
     @property

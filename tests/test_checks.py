@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -87,6 +88,37 @@ def test_minimality_report_counts_decrements():
 
 def test_cross_small():
     assert check_cross(length=300).passed
+
+
+@pytest.mark.parametrize("route", ["greedy", "closed", "morphic"])
+def test_cross_reports_the_first_tampered_letter(monkeypatch, route):
+    # one route of the exact discipline gains 1 at letter 777 of x32
+    if route == "greedy":
+        step = checks.GreedyState.step
+        tampered = lambda self: step(self) + (self.mode is EXACT and len(self) == 778)  # noqa: E731
+        monkeypatch.setattr(checks.GreedyState, "step", tampered)
+    elif route == "closed":
+        monkeypatch.setattr(checks, "f_term", lambda n, f=checks.f_term: f(n) + (n == 777))
+    else:
+        stream = checks.x32_stream
+        monkeypatch.setattr(checks, "x32_stream", lambda: (v + (i == 777) for i, v in enumerate(stream())))
+    letter = x32_prefix(778)[777]
+    detail = {"variant": "exact", "greedy": letter, "closed": letter, "morphic": letter, route: letter + 1}
+    assert check_cross(length=1_000).violation == Violation("generator-mismatch", 777, detail)
+    assert check_cross(length=777).passed
+
+
+def test_cross_holds_only_greedy_word():
+    # the three routes are zipped letter by letter: no prefix of any route
+    # is built as a list beside greedy's own word
+    check_cross(length=100)  # warm up: imports, caches
+    tracemalloc.start()
+    try:
+        check_cross(length=5_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 5_000, peak
 
 
 def test_ell_claim_small():

@@ -261,10 +261,10 @@ def test_format_round_trip(letters, fmt):
 
 
 def test_package_runs_without_numpy():
-    # numpy is a test dependency only: importing the CLI, and with it every
-    # module of the package, must not load it
+    # numpy is a test dependency only: importing the CLI and the checks,
+    # and with them every module of the package, must not load it
     proc = subprocess.run(
-        [sys.executable, "-c", "import lexleast.cli, sys; print(*sys.modules)"],
+        [sys.executable, "-c", "import lexleast.cli, lexleast.checks, sys; print(*sys.modules)"],
         capture_output=True,
         text=True,
     )
@@ -272,3 +272,30 @@ def test_package_runs_without_numpy():
     loaded = proc.stdout.split()
     assert "lexleast.checks" in loaded and "lexleast.detect" in loaded
     assert [m for m in loaded if m.split(".")[0] == "numpy"] == []
+
+
+def test_commands_load_only_the_code_they_run(tmp_path):
+    # generate, scan and term start without the checks and without
+    # dataclasses (which pulls in inspect); verify imports the checks
+    word = tmp_path / "word.txt"
+    word.write_text("0 1 0\n")
+    script = f"""
+import io, sys
+from lexleast.cli import main
+sys.stdout = sys.stderr = io.StringIO()
+for argv in (
+    ["generate", "--length", "20", "--method", "greedy"],
+    ["generate", "--length", "20", "--method", "closed", "--format", "json"],
+    ["generate", "--length", "20", "--method", "morphism", "--mode", "exact"],
+    ["scan", {str(word)!r}],
+    ["term", "--which", "b", "--index", "1000", "--closed"],
+    ["term", "--which", "x32", "--index", "1000"],
+):
+    main(argv)
+print([m for m in ("lexleast.checks", "dataclasses", "inspect") if m in sys.modules], file=sys.__stdout__)
+main(["verify", "cross", "--length", "20"])
+print("lexleast.checks" in sys.modules, file=sys.__stdout__)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "True"]

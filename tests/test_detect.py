@@ -249,11 +249,13 @@ def _follow_dense(word, queries, seed, quiet=0):
 @pytest.mark.parametrize("mode", [THRESHOLD, EXACT], ids=["threshold", "exact"])
 @pytest.mark.parametrize("exponent", EXPONENTS + [Exponent(101, 100)], ids=str)
 def test_blocked_maps_equal_dense_table_along_greedy_words(exponent, mode):
-    # 101/100 passes its small-window bound S = 2048 and opens its first
-    # band at 2,068 letters
+    # 101/100 passes its small-window bound S = 128 and opens its first
+    # band, whose need is 1, at 129 letters (threshold) or 201 (exact)
     word = generate(exponent, mode, 3_000)
     query = [(lambda idx: blocked_letters(idx, exponent, mode), f"{exponent} {mode.value}")]
     _follow_dense(word, query, seed=3_000)
+
+
 
 
 def _near_periodic(rng, n):
@@ -280,6 +282,20 @@ def test_blocked_maps_equal_dense_table_on_words_with_repetitions(kind):
     else:
         word = _near_periodic(rng, 2_500)
     _follow_dense(word, MODE_QUERIES + X32_QUERIES, seed=kind)
+
+
+@pytest.mark.parametrize("kind", ["greedy", "near-periodic"])
+def test_blocked_maps_equal_dense_table_near_exponent_one(kind):
+    # at 401/400 S = 512 and the bands up to 1,500 letters have needs 1 and
+    # 2, so each is refreshed after every letter (L = 1); on the greedy word
+    # few periods ever repeat a letter, on the near-periodic one many do
+    exponent = Exponent(401, 400)
+    if kind == "greedy":
+        word = generate(exponent, THRESHOLD, 1_500)
+    else:
+        word = _near_periodic(random.Random("dense/near-periodic"), 1_500)
+    query = [(lambda idx: blocked_letters(idx, exponent, THRESHOLD), "401/400 threshold")]
+    _follow_dense(word, query, seed=401)
 
 
 @pytest.mark.parametrize("kind", ["near-periodic", "w32"])
@@ -312,7 +328,7 @@ def test_tracked_periods_stay_logarithmic_along_greedy(exponent, mode):
 
 
 def test_small_window_opens_with_the_word_near_exponent_one():
-    # at 401/400 the small window ends at S = 8192; along 300 greedy letters
+    # at 401/400 the small window ends at S = 512; along 300 greedy letters
     # it holds no period longer than the word, so an append costs O(n)
     state = GreedyState(Exponent(401, 400), THRESHOLD)
     while len(state) < 300:

@@ -7,7 +7,8 @@ import sys
 from pathlib import Path
 
 # the tracer rebinds names only in modules already imported, so import them
-# all before installing it
+# all before installing it (the CLI imports the checks only to run one)
+import lexleast.checks  # noqa: F401
 import lexleast.cli  # noqa: F401
 
 ROOT = Path(__file__).resolve().parent.parent

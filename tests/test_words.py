@@ -1,14 +1,19 @@
+import copy
+import pickle
+
 import pytest
 
+from lexleast.formulas import EllCase
+from lexleast.morphic import BarLetter
 from lexleast.words import Exponent, Occurrence, check_letters
 
 
 def test_exponent_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="p > q >= 1, got 2/2"):
         Exponent(2, 2)
     with pytest.raises(ValueError):
         Exponent(1, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="6/4 is not in lowest terms"):
         Exponent(6, 4)  # not reduced
     with pytest.raises(ValueError):
         Exponent(3, 0)
@@ -28,6 +33,42 @@ def test_occurrence_validation():
     for bad in ((-1, 2, 5), (0, 0, 5), (0, 5, 5), (0, 5, 3)):
         with pytest.raises(ValueError):
             Occurrence(*bad)
+    with pytest.raises(ValueError, match=r"malformed occurrence Occurrence\(start=0, period=5, length=5\)"):
+        Occurrence(0, 5, 5)
+
+
+# each value class, built twice alike (by position and by keyword), once
+# with another field, and its repr
+VALUES = [
+    (lambda: Exponent(3, 2), lambda: Exponent(q=2, p=3), Exponent(5, 2), "Exponent(p=3, q=2)"),
+    (lambda: Occurrence(1, 2, 3), lambda: Occurrence(start=1, period=2, length=3), Occurrence(1, 2, 4),
+     "Occurrence(start=1, period=2, length=3)"),
+    (lambda: EllCase(False, 5, True), lambda: EllCase(b_odd=False, m=5, is_pred=True), EllCase(False, 5),
+     "EllCase(b_odd=False, m=5, is_pred=True)"),
+    (lambda: BarLetter(3), lambda: BarLetter(value=3, barred=False), BarLetter(3, True),
+     "BarLetter(value=3, barred=False)"),
+]
+
+
+@pytest.mark.parametrize(
+    "make,make_by_keyword,other,text", VALUES, ids=["Exponent", "Occurrence", "EllCase", "BarLetter"]
+)
+def test_value_classes_are_immutable_values(make, make_by_keyword, other, text):
+    value = make()
+    assert value == make_by_keyword() and hash(value) == hash(make_by_keyword())
+    assert value is not make() and len({value, make(), make_by_keyword()}) == 1
+    assert value != other and other != value
+    assert value != tuple(getattr(value, name) for name in value.__slots__)
+    assert repr(value) == text
+    assert copy.deepcopy(value) == value and pickle.loads(pickle.dumps(value)) == value
+    for name in value.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 7)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert value == make()
 
 
 def test_check_letters():
