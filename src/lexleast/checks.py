@@ -15,7 +15,6 @@ from typing import Callable, Mapping, Sequence
 
 from .detect import AvoidanceMode, LceIndex, contains_forbidden
 from .formulas import (
-    EllCase,
     b_rec,
     c_term,
     d_term,
@@ -108,6 +107,8 @@ def _resolve(
     mode: AvoidanceMode | None,
     length: int,
 ) -> tuple[str, list[int], Exponent, AvoidanceMode]:
+    if length < 0:
+        raise ValueError(f"length must be non-negative, got {length}")
     if isinstance(source, str):
         if source not in SOURCES:
             raise ValueError(f"unknown generator id {source!r}; known: {sorted(SOURCES)}")
@@ -205,17 +206,19 @@ def check_cross(length: int = 10_000) -> CheckReport:
 
 
 def _b_slot_decrements(n_max: int):
-    """(n, m, ell, case) for every decrement target m >= 5 at a b-slot."""
+    """(n, b, m, ell) for every decrement target m >= 5 at a b-slot, b = b(n)."""
     for n in range(n_max + 1):
-        value = b_rec(n)
-        for m in range(5, value):
-            case = EllCase.from_value(value, m)
-            yield n, m, ell_m(case), case
+        b = b_rec(n)
+        for m in range(5, b):
+            yield n, b, m, ell_m(b, m)
 
 
 def check_ell_claim(n_max: int = 2_000) -> CheckReport:
     """Decrementing a b-slot letter to m >= 5 creates an xyx repetition with
-    block length ell ending at the decremented position.
+    block length ell ending at the decremented position.  With b = b(n),
+    ell = ell_m(b, m) is 30 * 6^(m/2 - 3) for even m, 30 * 6^((m+1)/2 - 3)
+    for odd m = b - 1, and 60 * 6^((m+1)/2 - 3) for any other odd m; the
+    stats count the pairs by the parities of b and m, marking odd m = b - 1.
 
     For each applicable pair the mutated suffix of length 3*ell is checked
     to have period 2*ell by direct comparison.  Pairs whose window starts
@@ -227,7 +230,7 @@ def check_ell_claim(n_max: int = 2_000) -> CheckReport:
     skipped = 0
     by_case: Counter[str] = Counter()
     by_ell: Counter[int] = Counter()
-    for n, m, ell, case in _b_slot_decrements(n_max):
+    for n, b, m, ell in _b_slot_decrements(n_max):
         end = 10 * n + 9
         if 3 * ell > end + 1:
             skipped += 1
@@ -239,9 +242,9 @@ def check_ell_claim(n_max: int = 2_000) -> CheckReport:
                 "decrement-witness-broken", end, {"n": n, "m": m, "ell": ell}
             )
             break
-        # the five branches of the length table
-        key = f"b_{'odd' if case.b_odd else 'even'}_m_{'odd' if m % 2 else 'even'}"
-        if not case.b_odd and m % 2 == 1 and case.is_pred:
+        # the length table's three branches, with b's parity split out
+        key = f"b_{'odd' if b % 2 else 'even'}_m_{'odd' if m % 2 else 'even'}"
+        if m == b - 1 and m % 2:
             key += "_pred"
         by_case[key] += 1
         by_ell[ell] += 1
@@ -264,7 +267,7 @@ def check_eq6_intervals(n_max: int = 2_000) -> CheckReport:
     violation = None
     checked = 0
     skipped = 0
-    for n, m, ell, _ in _b_slot_decrements(n_max):
+    for n, _, m, ell in _b_slot_decrements(n_max):
         block = ell // 10
         low = n + 1 - 3 * block
         if low < 0:

@@ -72,10 +72,7 @@ def parse_letters_text(text: str) -> list[int]:
     if not text:
         return []
     if text.startswith("["):
-        data = json.loads(text)
-        if not isinstance(data, list):
-            raise ValueError("JSON input must be an array of naturals")
-        return check_letters(data)
+        return check_letters(json.loads(text))
     return check_letters([int(tok) for tok in text.replace(",", " ").split()])
 
 
@@ -136,16 +133,15 @@ _TERMS = {
 
 def cmd_term(args: argparse.Namespace) -> int:
     plain, closed = _TERMS[args.which]
-    if args.closed:
-        if closed is None:
-            print(f"error: --closed is not available for {args.which}", file=sys.stderr)
-            return 2
-        if args.which in ("c", "d") and args.index < 1:
-            print(f"error: the closed form of {args.which} needs index >= 1", file=sys.stderr)
-            return 2
-        print(closed(args.index))
-        return 0
-    print(plain(args.index))
+    term = closed if args.closed else plain
+    if term is None:
+        print(f"error: --closed is not available for {args.which}", file=sys.stderr)
+        return 2
+    try:
+        print(term(args.index))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

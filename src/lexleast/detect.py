@@ -175,11 +175,9 @@ class _Rule:
     def _survivors(self, word: list[int], n: int, band: _Band) -> list[tuple[int, int]]:
         """(P, slack) for the band's periods whose run is at least its floor."""
         floor = band.floor
-        # a run of ``floor`` letters needs P <= n - floor
-        count = (n - floor - band.periods.start) // self._step + 1
-        if count <= 0:
-            return []
-        periods = band.periods[:count]
+        # a run of ``floor`` letters needs P <= n - floor; the lowest period
+        # always stays, as it opened with P + need(P) <= n and floor <= need(P)
+        periods = band.periods[: (n - floor - band.periods.start) // self._step + 1]
         tail = word[n - floor :]
         # filter first on the largest letter of the tail, the rarest on the
         # words greedy builds: P survives when word[end - P] == word[end]

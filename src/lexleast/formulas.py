@@ -10,8 +10,6 @@ O(log n) per term with plain iteration, no call-stack recursion.
 
 from __future__ import annotations
 
-from .words import Record
-
 
 def w32_term(n: int) -> int:
     """Letter n of w32 via the period-10 template.
@@ -179,42 +177,20 @@ def ruler_term(n: int) -> int:
     return (m & -m).bit_length() - 1
 
 
-class EllCase(Record):
-    """Shape of a decrement at a b-slot: the parity of the original letter
-    b(n), the target letter m >= 5, and whether m is exactly b(n) - 1."""
+def ell_m(b: int, m: int) -> int:
+    """Block length of the repetition created by decrementing a b-slot
+    letter b(n) = b to m, for 5 <= m < b.
 
-    __slots__ = ("b_odd", "m", "is_pred")
-
-    def __init__(self, b_odd: bool, m: int, is_pred: bool = False) -> None:
-        if m < 5:
-            raise ValueError(f"decrement targets below 5 have fixed short witnesses, got m={m}")
-        if is_pred and b_odd == (m % 2 == 1):
-            raise ValueError("m = b(n) - 1 requires opposite parities")
-        self._set(b_odd, m, is_pred)
-
-    @classmethod
-    def from_value(cls, b_value: int, m: int) -> "EllCase":
-        if not 5 <= m < b_value:
-            raise ValueError(f"need 5 <= m < b value, got m={m}, b={b_value}")
-        return cls(b_value % 2 == 1, m, m == b_value - 1)
-
-
-def ell_m(case: EllCase) -> int:
-    """Block length of the repetition created by decrementing a b-slot to m.
-
-    The witness is an xyx with |x| = |y| equal to this value; it is always a
-    multiple of 10 (of 30, in fact).
+    The witness is an xyx with |x| = |y| equal to this value, a multiple of
+    30 read off b and m alone: 30 * 6^(m/2 - 3) for even m,
+    30 * 6^((m+1)/2 - 3) for odd m = b - 1 (so b even), and
+    60 * 6^((m+1)/2 - 3) for every other odd m.
     """
-    m = case.m
+    if not 5 <= m < b:
+        raise ValueError(f"need 5 <= m < b value, got m={m}, b={b}")
     if m % 2 == 0:
-        exp = m // 2 - 3
-        assert exp >= 0
-        return 30 * 6**exp
-    exp = (m + 1) // 2 - 3
-    assert exp >= 0
-    if case.b_odd:
-        return 60 * 6**exp
-    return 30 * 6**exp if case.is_pred else 60 * 6**exp
+        return 30 * 6 ** (m // 2 - 3)
+    return (30 if m == b - 1 else 60) * 6 ** ((m + 1) // 2 - 3)
 
 
 def w32_prefix(length: int) -> list[int]:

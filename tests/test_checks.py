@@ -162,6 +162,24 @@ def test_eq6_intervals_small():
     assert report.extras["checked"] > 0
 
 
+@pytest.mark.parametrize(
+    "planted,value,violation",
+    [
+        # b(7) = 5 breaks b(0..1) = b(6..7), the interval behind b(8) = 6 -> 5
+        (7, 5, Violation("interval-mismatch", 1, {"n": 8, "m": 5, "offset": 1})),
+        # b(2) = 4 breaks that decrement's anchor b(8 - 2 * 3) = 5
+        (2, 4, Violation("anchor-mismatch", 2, {"n": 8, "m": 5, "found": 4})),
+    ],
+    ids=["interval", "anchor"],
+)
+def test_eq6_intervals_reports_a_planted_value(monkeypatch, planted, value, violation):
+    # the planted value is below 6, so it adds no decrement of its own
+    real = checks.b_rec
+    monkeypatch.setattr(checks, "b_rec", lambda i: value if i == planted else real(i))
+    assert check_eq6_intervals(n_max=8).violation == violation
+    assert check_eq6_intervals(n_max=7).passed
+
+
 def test_eq6_anchor_spot_value():
     # the anchor value behind the m=6 decrement at n=143: block length 3
     assert b_rec(143 - 6) == 6
@@ -171,6 +189,15 @@ def test_eq6_anchor_spot_value():
 def test_b_inequalities_small():
     assert check_b_inequality(s_max=60, j_max=60).passed
     assert check_b_window(n_max=300, r_max=60).passed
+
+
+def test_b_inequality_reports_a_planted_collision(monkeypatch):
+    # s = 1: c = 2, d = 3; b(11) = 6 lowered to b(5) = 5 collides at j = 1
+    real = checks.b_rec
+    monkeypatch.setattr(checks, "b_rec", lambda i: 5 if i == 11 else real(i))
+    report = check_b_inequality(s_max=3, j_max=3)
+    assert report.violation == Violation("b-values-collide", 5, {"s": 1, "j": 1})
+    assert check_b_inequality(s_max=3, j_max=0).passed
 
 
 def test_b_window_at_scale():
@@ -269,3 +296,17 @@ def test_failing_report_has_violation_field():
 def test_explicit_word_requires_exponent_and_mode():
     with pytest.raises(ValueError):
         check_powerfree([0, 1, 2], length=3)
+
+
+@pytest.mark.parametrize("check", [check_powerfree, check_minimality, check_x_squares, check_x_overlapfree])
+@pytest.mark.parametrize(
+    "source", ["w32", "x32", "ruler", "w32-morphic", "x32-greedy", [0, 1, 0]],
+    ids=["w32", "x32", "ruler", "w32-morphic", "x32-greedy", "word"],
+)
+def test_negative_length_is_rejected(check, source):
+    # one error for every source, raised before any word is built
+    kwargs = {}
+    if check in (check_powerfree, check_minimality) and not isinstance(source, str):
+        kwargs = {"exponent": E32, "mode": THRESHOLD}
+    with pytest.raises(ValueError, match="length must be non-negative, got -5"):
+        check(source=source, length=-5, **kwargs)

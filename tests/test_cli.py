@@ -1,7 +1,9 @@
+import io
 import json
 import subprocess
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -82,7 +84,9 @@ def test_term_closed_forms(capsys):
     assert run_cli(capsys, "term", "--which", "b", "--index", "35", "--closed")[:2] == (0, "7\n")
     assert run_cli(capsys, "term", "--which", "c", "--index", "6", "--closed")[:2] == (0, "17\n")
     # closed c/d need index >= 1; w32 has no separate closed switch
-    assert run_cli(capsys, "term", "--which", "c", "--index", "0", "--closed")[0] == 2
+    for which in ("c", "d"):
+        code, out, err = run_cli(capsys, "term", "--which", which, "--index", "0", "--closed")
+        assert (code, out) == (2, "") and err.startswith("error: ")
     assert run_cli(capsys, "term", "--which", "w32", "--index", "3", "--closed")[0] == 2
 
 
@@ -118,6 +122,14 @@ def test_scan_parse_error(capsys, tmp_path):
     assert run_cli(capsys, "scan", str(tmp_path / "missing.txt"))[0] == 2
 
 
+@pytest.mark.parametrize("text", ["[0, true]", "[0, 1.5]", '[0, "1"]', "[[0]]", "[0, 1, 0"])
+def test_scan_bad_json_is_a_usage_error(capsys, monkeypatch, text):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys, "scan")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def test_scan_overwide_letter_is_a_usage_error(capsys, tmp_path):
     # letters must fit the detector's 31-bit width; wider ones are bad input,
     # not a forbidden factor
@@ -141,8 +153,6 @@ def test_scan_overwide_letter_after_a_violation_is_a_usage_error(capsys, tmp_pat
 
 
 def test_scan_stdin(capsys, monkeypatch):
-    import io
-
     monkeypatch.setattr(sys, "stdin", io.StringIO("0,1,2\n"))
     code, out, _ = run_cli(capsys, "scan")
     assert (code, out) == (0, "clean\n")
@@ -251,8 +261,6 @@ def test_generate_into_closed_pipe_exits_quietly():
 @settings(max_examples=60)
 @given(st.lists(st.integers(0, 10**6), max_size=40), st.sampled_from(["lines", "csv", "json"]))
 def test_format_round_trip(letters, fmt):
-    import io
-
     from lexleast.cli import _emit
 
     buffer = io.StringIO()

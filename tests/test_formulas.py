@@ -3,7 +3,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lexleast.formulas import (
-    EllCase,
     b_closed,
     b_rec,
     c_closed,
@@ -177,31 +176,24 @@ def test_ruler_is_2adic_valuation(n):
 
 
 def test_ell_m_examples():
-    assert ell_m(EllCase(b_odd=True, m=6)) == 30
-    assert ell_m(EllCase(b_odd=True, m=5)) == 60
-    assert ell_m(EllCase(b_odd=False, m=5, is_pred=True)) == 30
-    assert ell_m(EllCase(b_odd=False, m=5)) == 60
-    assert ell_m(EllCase(b_odd=False, m=7, is_pred=True)) == 180
-    assert ell_m(EllCase(b_odd=True, m=7)) == 360
+    assert ell_m(7, 6) == 30
+    assert ell_m(7, 5) == 60
+    assert ell_m(6, 5) == 30
+    assert ell_m(8, 5) == 60
+    assert ell_m(8, 7) == 180
+    assert ell_m(9, 7) == 360
 
 
 def test_ell_m_divisible_by_ten():
     for b_value in range(6, 16):
         for m in range(5, b_value):
-            assert ell_m(EllCase.from_value(b_value, m)) % 10 == 0
+            assert ell_m(b_value, m) % 10 == 0
 
 
-def test_ell_case_validation():
-    with pytest.raises(ValueError):
-        EllCase(b_odd=True, m=4)
-    with pytest.raises(ValueError):
-        EllCase(b_odd=True, m=5, is_pred=True)  # 5 odd, b odd: parity clash
-    with pytest.raises(ValueError):
-        EllCase(b_odd=False, m=6, is_pred=True)
-    with pytest.raises(ValueError):
-        EllCase.from_value(6, 6)  # m must be below the b value
-    with pytest.raises(ValueError):
-        EllCase.from_value(6, 4)
+def test_ell_m_validation():
+    for b_value, m in ((6, 6), (6, 4), (5, 5), (7, 9)):
+        with pytest.raises(ValueError, match=f"need 5 <= m < b value, got m={m}, b={b_value}"):
+            ell_m(b_value, m)
 
 
 def test_negative_indices_rejected():
