@@ -30,13 +30,28 @@ the x32 structure checks for exponent 2.  There are no hashes: every
 verdict rests on letter comparisons.
 
 ``LceIndex`` keeps the letters in a list and, for each rule it is asked
-about, only the periods whose run can still reach their need, opened in
-ascending order by the same rule: each once P + need(P) <= n.
+about, the runs that can still reach their need.
 
-* Below S (32, doubled until need(S) >= 1) each period opens alone, into
-  a dense list of slacks need(P) - run(P) kept exact by every append.
+* Below S (32, doubled until need(S) >= 1) the run of every period with
+  need(P) <= 4S (every period, up to exponent 5) is kept in bits, in the
+  Shift-And style of Baeza-Yates and Gonnet.  For each letter c among the
+  last S - 1 positions, a mask holds the periods P < S with
+  ``word[n - P] == c``.  It is stored as of the length at which c was last appended and
+  shifted when next read, so an append touches only the new letter's mask,
+  and it goes once c's last occurrence leaves the window, so a rule holds at
+  most S masks whatever the alphabet.  One int ``runs`` holds in its S-bit
+  slot k, for k = 1..K (K the largest need kept in bits), the periods with
+  run(P) >= k.  Appending a letter with mask M lengthens exactly the runs of
+  the periods in M, so ``runs = ((runs | ONES) << S) & (M * REP)``: ONES
+  fills slot 0 with every period and REP copies M into each slot.  A query
+  reads ``runs & NEEDMASK``, NEEDMASK holding each period P in slot need(P);
+  need(P) grows with P, so the bits come out in ascending P.  A period of
+  need 0 blocks ``word[n - P]`` once P <= n and is read from the word.  The
+  bits at length n rest on the last T + need(T) letters only, T the largest
+  period kept in bits, so a rule first asked on a long word replays those.
 * A band [S * 2**i, S * 2**(i+1)) opens with its lowest period and is kept
-  sparsely.  Let nu be that period's need, L = max(1, nu // 2) and
+  sparsely; the first one also takes the periods below S left out of the
+  bits.  Let nu be that period's need, L = max(1, nu // 2) and
   F = nu - L + 1.  Every L letters a refresh keeps the band's periods whose
   run is at least F: it filters them one letter at a time, first on the
   largest of the last F letters (the rarest on greedy words), until at
@@ -45,12 +60,17 @@ ascending order by the same rule: each once P + need(P) <= n.
   kept period's run when the new letter repeats ``word[n - P]`` and drops
   the period otherwise.
 
-No period is missed, on any word: a small period's slack is exact, and in a
-band a run of at least nu at time n was at least F at the last refresh,
-fewer than L letters earlier, and has not broken since, so the refresh kept
-it and no append dropped it.  A period the refresh did not keep had a run
-of at most F - 1 and reaches at most F + L - 2 < nu before the next
-refresh; a dropped period restarts from 0 and reaches at most L - 1 < nu.
+No period is missed, on any word.  Below S, slot k holds P exactly when
+run(P) >= k: the new slot 1 is M, the new slot k + 1 is the old slot k
+within M, and M is exact, as a letter whose mask went has not occurred since
+among the last S - 1 positions.  Every need there is at most K, so P blocks
+exactly when it sits in slot need(P).  In a band (any range of periods whose
+lowest need nu is at least 1), a run of at least nu at time n was at least F
+at the last refresh, fewer than L letters earlier, and has not broken since,
+so the refresh kept it and no append dropped it.  A period the refresh did
+not keep had a run of at most F - 1 and reaches at most F + L - 2 < nu
+before the next refresh; a dropped period restarts from 0 and reaches at
+most L - 1 < nu.
 Along the greedy words few periods pass a refresh: the tests hold the
 periods kept above S at or below log2 n up to 2 * 10**4 letters of w32, x32
 and the ruler word.  On a word full of long runs a band can keep most of
@@ -60,7 +80,7 @@ its periods, and a letter costs up to O(n), as a dense run table does.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import compress
+from operator import index
 from typing import Iterable
 
 from .words import Exponent, Occurrence, Word
@@ -72,12 +92,14 @@ class AvoidanceMode(Enum):
 
 
 def _checked(letter: int) -> int:
+    # an integer of any kind (numpy's too) as an int; a float raises TypeError
+    letter = index(letter)
     if letter < 0:
         raise ValueError(f"letters are natural numbers, got {letter}")
     if letter >= (1 << 31):
         # the supported width; `scan` reports a wider letter as a usage error
         raise OverflowError(f"letter {letter} exceeds the supported width")
-    return int(letter)
+    return letter
 
 
 class _Band:
@@ -96,40 +118,69 @@ class _Band:
 
 class _Rule:
     """One need rule over one arithmetic range of periods, tracked along the
-    word: slack = need(P) - run(P) for every small period, each opened alone
-    once P + need(P) <= n, and (P, slack) pairs in ascending P for the kept
-    periods of the bands above.  A period blocks when its slack is <= 0."""
+    word: below S the letter masks and the run slots of the module
+    docstring, above it (P, slack = need(P) - run(P)) pairs in ascending P
+    for the kept periods of the bands, each blocking when its slack is <= 0."""
 
-    __slots__ = ("_a", "_b", "_q", "_step", "_small", "_needs", "_slack",
-                 "_lo", "_first", "_bands", "_kept", "_due")
+    __slots__ = ("_a", "_b", "_q", "_step", "_size", "_zero", "_ones", "_rep", "_needmask",
+                 "_masks", "_runs", "_lo", "_first", "_bands", "_kept", "_due")
 
-    def __init__(self, p: int, q: int, strict: bool, start: int, step: int) -> None:
+    def __init__(self, p: int, q: int, strict: bool, start: int, step: int, word: list[int]) -> None:
         if q < 1 or p <= q or start < 1 or step < 1:
             raise ValueError(f"need p > q >= 1, first >= 1 and step >= 1, got {p}/{q}, {start}, {step}")
         self._a, self._b, self._q, self._step = p - q, strict - q, q, step
-        # the next period to open and the lower bound of the next band (S)
-        self._first, self._lo = start, 32
-        while self.need(self._lo) < 1:
-            self._lo *= 2
-        self._small = range(start, start, step)
-        self._needs: list[int] = []
-        self._slack: list[int] = []
+        S = 32
+        while self.need(S) < 1:
+            S *= 2
+        # the periods kept in bits: those below S with need(P) <= 4S (all of
+        # them up to exponent 5), so that the run slots hold at most 4S**2
+        # bits whatever the exponent; the others join the first band
+        small = range(start, S, step)
+        small = small[: sum(self.need(P) <= 4 * S for P in small)]
+        # the periods of need 0, which block word[n - P] as soon as P <= n
+        self._zero = small[: sum(self.need(P) == 0 for P in small)]
+        top = small[-1] if small else 0
+        self._size, self._ones = S, (1 << S) - 1
+        self._rep = sum(1 << (k * S) for k in range(1, self.need(top) + 1))
+        self._needmask = sum(1 << (self.need(P) * S + P) for P in small[len(self._zero) :])
+        # letter -> [periods P < S with word[at - P] == letter, at]
+        self._masks: dict[int, list[int]] = {}
+        self._runs = 0
+        # the next band's first period and lower bound S * 2**i
+        self._first, self._lo = start + len(small) * step, S
         self._bands: list[_Band] = []
         self._kept: list[tuple[int, int]] = []
-        # the length at which the next period opens or a band is refreshed
+        # the length at which the next band opens or one is refreshed
         self._due = 0
+        # the bits at n rest on the last top + need(top) letters alone
+        n = len(word)
+        for i in range(max(0, n - top - self.need(top)), n):
+            self.push(word, i, word[i])
 
     def need(self, period: int) -> int:
         """Least run with which ``period`` blocks a letter."""
         return max(0, -(-(self._a * period + self._b) // self._q))
 
-    def push(self, word: list[int], letter: int) -> None:
-        """Follow the append of ``letter`` at position len(word)."""
-        # word[n - P] for every open small P, ascending; indexed from the end, as P can be n
-        back = word[-self._small.start : -self._small.stop : -self._step]
-        self._slack = [s - 1 if c == letter else d for s, c, d in zip(self._slack, back, self._needs)]
+    def push(self, word: list[int], n: int, letter: int) -> None:
+        """Follow the append of ``letter`` at position n."""
+        S, masks = self._size, self._masks
+        last = masks.get(letter)
+        if last is None:
+            masks[letter] = [2, n + 1]
+            self._runs = 0
+        else:
+            # the periods P < S with word[n - P] == letter
+            mask = last[0] << (n - last[1]) & self._ones
+            last[0], last[1] = mask << 1 | 2, n + 1
+            self._runs = ((self._runs | self._ones) << S) & mask * self._rep
+        # forget the letter that leaves the window unless it occurs again
+        # (a replay starts with the letters before it unknown)
+        if n >= S - 1:
+            old = word[n + 1 - S]
+            if masks.get(old, (0, 0))[1] == n + 2 - S:
+                del masks[old]
         if self._kept:
-            self._kept = [(P, s - 1) for P, s in self._kept if word[-P] == letter]
+            self._kept = [(P, s - 1) for P, s in self._kept if word[n - P] == letter]
 
     def blocked(self, word: list[int]) -> dict[int, int]:
         """Each letter that a period blocks, with the smallest such period."""
@@ -137,25 +188,27 @@ class _Rule:
         if n >= self._due:
             self._refresh(word, n)
         found: dict[int, int] = {}
-        for P in compress(self._small, map((0).__ge__, self._slack)):
+        for P in self._zero:
+            if P > n:
+                break
             found.setdefault(word[n - P], P)
+        # need(P) grows with P, so the bits come out in ascending P
+        hits, below = self._runs & self._needmask, self._size - 1
+        while hits:
+            low = hits & -hits
+            P = (low.bit_length() - 1) & below
+            found.setdefault(word[n - P], P)
+            hits ^= low
         for P, s in self._kept:
             if s <= 0:
                 found.setdefault(word[n - P], P)
         return found
 
     def _refresh(self, word: list[int], n: int) -> None:
-        """Open every period that can block at length n (P + need(P) <= n),
-        then refresh every band that is due."""
+        """Open every band whose lowest period can block at length n
+        (P + need(P) <= n), then refresh every band that is due."""
         while self._first + self.need(self._first) <= n:
             P = self._first
-            if P < self._lo:
-                need = self.need(P)
-                self._needs.append(need)
-                self._slack.append(need - _run(word, n, P, need))
-                self._first += self._step
-                self._small = range(self._small.start, self._first, self._step)
-                continue
             periods = range(P, 2 * self._lo, self._step)
             if periods:
                 self._bands.append(_Band(periods, self.need(P), n))
@@ -240,8 +293,9 @@ class LceIndex:
     Letters are natural numbers below 2**31, kept in a list.  ``run(P)`` is
     the length of the longest suffix of the word that has period P, counted
     on demand.  Each need rule asked of ``blocked`` gets its own tracked
-    state (see the module docstring): periods open at queries and every
-    ``append`` follows them.
+    state (see the module docstring), built from the last letters when it
+    is first asked: bands open at queries, and every ``append`` follows
+    the state.
     """
 
     __slots__ = ("_word", "_rules")
@@ -269,8 +323,9 @@ class LceIndex:
 
     def append(self, letter: int) -> None:
         letter = _checked(letter)
+        n = len(self._word)
         for rule in self._rules.values():
-            rule.push(self._word, letter)
+            rule.push(self._word, n, letter)
         self._word.append(letter)
 
     def pop(self) -> int:
@@ -298,7 +353,7 @@ class LceIndex:
         key = (p, q, bool(strict), first, step)
         rule = self._rules.get(key)
         if rule is None:
-            rule = self._rules[key] = _Rule(p, q, bool(strict), first, step)
+            rule = self._rules[key] = _Rule(p, q, bool(strict), first, step, self._word)
         return rule.blocked(self._word)
 
     def threshold_hit(self, p: int, q: int) -> dict[int, int]:

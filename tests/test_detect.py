@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -69,6 +70,22 @@ def test_exact_mode_witness_pairs():
     assert forbidden_suffix([2, 0, 1, 0], E32, EXACT) == Occurrence(1, 2, 3)
     # odd-period squares survive
     assert contains_forbidden([0, 1, 1, 0], E32, EXACT) is None
+
+
+def test_letters_must_be_integers():
+    # a float is refused, not truncated; integers of any kind are read as ints
+    with pytest.raises(TypeError):
+        contains_forbidden([0.5, 0], Exponent(2, 1))
+    with pytest.raises(TypeError):
+        LceIndex([0.5, 1.9])
+    with pytest.raises(TypeError):
+        forbidden_suffix([0, 1, 0.0], E32)
+    word = np.array([0, 1, 2, 0, 1], dtype=np.int64)
+    assert contains_forbidden(word, E32) == contains_forbidden(word.tolist(), E32) == Occurrence(0, 3, 5)
+    assert forbidden_suffix(word, E32) == Occurrence(0, 3, 5)
+    letters = LceIndex(word).to_list()
+    assert letters == word.tolist() and {type(v) for v in letters} == {int}
+    assert LceIndex([True, False]).to_list() == [1, 0]
 
 
 def _random_word(rng):
@@ -309,8 +326,64 @@ def test_blocked_maps_equal_dense_table_when_first_asked_on_a_long_word(kind):
     _follow_dense(word, MODE_QUERIES + X32_QUERIES, seed=kind, quiet=1_500)
 
 
+@pytest.mark.parametrize("kind", ["greedy threshold", "greedy exact", "near-periodic", "period 30"])
+@pytest.mark.parametrize("exponent", [Exponent(6, 1), Exponent(11, 2)], ids=str)
+def test_blocked_maps_equal_dense_table_above_exponent_five(exponent, kind):
+    # the periods below S = 32 whose need exceeds 4S = 128 (from 26 at 6/1,
+    # from 29 at 11/2) are left out of the bits and join the first band;
+    # 30 distinct letters repeated make 30 the smallest blocking period
+    rng = random.Random(f"dense/{exponent}")
+    if kind == "near-periodic":
+        word = _near_periodic(rng, 2_000)
+    elif kind == "period 30":
+        word = rng.sample(range(100), 30) * 67
+        for _ in range(5):
+            word[rng.randrange(2_000)] = 100
+    else:
+        word = generate(exponent, THRESHOLD if kind == "greedy threshold" else EXACT, 2_000)
+    queries = [(lambda idx, m=m: blocked_letters(idx, exponent, m), m.value) for m in (THRESHOLD, EXACT)]
+    _follow_dense(word, queries, seed=kind)
+
+
+def test_large_exponent_keeps_no_run_slots():
+    # at 1000/1 even period 1 needs a run of 998 > 4S, so no period is kept
+    # in bits, and the cost of a rule does not grow with its needs
+    exponent = Exponent(1000, 1)
+    assert generate(exponent, THRESHOLD, 500) == [0] * 500
+    idx = LceIndex([0] * 500)
+    assert blocked_letters(idx, exponent, EXACT) == {}
+    (rule,) = idx._rules.values()
+    assert rule._runs == rule._needmask == 0
+
+
 def test_blocked_maps_equal_dense_table_for_x32_checks():
     _follow_dense(x32_prefix(3_000), X32_QUERIES, seed=32)
+
+
+def test_blocked_maps_equal_dense_table_over_a_wide_alphabet():
+    # letters from range(1000), with factors copied from 1 to 600 letters
+    # back, half of them from just below or above S = 32: many letter masks
+    # enter and leave the window, while planted periods reach their needs
+    rng = random.Random("dense/wide")
+    word = []
+    while len(word) < 2_000:
+        back = rng.choice((rng.randint(28, 35), rng.randint(1, 600)))
+        if back <= len(word):
+            word += [word[-back + i % back] for i in range(rng.randint(back // 2, 2 * back))]
+        word += [rng.randrange(1000) for _ in range(rng.randint(1, 30))]
+    _follow_dense(word[:2_000], MODE_QUERIES + X32_QUERIES, seed="wide")
+
+
+@pytest.mark.parametrize("mode", [THRESHOLD, EXACT], ids=["threshold", "exact"])
+def test_letter_masks_stay_within_the_window(mode):
+    # a scan of 10**4 distinct letters keeps at most S letter masks per rule:
+    # a letter's mask goes when its last occurrence leaves the window
+    idx = LceIndex()
+    for v in range(10_000):
+        assert set(blocked_letters(idx, E32, mode)) <= {v - 1, v - 2}
+        idx.append(v)
+        (rule,) = idx._rules.values()
+        assert len(rule._masks) <= rule._size, v
 
 
 @pytest.mark.parametrize(
@@ -329,13 +402,50 @@ def test_tracked_periods_stay_logarithmic_along_greedy(exponent, mode):
 
 def test_small_window_opens_with_the_word_near_exponent_one():
     # at 401/400 the small window ends at S = 512; along 300 greedy letters
-    # it holds no period longer than the word, so an append costs O(n)
+    # no letter mask names a period longer than the word, and no run slot k
+    # a period above n - k, as run(P) <= n - P
     state = GreedyState(Exponent(401, 400), THRESHOLD)
     while len(state) < 300:
         state.next_letter()
         (rule,) = state._idx._rules.values()
-        assert max(rule._small, default=0) <= len(state), len(state)
+        n, S, ones = len(state), rule._size, rule._ones
+        for m, at in rule._masks.values():
+            assert (m << (n - at) & ones) >> (n + 1) == 0, n
+        for k in range(1, rule._runs.bit_length() // S + 1):
+            assert (rule._runs >> (k * S) & ones) >> (n - k + 1) == 0, n
         state.step()
+
+
+# (name, options of LceIndex.blocked, S, the largest period below S, its need K)
+REPLAYED_RULES = [
+    ("3/2 threshold", (3, 2), 32, 31, 15),
+    ("3/2 exact", (3, 2, False, 2, 2), 32, 30, 14),
+    ("7/4 exact", (7, 4, False, 4, 4), 32, 28, 20),
+    ("2/1 from 2", (2, 1, False, 2), 32, 31, 30),
+    ("2/1 strict", (2, 1, True), 32, 31, 31),
+    ("401/400 threshold", (401, 400), 512, 511, 1),
+]
+
+
+@pytest.mark.parametrize("kind", ["periodic", "near-periodic"])
+@pytest.mark.parametrize("options,S,top,need", [r[1:] for r in REPLAYED_RULES], ids=[r[0] for r in REPLAYED_RULES])
+def test_first_query_on_a_word_replays_enough_letters(options, S, top, need, kind):
+    # a rule first asked at length n rebuilds its bits from the last
+    # top + need(top) letters; at every length up to S + K + 2 the first
+    # query of a fresh index equals the dense table's.  The periodic word
+    # repeats ``top`` distinct letters, so run(top) reaches its need and
+    # top is the smallest period blocking its letter.
+    rng = random.Random(f"replay/{top}/{kind}")
+    size = S + need + 2
+    if kind == "periodic":
+        word = (rng.sample(range(1000), top) * 3)[:size]
+    else:
+        word = _near_periodic(rng, size)
+    dense = oracle.DenseRunTable()
+    for n in range(size + 1):
+        assert LceIndex(word[:n]).blocked(*options) == dense.blocked(*options), n
+        if n < size:
+            dense.append(word[n])
 
 
 def test_blocked_rejects_rules_it_cannot_track():
