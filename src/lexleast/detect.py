@@ -32,10 +32,11 @@ verdict rests on letter comparisons.
 ``LceIndex`` keeps the letters in a list and, for each rule it is asked
 about, the runs that can still reach their need.
 
-* Below S (32, doubled until need(S) >= 1) the run of every period with
-  need(P) <= 4S (every period, up to exponent 5) is kept in bits, in the
-  Shift-And style of Baeza-Yates and Gonnet.  For each letter c among the
-  last S - 1 positions, a mask holds the periods P < S with
+* Below S (32, doubled until need(S) >= 1, then while the run slots of
+  twice S, 2S * need(2S) bits, fit in 2048: 64 at 3/2) the run of every
+  period with need(P) <= 4S (every period, up to exponent 5) is kept in
+  bits, in the Shift-And style of Baeza-Yates and Gonnet.  For each letter
+  c among the last S - 1 positions, a mask holds the periods P < S with
   ``word[n - P] == c``.  It is stored as of the length at which c was last appended and
   shifted when next read, so an append touches only the new letter's mask,
   and it goes once c's last occurrence leaves the window, so a rule holds at
@@ -56,9 +57,10 @@ about, the runs that can still reach their need.
   run is at least F: it filters them one letter at a time, first on the
   largest of the last F letters (the rarest on greedy words), until at
   most two remain, then checks each survivor with a slice comparison and
-  measures its run up to need(P).  Between refreshes, an append grows a
-  kept period's run when the new letter repeats ``word[n - P]`` and drops
-  the period otherwise.
+  measures its run up to need(P), in ascending P: the kept periods form
+  one list ascending in P, and a refresh replaces the band's slice of it.
+  Between refreshes, an append grows a kept period's run when the new
+  letter repeats ``word[n - P]`` and drops the period otherwise.
 
 No period is missed, on any word.  Below S, slot k holds P exactly when
 run(P) >= k: the new slot 1 is M, the new slot k + 1 is the old slot k
@@ -79,6 +81,7 @@ its periods, and a letter costs up to O(n), as a dense run table does.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from enum import Enum
 from operator import index
 from typing import Iterable
@@ -131,6 +134,9 @@ class _Rule:
         self._a, self._b, self._q, self._step = p - q, strict - q, q, step
         S = 32
         while self.need(S) < 1:
+            S *= 2
+        # a wider window leaves fewer bands to refresh, at 2S * need(2S) bits
+        while 2 * S * self.need(2 * S) <= 2048:
             S *= 2
         # the periods kept in bits: those below S with need(P) <= 4S (all of
         # them up to exponent 5), so that the run slots hold at most 4S**2
@@ -214,19 +220,18 @@ class _Rule:
                 self._bands.append(_Band(periods, self.need(P), n))
             self._lo *= 2
             self._first += len(periods) * self._step
-        kept = self._kept
+        # each band is one slice of the kept list, ascending in P
+        kept, due = self._kept, self._first + self.need(self._first)
         for band in self._bands:
-            if band.due > n:
-                continue
-            band.due = n + band.every
-            kept = [e for e in kept if e[0] not in band.periods]
-            kept += self._survivors(word, n, band)
-        kept.sort()
-        self._kept = kept
-        self._due = min([self._first + self.need(self._first)] + [band.due for band in self._bands])
+            if band.due <= n:
+                band.due = n + band.every
+                i = bisect_left(kept, (band.periods.start,))
+                kept[i : bisect_left(kept, (band.periods.stop,), i)] = self._survivors(word, n, band)
+            due = min(due, band.due)
+        self._due = due
 
     def _survivors(self, word: list[int], n: int, band: _Band) -> list[tuple[int, int]]:
-        """(P, slack) for the band's periods whose run is at least its floor."""
+        """(P, slack) in ascending P for the band's periods whose run is at least its floor."""
         floor = band.floor
         # a run of ``floor`` letters needs P <= n - floor; the lowest period
         # always stays, as it opened with P + need(P) <= n and floor <= need(P)
@@ -237,11 +242,16 @@ class _Rule:
         letter = max(tail)
         end = n - floor + tail.index(letter)
         first, step = periods.start, self._step
-        alive = [
-            end - j
-            for j in reversed(_positions(word, letter, end - periods[-1], end - first + 1))
-            if (end - j - first) % step == 0
-        ]
+        # P = end - j for each j with word[j] == letter, descending in P
+        alive, j, stop = [], end - periods[-1], end - first + 1
+        try:
+            while True:
+                j = word.index(letter, j, stop)
+                if step == 1 or (end - j - first) % step == 0:
+                    alive.append(end - j)
+                j += 1
+        except ValueError:
+            pass
         # then one letter at a time back from the end
         k = 1
         while len(alive) > 2 and k <= floor:
@@ -249,22 +259,10 @@ class _Rule:
             alive = [P for P in alive if word[n - k - P] == letter]
             k += 1
         found = []
-        for P in alive:
+        for P in reversed(alive):
             if word[n - floor - P : n - P] == tail:
                 need = self.need(P)
                 found.append((P, need - _run(word, n, P, need, floor)))
-        return found
-
-
-def _positions(word: list[int], letter: int, lo: int, hi: int) -> list[int]:
-    """The positions of ``letter`` in ``word[lo:hi]``, ascending."""
-    found = []
-    try:
-        while True:
-            lo = word.index(letter, lo, hi)
-            found.append(lo)
-            lo += 1
-    except ValueError:
         return found
 
 
@@ -350,7 +348,7 @@ class LceIndex:
         length p*t.  The rule also bounds the periods: P can block only
         when P + need(P) <= n, so callers name no upper bound.
         """
-        key = (p, q, bool(strict), first, step)
+        key = (p, q, strict, first, step)
         rule = self._rules.get(key)
         if rule is None:
             rule = self._rules[key] = _Rule(p, q, bool(strict), first, step, self._word)

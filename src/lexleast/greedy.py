@@ -43,8 +43,9 @@ class GreedyState:
         return letter
 
     def extend_to(self, length: int) -> None:
-        while len(self._idx) < length:
-            self.step()
+        step = self.step
+        for _ in range(length - len(self)):
+            step()
 
 
 def generate(exponent: Exponent, mode: AvoidanceMode, length: int) -> list[int]:

@@ -266,8 +266,8 @@ def _follow_dense(word, queries, seed, quiet=0):
 @pytest.mark.parametrize("mode", [THRESHOLD, EXACT], ids=["threshold", "exact"])
 @pytest.mark.parametrize("exponent", EXPONENTS + [Exponent(101, 100)], ids=str)
 def test_blocked_maps_equal_dense_table_along_greedy_words(exponent, mode):
-    # 101/100 passes its small-window bound S = 128 and opens its first
-    # band, whose need is 1, at 129 letters (threshold) or 201 (exact)
+    # 101/100 passes its small-window bound S = 256 and opens its first
+    # band, whose need is 2, at 258 letters (threshold) or 302 (exact)
     word = generate(exponent, mode, 3_000)
     query = [(lambda idx: blocked_letters(idx, exponent, mode), f"{exponent} {mode.value}")]
     _follow_dense(word, query, seed=3_000)
@@ -301,18 +301,32 @@ def test_blocked_maps_equal_dense_table_on_words_with_repetitions(kind):
     _follow_dense(word, MODE_QUERIES + X32_QUERIES, seed=kind)
 
 
+def _follow_dense_past_the_window(exponent, mode, kind):
+    # 2,500 letters of the greedy word, on which few periods ever repeat a
+    # letter, or of a near-periodic word, on which many do
+    if kind == "greedy":
+        word = generate(exponent, mode, 2_500)
+    else:
+        word = _near_periodic(random.Random(f"dense/near-periodic/{exponent}"), 2_500)
+    query = [(lambda idx: blocked_letters(idx, exponent, mode), f"{exponent} {mode.value}")]
+    _follow_dense(word, query, seed=str(exponent))
+
+
 @pytest.mark.parametrize("kind", ["greedy", "near-periodic"])
 def test_blocked_maps_equal_dense_table_near_exponent_one(kind):
-    # at 401/400 S = 512 and the bands up to 1,500 letters have needs 1 and
-    # 2, so each is refreshed after every letter (L = 1); on the greedy word
-    # few periods ever repeat a letter, on the near-periodic one many do
-    exponent = Exponent(401, 400)
-    if kind == "greedy":
-        word = generate(exponent, THRESHOLD, 1_500)
-    else:
-        word = _near_periodic(random.Random("dense/near-periodic"), 1_500)
-    query = [(lambda idx: blocked_letters(idx, exponent, THRESHOLD), "401/400 threshold")]
-    _follow_dense(word, query, seed=401)
+    # at 401/400 S = 1024, the first band [1024, 2048) has need 2, so it is
+    # refreshed after every letter (L = 1), and the next opens at 2,053
+    _follow_dense_past_the_window(Exponent(401, 400), THRESHOLD, kind)
+
+
+@pytest.mark.parametrize("exponent,mode", [(Exponent(5, 4), EXACT), (Exponent(101, 100), THRESHOLD)], ids=["5/4 exact", "101/100"])
+def test_blocked_maps_equal_dense_table_past_a_wide_window(exponent, mode):
+    # S = 64 at 5/4 exact: the first band (periods 4t from 64, need 15) is
+    # refreshed every 7 letters, and the bands open up to the one from 1024.
+    # S = 256 at 101/100: the first band has need 2 and L = 1, and the
+    # bands open up to the one from 2048.  Their greedy words are followed
+    # by test_blocked_maps_equal_dense_table_along_greedy_words
+    _follow_dense_past_the_window(exponent, mode, "near-periodic")
 
 
 @pytest.mark.parametrize("kind", ["near-periodic", "w32"])
@@ -362,12 +376,13 @@ def test_blocked_maps_equal_dense_table_for_x32_checks():
 
 def test_blocked_maps_equal_dense_table_over_a_wide_alphabet():
     # letters from range(1000), with factors copied from 1 to 600 letters
-    # back, half of them from just below or above S = 32: many letter masks
-    # enter and leave the window, while planted periods reach their needs
+    # back, two thirds of them from just below or above S = 32 (the 2/1
+    # rules) or S = 64 (the 3/2 rules): many letter masks enter and leave
+    # the window, while planted periods reach their needs
     rng = random.Random("dense/wide")
     word = []
     while len(word) < 2_000:
-        back = rng.choice((rng.randint(28, 35), rng.randint(1, 600)))
+        back = rng.choice((rng.randint(28, 35), rng.randint(60, 67), rng.randint(1, 600)))
         if back <= len(word):
             word += [word[-back + i % back] for i in range(rng.randint(back // 2, 2 * back))]
         word += [rng.randrange(1000) for _ in range(rng.randint(1, 30))]
@@ -400,8 +415,34 @@ def test_tracked_periods_stay_logarithmic_along_greedy(exponent, mode):
         state.step()
 
 
+def _assert_kept_ascending(idx):
+    for rule in idx._rules.values():
+        periods = [P for P, _ in rule._kept]
+        assert all(a < b for a, b in zip(periods, periods[1:])), (len(idx), periods)
+
+
+@pytest.mark.parametrize("kind", ["w32", "x32", "5/4 exact", "near-periodic"])
+def test_kept_periods_stay_strictly_ascending(kind):
+    # a refresh finds each band's slice of the kept list by bisection and
+    # replaces it, which holds only while the list is strictly ascending in P
+    if kind == "near-periodic":
+        idx = LceIndex()
+        for v in _near_periodic(random.Random("kept/near-periodic"), 3_000):
+            for query, _ in MODE_QUERIES + X32_QUERIES:
+                query(idx)
+            _assert_kept_ascending(idx)
+            idx.append(v)
+        return
+    exponent, mode = {"w32": (E32, THRESHOLD), "x32": (E32, EXACT), "5/4 exact": (Exponent(5, 4), EXACT)}[kind]
+    state = GreedyState(exponent, mode)
+    while len(state) < 3_000:
+        state.next_letter()
+        _assert_kept_ascending(state._idx)
+        state.step()
+
+
 def test_small_window_opens_with_the_word_near_exponent_one():
-    # at 401/400 the small window ends at S = 512; along 300 greedy letters
+    # at 401/400 the small window ends at S = 1024; along 300 greedy letters
     # no letter mask names a period longer than the word, and no run slot k
     # a period above n - k, as run(P) <= n - P
     state = GreedyState(Exponent(401, 400), THRESHOLD)
@@ -418,12 +459,14 @@ def test_small_window_opens_with_the_word_near_exponent_one():
 
 # (name, options of LceIndex.blocked, S, the largest period below S, its need K)
 REPLAYED_RULES = [
-    ("3/2 threshold", (3, 2), 32, 31, 15),
-    ("3/2 exact", (3, 2, False, 2, 2), 32, 30, 14),
+    ("3/2 threshold", (3, 2), 64, 63, 31),
+    ("3/2 exact", (3, 2, False, 2, 2), 64, 62, 30),
+    ("5/4 exact", (5, 4, False, 4, 4), 64, 60, 14),
     ("7/4 exact", (7, 4, False, 4, 4), 32, 28, 20),
     ("2/1 from 2", (2, 1, False, 2), 32, 31, 30),
     ("2/1 strict", (2, 1, True), 32, 31, 31),
-    ("401/400 threshold", (401, 400), 512, 511, 1),
+    ("101/100 threshold", (101, 100), 256, 255, 2),
+    ("401/400 threshold", (401, 400), 1024, 1023, 2),
 ]
 
 
@@ -438,14 +481,17 @@ def test_first_query_on_a_word_replays_enough_letters(options, S, top, need, kin
     rng = random.Random(f"replay/{top}/{kind}")
     size = S + need + 2
     if kind == "periodic":
-        word = (rng.sample(range(1000), top) * 3)[:size]
+        word = (rng.sample(range(2048), top) * 3)[:size]
     else:
         word = _near_periodic(rng, size)
     dense = oracle.DenseRunTable()
     for n in range(size + 1):
-        assert LceIndex(word[:n]).blocked(*options) == dense.blocked(*options), n
+        idx = LceIndex(word[:n])
+        assert idx.blocked(*options) == dense.blocked(*options), n
         if n < size:
             dense.append(word[n])
+    (rule,) = idx._rules.values()
+    assert rule._size == S
 
 
 def test_blocked_rejects_rules_it_cannot_track():
@@ -461,5 +507,5 @@ def test_blocked_rejects_rules_it_cannot_track():
 
 
 def test_blocked_strict_rule_is_keyed_and_built_alike():
-    # the rule is cached under bool(strict), so it is built from it too
+    # a rule is cached under strict as given and built from bool(strict)
     assert LceIndex([0, 1, 2, 0]).blocked(3, 2, strict=2) == {0: 1, 1: 3}
