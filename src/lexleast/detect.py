@@ -53,30 +53,36 @@ about, the runs that can still reach their need.
 * A band [S * 2**i, S * 2**(i+1)) opens with its lowest period and is kept
   sparsely; the first one also takes the periods below S left out of the
   bits.  Let nu be that period's need, L = max(1, nu // 2) and
-  F = nu - L + 1.  Every L letters a refresh keeps the band's periods whose
-  run is at least F: it filters them one letter at a time, first on the
-  largest of the last F letters (the rarest on greedy words), until at
-  most two remain, then checks each survivor with a slice comparison and
-  measures its run up to need(P), in ascending P: the kept periods form
-  one list ascending in P, and a refresh replaces the band's slice of it.
-  Between refreshes, an append grows a kept period's run when the new
-  letter repeats ``word[n - P]`` and drops the period otherwise.
+  F = nu - L + 1.  Every L letters a refresh keeps the band's periods with
+  slack need(P) - run(P) < L, whose runs are F or more: it filters them one
+  letter at a time, first on the largest of the last F letters (the rarest
+  on greedy words), until at most two remain, then checks each survivor
+  with a slice comparison and measures its run up to need(P), in
+  ascending P: the kept periods form one list ascending in P, and a
+  refresh replaces the band's slice of it.  Between refreshes, an append
+  grows a kept period's run when the new letter repeats ``word[n - P]``
+  and drops the period otherwise.
 
 No period is missed, on any word.  Below S, slot k holds P exactly when
 run(P) >= k: the new slot 1 is M, the new slot k + 1 is the old slot k
 within M, and M is exact, as a letter whose mask went has not occurred since
 among the last S - 1 positions.  Every need there is at most K, so P blocks
 exactly when it sits in slot need(P).  In a band (any range of periods whose
-lowest need nu is at least 1), a run of at least nu at time n was at least F
-at the last refresh, fewer than L letters earlier, and has not broken since,
-so the refresh kept it and no append dropped it.  A period the refresh did
-not keep had a run of at most F - 1 and reaches at most F + L - 2 < nu
-before the next refresh; a dropped period restarts from 0 and reaches at
-most L - 1 < nu.
+lowest need nu is at least 1), a query at length m comes fewer than L
+letters after the band's last refresh at r, as a query at or past r + L
+refreshes it first, however many letters came since the last query.  A run
+grows by at most one letter per append, so a period that blocks at m had an
+unbroken run of more than need(P) - L at r: the refresh kept it, no append
+dropped it, and its slack, lowered once per append, is exact while
+positive.  A period not kept had slack L or more at r and reaches at most
+need(P) - L + m - r < need(P); a dropped one restarts from 0 and reaches at
+most L - 2 < nu.  So after a query a band period P <= n is kept exactly
+when need(P) - run(P) < due - n.
 Along the greedy words few periods pass a refresh: the tests hold the
 periods kept above S at or below log2 n up to 2 * 10**4 letters of w32, x32
-and the ruler word.  On a word full of long runs a band can keep most of
-its periods, and a letter costs up to O(n), as a dense run table does.
+and the ruler word, and about one per query on average for w32 and x32.
+On a word full of long runs a band can keep most of its periods, and a
+letter costs up to O(n), as a dense run table does.
 """
 
 from __future__ import annotations
@@ -108,7 +114,7 @@ def _checked(letter: int) -> int:
 class _Band:
     """The ``periods`` of one band, whose lowest need is ``nu``: refreshed
     every ``every`` letters (next at length ``due``), keeping the periods
-    with runs of ``floor`` letters or more."""
+    with slack need(P) - run(P) < ``every``, whose runs are ``floor`` or more."""
 
     __slots__ = ("periods", "every", "floor", "due")
 
@@ -122,8 +128,9 @@ class _Band:
 class _Rule:
     """One need rule over one arithmetic range of periods, tracked along the
     word: below S the letter masks and the run slots of the module
-    docstring, above it (P, slack = need(P) - run(P)) pairs in ascending P
-    for the kept periods of the bands, each blocking when its slack is <= 0."""
+    docstring, above it (P, slack) pairs in ascending P for the kept periods
+    of the bands, the slack being need(P) - run(P) while positive and <= 0
+    once P blocks."""
 
     __slots__ = ("_a", "_b", "_q", "_step", "_size", "_zero", "_ones", "_rep", "_needmask",
                  "_masks", "_runs", "_lo", "_first", "_bands", "_kept", "_due")
@@ -231,7 +238,7 @@ class _Rule:
         self._due = due
 
     def _survivors(self, word: list[int], n: int, band: _Band) -> list[tuple[int, int]]:
-        """(P, slack) in ascending P for the band's periods whose run is at least its floor."""
+        """(P, slack) in ascending P for the band's periods whose slack is below ``every``."""
         floor = band.floor
         # a run of ``floor`` letters needs P <= n - floor; the lowest period
         # always stays, as it opened with P + need(P) <= n and floor <= need(P)
@@ -262,7 +269,9 @@ class _Rule:
         for P in reversed(alive):
             if word[n - floor - P : n - P] == tail:
                 need = self.need(P)
-                found.append((P, need - _run(word, n, P, need, floor)))
+                slack = need - _run(word, n, P, need, floor)
+                if slack < band.every:
+                    found.append((P, slack))
         return found
 
 
@@ -374,8 +383,11 @@ def blocked_letters(idx: LceIndex, exponent: Exponent, mode: AvoidanceMode) -> d
 def _witness(idx: LceIndex, exponent: Exponent, mode: AvoidanceMode, letter: int) -> Occurrence | None:
     """The forbidden factor that appending ``letter`` would complete, if any."""
     period = blocked_letters(idx, exponent, mode).get(letter)
-    if period is None:
-        return None
+    return None if period is None else _occurrence(idx, exponent, mode, period)
+
+
+def _occurrence(idx: LceIndex, exponent: Exponent, mode: AvoidanceMode, period: int) -> Occurrence:
+    """The forbidden factor, of smallest period ``period``, that appending a letter would complete."""
     if mode is AvoidanceMode.THRESHOLD:
         length = period + idx.run(period) + 1
     else:
@@ -411,13 +423,15 @@ def contains_forbidden(
     checked against the ``LceIndex`` bound.
     """
     idx = LceIndex()
+    hit = LceIndex.threshold_hit if mode is AvoidanceMode.THRESHOLD else LceIndex.exact_hit
+    p, q = exponent.p, exponent.q
     letters = iter(word)
     for v in letters:
         v = _checked(v)
-        occ = _witness(idx, exponent, mode, v)
-        if occ is not None:
+        blocked = hit(idx, p, q)
+        if v in blocked:
             for rest in letters:
                 _checked(rest)
-            return occ
+            return _occurrence(idx, exponent, mode, blocked[v])
         idx.append(v)
     return None

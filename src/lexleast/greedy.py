@@ -9,7 +9,7 @@ the word, so some letter up to ``max letter + 1`` is always free.
 
 from __future__ import annotations
 
-from .detect import AvoidanceMode, LceIndex, blocked_letters
+from .detect import AvoidanceMode, LceIndex
 from .words import Exponent
 
 
@@ -30,7 +30,8 @@ class GreedyState:
 
     def next_letter(self) -> int:
         """Least letter whose appending leaves the word free of forbidden suffixes."""
-        blocked = blocked_letters(self._idx, self.exponent, self.mode)
+        idx, e = self._idx, self.exponent
+        blocked = (idx.threshold_hit if self.mode is AvoidanceMode.THRESHOLD else idx.exact_hit)(e.p, e.q)
         letter = 0
         while letter in blocked:
             letter += 1

@@ -104,6 +104,10 @@ class DenseRunTable:
     def run(self, period: int) -> int:
         return int(self._run[period]) if period < self._n else 0
 
+    def runs(self, periods: np.ndarray) -> np.ndarray:
+        """``run`` of each of the periods, all at most n."""
+        return self._run[periods]
+
     def append(self, letter: int) -> None:
         n = self._n
         cap = len(self._rev)

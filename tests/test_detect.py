@@ -209,7 +209,9 @@ def test_exact_32_reduces_to_balanced_xyx():
 
 def test_detectors_against_oracle_small_exhaustive():
     # quick version of the full length-12 acceptance sweep; the third
-    # verdict asks the index kept by appends and pops along the search
+    # verdict asks the index kept by appends and pops along the search, and
+    # the fourth scans the whole word, whose proper prefixes are clean here,
+    # so its witness is the suffix's
     for mode in (THRESHOLD, EXACT):
         idx = LceIndex()
 
@@ -226,6 +228,7 @@ def test_detectors_against_oracle_small_exhaustive():
                 lambda w: oracle.naive_forbidden_suffix(w, E32, mode),
                 lambda w: forbidden_suffix(w, E32, mode),
                 lambda w: detect._witness(idx, E32, mode, w[-1]),
+                lambda w: contains_forbidden(w, E32, mode),
             ),
             on_node=track,
         )
@@ -415,7 +418,49 @@ def test_tracked_periods_stay_logarithmic_along_greedy(exponent, mode):
         state.step()
 
 
-def _assert_kept_ascending(idx):
+@pytest.mark.parametrize("exponent,mode", [(E32, THRESHOLD), (E32, EXACT)], ids=["w32", "x32"])
+def test_kept_periods_average_at_most_one_and_a_half_per_query_along_greedy(exponent, mode):
+    # a band keeps only the periods that can block before its next refresh,
+    # about one per query on these words (three before that keep rule)
+    state = GreedyState(exponent, mode)
+    kept = 0
+    while len(state) < 20_000:
+        state.next_letter()
+        kept += sum(len(rule._kept) for rule in state._idx._rules.values())
+        state.step()
+    assert kept / 20_000 <= 1.5
+
+
+GREEDY_KINDS = {
+    "w32": (E32, THRESHOLD),
+    "x32": (E32, EXACT),
+    "ruler": (Exponent(2, 1), THRESHOLD),
+    "5/4 exact": (Exponent(5, 4), EXACT),
+}
+
+
+def _after_each_query(kind, check):
+    """``check(idx, dense)`` right after each query along 3,000 letters of a
+    greedy word, under its own rule, or of a near-periodic word, under every
+    mode and x32 rule; ``dense`` is the dense run table of the same word."""
+    dense = oracle.DenseRunTable()
+    if kind == "near-periodic":
+        idx = LceIndex()
+        for v in _near_periodic(random.Random("kept/near-periodic"), 3_000):
+            for query, _ in MODE_QUERIES + X32_QUERIES:
+                query(idx)
+            check(idx, dense)
+            idx.append(v)
+            dense.append(v)
+        return
+    state = GreedyState(*GREEDY_KINDS[kind])
+    while len(state) < 3_000:
+        state.next_letter()
+        check(state._idx, dense)
+        dense.append(state.step())
+
+
+def _assert_kept_ascending(idx, dense):
     for rule in idx._rules.values():
         periods = [P for P, _ in rule._kept]
         assert all(a < b for a, b in zip(periods, periods[1:])), (len(idx), periods)
@@ -425,20 +470,36 @@ def _assert_kept_ascending(idx):
 def test_kept_periods_stay_strictly_ascending(kind):
     # a refresh finds each band's slice of the kept list by bisection and
     # replaces it, which holds only while the list is strictly ascending in P
-    if kind == "near-periodic":
-        idx = LceIndex()
-        for v in _near_periodic(random.Random("kept/near-periodic"), 3_000):
-            for query, _ in MODE_QUERIES + X32_QUERIES:
-                query(idx)
-            _assert_kept_ascending(idx)
-            idx.append(v)
-        return
-    exponent, mode = {"w32": (E32, THRESHOLD), "x32": (E32, EXACT), "5/4 exact": (Exponent(5, 4), EXACT)}[kind]
-    state = GreedyState(exponent, mode)
-    while len(state) < 3_000:
-        state.next_letter()
-        _assert_kept_ascending(state._idx)
-        state.step()
+    _after_each_query(kind, _assert_kept_ascending)
+
+
+def _assert_kept_exactly_the_periods_that_can_block(idx, dense):
+    # a run grows by one letter at most per append, so P can block before
+    # its band's next refresh, at length due, exactly when
+    # need(P) - run(P) < due - n, i.e. q * (run(P) + due - n - 1) >= X with
+    # X = (p - q) * P - q (+1 when strict), as need(P) is the least r with
+    # q * r >= X.  Every band period's run comes from the dense table
+    # (LceIndex.run on each would take millions of calls), the kept
+    # periods' from LceIndex.run as well
+    n = len(idx)
+    for (p, q, strict, _, _), rule in idx._rules.items():
+        kept = dict(rule._kept)
+        for band in rule._bands:
+            periods = np.arange(band.periods.start, min(band.periods.stop, n + 1), band.periods.step)
+            reach = dense.runs(periods) + (band.due - n - 1)
+            can_block = q * reach >= (p - q) * periods - q + strict
+            assert set(periods[can_block].tolist()) == {P for P in kept if P in band.periods}, (n, band.periods)
+        for P, slack in kept.items():
+            need, run = rule.need(P), idx.run(P)
+            assert run == dense.run(P), (n, P)
+            # _run stops at need(P), so only a positive slack is exact
+            assert (slack <= 0) == (run >= need), (n, P, slack)
+            assert run >= need or slack == need - run, (n, P, slack)
+
+
+@pytest.mark.parametrize("kind", [*GREEDY_KINDS, "near-periodic"])
+def test_kept_periods_are_exactly_those_that_can_block_before_the_next_refresh(kind):
+    _after_each_query(kind, _assert_kept_exactly_the_periods_that_can_block)
 
 
 def test_small_window_opens_with_the_word_near_exponent_one():
