@@ -31,7 +31,6 @@ from .formulas import (
     f_term,
     ruler_term,
     w32_term,
-    x32_term,
 )
 from .greedy import GreedyState
 from .morphic import w32_stream, x32_stream
@@ -126,7 +125,7 @@ _TERMS = {
     "c": (c_term, c_closed),
     "d": (d_term, d_closed),
     "f": (f_term, None),
-    "x32": (x32_term, None),
+    "x32": (f_term, None),
     "ruler": (ruler_term, None),
 }
 

@@ -26,8 +26,12 @@ run(P) <= n - P, only a period with P + need(P) <= n can block, so the rule
 bounds the periods itself: a caller names an exponent, a first period and
 a step.  Threshold mode asks it over every period, exact mode over the
 multiples of q (period q*t reaches exponent p/q exactly at length p*t), and
-the x32 structure checks for exponent 2.  There are no hashes: every
-verdict rests on letter comparisons.
+the x32 structure checks for exponent 2.  The discipline is chosen in one
+place: ``AvoidanceMode.query`` names the mode's query
+(``LceIndex.threshold_hit`` or ``exact_hit``), and greedy,
+``forbidden_suffix`` and ``contains_forbidden`` call what it names, so a
+mode that is not an ``AvoidanceMode`` fails at once.  There are no hashes:
+every verdict rests on letter comparisons.
 
 ``LceIndex`` keeps the letters in a list and, for each rule it is asked
 about, the runs that can still reach their need.
@@ -90,7 +94,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from enum import Enum
 from operator import index
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .words import Exponent, Occurrence, Word
 
@@ -98,6 +102,10 @@ from .words import Exponent, Occurrence, Word
 class AvoidanceMode(Enum):
     THRESHOLD = "threshold"
     EXACT = "exact"
+
+    def query(self) -> Callable[[LceIndex, int, int], dict[int, int]]:
+        """The discipline's ``query(idx, p, q)``, read from the class at each call."""
+        return LceIndex.threshold_hit if self is AvoidanceMode.THRESHOLD else LceIndex.exact_hit
 
 
 def _checked(letter: int) -> int:
@@ -372,20 +380,6 @@ class LceIndex:
         return self.blocked(p, q, first=q, step=q)
 
 
-def blocked_letters(idx: LceIndex, exponent: Exponent, mode: AvoidanceMode) -> dict[int, int]:
-    """``LceIndex.blocked`` under the given discipline: each letter at the
-    next position that would complete a forbidden factor, with its smallest
-    period."""
-    query = idx.threshold_hit if mode is AvoidanceMode.THRESHOLD else idx.exact_hit
-    return query(exponent.p, exponent.q)
-
-
-def _witness(idx: LceIndex, exponent: Exponent, mode: AvoidanceMode, letter: int) -> Occurrence | None:
-    """The forbidden factor that appending ``letter`` would complete, if any."""
-    period = blocked_letters(idx, exponent, mode).get(letter)
-    return None if period is None else _occurrence(idx, exponent, mode, period)
-
-
 def _occurrence(idx: LceIndex, exponent: Exponent, mode: AvoidanceMode, period: int) -> Occurrence:
     """The forbidden factor, of smallest period ``period``, that appending a letter would complete."""
     if mode is AvoidanceMode.THRESHOLD:
@@ -406,9 +400,12 @@ def forbidden_suffix(
     to the longest length for that period in threshold mode (exact powers
     have their length pinned to p*t).
     """
+    query = mode.query()  # before the empty word returns, so a bad mode always raises
     if len(word) == 0:
         return None
-    return _witness(LceIndex(word[:-1]), exponent, mode, _checked(word[-1]))
+    idx = LceIndex(word[:-1])
+    period = query(idx, exponent.p, exponent.q).get(_checked(word[-1]))
+    return None if period is None else _occurrence(idx, exponent, mode, period)
 
 
 def contains_forbidden(
@@ -423,7 +420,7 @@ def contains_forbidden(
     checked against the ``LceIndex`` bound.
     """
     idx = LceIndex()
-    hit = LceIndex.threshold_hit if mode is AvoidanceMode.THRESHOLD else LceIndex.exact_hit
+    hit = mode.query()
     p, q = exponent.p, exponent.q
     letters = iter(word)
     for v in letters:

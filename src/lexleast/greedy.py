@@ -19,6 +19,7 @@ class GreedyState:
     def __init__(self, exponent: Exponent, mode: AvoidanceMode = AvoidanceMode.THRESHOLD) -> None:
         self.exponent = exponent
         self.mode = mode
+        self._query = mode.query()
         self._idx = LceIndex()
 
     def __len__(self) -> int:
@@ -30,8 +31,8 @@ class GreedyState:
 
     def next_letter(self) -> int:
         """Least letter whose appending leaves the word free of forbidden suffixes."""
-        idx, e = self._idx, self.exponent
-        blocked = (idx.threshold_hit if self.mode is AvoidanceMode.THRESHOLD else idx.exact_hit)(e.p, e.q)
+        e = self.exponent
+        blocked = self._query(self._idx, e.p, e.q)
         letter = 0
         while letter in blocked:
             letter += 1

@@ -9,6 +9,7 @@ code must agree with these on every input they can both handle.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Callable, Sequence
 
 import numpy as np
@@ -83,10 +84,11 @@ class DenseRunTable:
 
     ``run[P]`` is the length of the longest suffix with period P.  Letters
     are stored right-aligned in reverse order, so that the word read
-    backwards is one contiguous slice.  It answers ``blocked`` (and the two
-    mode queries ``detect.blocked_letters`` calls) by comparing every run
-    with its need at once, so it can check the production detector after
-    every letter of words far too long for the direct loops above.
+    backwards is one contiguous slice.  It answers ``blocked`` by comparing
+    every run with its need at once, so it can check the production
+    detector after every letter of words far too long for the direct loops
+    above.  Its ``blocked`` keeps ``LceIndex.blocked``'s contract, so a
+    discipline's query, ``AvoidanceMode.query()``, applies to it as well.
     """
 
     def __init__(self) -> None:
@@ -136,11 +138,29 @@ class DenseRunTable:
             found.setdefault(int(backwards[period - 1]), period)
         return found
 
-    def threshold_hit(self, p: int, q: int) -> dict[int, int]:
-        return self.blocked(p, q)
 
-    def exact_hit(self, p: int, q: int) -> dict[int, int]:
-        return self.blocked(p, q, first=q, step=q)
+def dense_greedy(exponent: Exponent, mode: AvoidanceMode, length: int) -> list[int]:
+    """The greedy word by the dense run table: at each position the least
+    letter that no period blocks, over every period in threshold mode and
+    over the multiples of q in exact mode (period q*t reaches p/q exactly at
+    length p*t).  O(n) per letter, independent of ``LceIndex``."""
+    p, q = exponent.p, exponent.q
+    first = 1 if mode is AvoidanceMode.THRESHOLD else q
+    dense, word = DenseRunTable(), []
+    for _ in range(length):
+        blocked = dense.blocked(p, q, first=first, step=first)
+        letter = 0
+        while letter in blocked:
+            letter += 1
+        dense.append(letter)
+        word.append(letter)
+    return word
+
+
+def word_sha256(word: Word) -> str:
+    """sha256 of the letters written in decimal, joined by commas: the
+    digests of ``golden.GREEDY_SHA256``."""
+    return hashlib.sha256(",".join(map(str, word)).encode()).hexdigest()
 
 
 def lce_backward_scan(word: Word, i: int, j: int) -> int:

@@ -134,6 +134,12 @@ def test_criterion_09_x32_structure():
         assert all(f_term(12 * n + 11) + 1 == b_rec(n) for n in range(10**5))
 
 
+def _tracked_witness(idx, mode, letter):
+    """The E32 witness that appending ``letter`` to ``idx`` would complete."""
+    period = mode.query()(idx, E32.p, E32.q).get(letter)
+    return None if period is None else detect._occurrence(idx, E32, mode, period)
+
+
 def test_criterion_10_oracle_equivalence():
     with criterion("criterion 10: detectors match the naive oracle on all ternary words to length 12", 60.0):
         total_words = (3**13 - 1) // 2
@@ -152,7 +158,7 @@ def test_criterion_10_oracle_equivalence():
                 (
                     lambda w: oracle.naive_forbidden_suffix(w, E32, mode),
                     lambda w: forbidden_suffix(w, E32, mode),
-                    lambda w: detect._witness(idx, E32, mode, w[-1]),
+                    lambda w: _tracked_witness(idx, mode, w[-1]),
                 ),
                 on_node=track,
             )

@@ -10,7 +10,6 @@ from lexleast import detect
 from lexleast.detect import (
     AvoidanceMode,
     LceIndex,
-    blocked_letters,
     contains_forbidden,
     forbidden_suffix,
 )
@@ -113,13 +112,12 @@ def test_blocked_letters_match_naive_oracle(word, exponent, mode):
     # the query names every letter whose appending completes a forbidden
     # suffix, with the oracle's smallest period
     idx = LceIndex(word)
-    query = idx.threshold_hit if mode is THRESHOLD else idx.exact_hit
     expected = {}
     for m in range(max(word, default=-1) + 2):
         occ = oracle.naive_forbidden_suffix(word + [m], exponent, mode)
         if occ is not None:
             expected[m] = occ.period
-    assert query(exponent.p, exponent.q) == expected
+    assert mode.query()(idx, exponent.p, exponent.q) == expected
 
 
 @given(
@@ -149,7 +147,7 @@ def test_run_table_follows_append_pop_walks(steps, exponent, mode):
             occ = oracle.naive_forbidden_suffix(word + [m], exponent, mode)
             if occ is not None:
                 expected[m] = occ.period
-        assert blocked_letters(idx, exponent, mode) == expected
+        assert mode.query()(idx, exponent.p, exponent.q) == expected
 
 
 @given(words, st.sampled_from([THRESHOLD, EXACT]))
@@ -207,6 +205,12 @@ def test_exact_32_reduces_to_balanced_xyx():
     assert covered == (3**13 - 1) // 2
 
 
+def _tracked_witness(idx, mode, letter):
+    """The E32 witness that appending ``letter`` to ``idx`` would complete."""
+    period = mode.query()(idx, E32.p, E32.q).get(letter)
+    return None if period is None else detect._occurrence(idx, E32, mode, period)
+
+
 def test_detectors_against_oracle_small_exhaustive():
     # quick version of the full length-12 acceptance sweep; the third
     # verdict asks the index kept by appends and pops along the search, and
@@ -227,7 +231,7 @@ def test_detectors_against_oracle_small_exhaustive():
             (
                 lambda w: oracle.naive_forbidden_suffix(w, E32, mode),
                 lambda w: forbidden_suffix(w, E32, mode),
-                lambda w: detect._witness(idx, E32, mode, w[-1]),
+                lambda w: _tracked_witness(idx, mode, w[-1]),
                 lambda w: contains_forbidden(w, E32, mode),
             ),
             on_node=track,
@@ -236,10 +240,38 @@ def test_detectors_against_oracle_small_exhaustive():
 
 
 EXPONENTS = [Exponent(4, 3), E32, Exponent(5, 3), Exponent(2, 1), Exponent(5, 2), Exponent(7, 4), Exponent(3, 1), Exponent(5, 4)]
-MODE_QUERIES = [
-    (lambda idx, e=e, m=m: blocked_letters(idx, e, m), f"{e} {m.value}")
-    for e in EXPONENTS for m in (THRESHOLD, EXACT)
-]
+
+
+def _mode_query(exponent, mode):
+    """The discipline's query as a ``_follow_dense`` query: it applies to the
+    dense table too, whose ``blocked`` keeps the same contract."""
+    return lambda idx: mode.query()(idx, exponent.p, exponent.q), f"{exponent} {mode.value}"
+
+
+MODE_QUERIES = [_mode_query(e, m) for e in EXPONENTS for m in (THRESHOLD, EXACT)]
+
+
+@pytest.mark.parametrize("mode", [THRESHOLD, EXACT], ids=["threshold", "exact"])
+@pytest.mark.parametrize("exponent", EXPONENTS, ids=str)
+def test_witnesses_equal_naive_oracle_for_every_exponent(exponent, mode):
+    # start, period and length, not the period alone: in exact mode the
+    # length is period // q * p, in threshold mode period + run + 1.  Each
+    # prefix of a seeded word goes to forbidden_suffix, the whole word to
+    # contains_forbidden, whose witness is that of the first forbidden prefix
+    rng = random.Random(f"witness/{exponent}/{mode.value}")
+    found = 0
+    for _ in range(60):
+        word = _random_word(rng)
+        first = None
+        for k in range(1, len(word) + 1):
+            expected = oracle.naive_forbidden_suffix(word[:k], exponent, mode)
+            assert forbidden_suffix(word[:k], exponent, mode) == expected, word[:k]
+            first = first or expected
+        assert contains_forbidden(word, exponent, mode) == first, word
+        found += first is not None
+    assert found >= 10
+
+
 # the x32 structure checks' rules: squares on roots from 2, overlaps
 X32_QUERIES = [
     (lambda idx: idx.blocked(2, 1, first=2), "2/1 from 2"),
@@ -272,8 +304,7 @@ def test_blocked_maps_equal_dense_table_along_greedy_words(exponent, mode):
     # 101/100 passes its small-window bound S = 256 and opens its first
     # band, whose need is 2, at 258 letters (threshold) or 302 (exact)
     word = generate(exponent, mode, 3_000)
-    query = [(lambda idx: blocked_letters(idx, exponent, mode), f"{exponent} {mode.value}")]
-    _follow_dense(word, query, seed=3_000)
+    _follow_dense(word, [_mode_query(exponent, mode)], seed=3_000)
 
 
 
@@ -311,8 +342,7 @@ def _follow_dense_past_the_window(exponent, mode, kind):
         word = generate(exponent, mode, 2_500)
     else:
         word = _near_periodic(random.Random(f"dense/near-periodic/{exponent}"), 2_500)
-    query = [(lambda idx: blocked_letters(idx, exponent, mode), f"{exponent} {mode.value}")]
-    _follow_dense(word, query, seed=str(exponent))
+    _follow_dense(word, [_mode_query(exponent, mode)], seed=str(exponent))
 
 
 @pytest.mark.parametrize("kind", ["greedy", "near-periodic"])
@@ -358,8 +388,7 @@ def test_blocked_maps_equal_dense_table_above_exponent_five(exponent, kind):
             word[rng.randrange(2_000)] = 100
     else:
         word = generate(exponent, THRESHOLD if kind == "greedy threshold" else EXACT, 2_000)
-    queries = [(lambda idx, m=m: blocked_letters(idx, exponent, m), m.value) for m in (THRESHOLD, EXACT)]
-    _follow_dense(word, queries, seed=kind)
+    _follow_dense(word, [_mode_query(exponent, m) for m in (THRESHOLD, EXACT)], seed=kind)
 
 
 def test_large_exponent_keeps_no_run_slots():
@@ -368,7 +397,7 @@ def test_large_exponent_keeps_no_run_slots():
     exponent = Exponent(1000, 1)
     assert generate(exponent, THRESHOLD, 500) == [0] * 500
     idx = LceIndex([0] * 500)
-    assert blocked_letters(idx, exponent, EXACT) == {}
+    assert EXACT.query()(idx, exponent.p, exponent.q) == {}
     (rule,) = idx._rules.values()
     assert rule._runs == rule._needmask == 0
 
@@ -398,7 +427,7 @@ def test_letter_masks_stay_within_the_window(mode):
     # a letter's mask goes when its last occurrence leaves the window
     idx = LceIndex()
     for v in range(10_000):
-        assert set(blocked_letters(idx, E32, mode)) <= {v - 1, v - 2}
+        assert set(mode.query()(idx, E32.p, E32.q)) <= {v - 1, v - 2}
         idx.append(v)
         (rule,) = idx._rules.values()
         assert len(rule._masks) <= rule._size, v

@@ -8,6 +8,7 @@ from lexleast.greedy import GreedyState, generate
 from lexleast.words import Exponent
 
 import golden
+import oracle
 
 E32 = Exponent(3, 2)
 E21 = Exponent(2, 1)
@@ -40,6 +41,22 @@ def test_generate_full_golden_tables():
     assert generate(E21, THRESHOLD, 32) == golden.SQUAREFREE_32
 
 
+@pytest.mark.parametrize("mode", ["threshold", None])
+def test_a_mode_that_is_not_an_avoidance_mode_raises(mode):
+    # each entry point once read any mode but THRESHOLD as exact, so that
+    # generate(E32, "threshold", 12) returned x32's opening
+    for length in (0, 12):
+        with pytest.raises(AttributeError):
+            generate(E32, mode, length)
+    with pytest.raises(AttributeError):
+        GreedyState(E32, mode)
+    for word in ([], [0, 1, 0, 1, 0]):
+        with pytest.raises(AttributeError):
+            contains_forbidden(word, E32, mode)
+        with pytest.raises(AttributeError):
+            forbidden_suffix(word, E32, mode)
+
+
 def test_generate_zero_and_negative():
     assert generate(E32, THRESHOLD, 0) == []
     with pytest.raises(ValueError):
@@ -62,6 +79,14 @@ def test_local_lexicographic_minimality(exponent, mode):
     for i in range(len(word)):
         for m in range(word[i]):
             assert forbidden_suffix(word[:i] + [m], exponent, mode) is not None, (i, m)
+
+
+@pytest.mark.parametrize("exponent,mode", sorted(golden.GREEDY_SHA256))
+def test_greedy_words_match_the_dense_table_digests(exponent, mode):
+    # beyond the dense-table differentials only 3/2 and 2/1 have another
+    # route; these digests come from oracle.dense_greedy
+    word = generate(Exponent.parse(exponent), AvoidanceMode(mode), golden.GREEDY_LENGTH)
+    assert oracle.word_sha256(word) == golden.GREEDY_SHA256[exponent, mode]
 
 
 @pytest.mark.parametrize("mode,closed", [(THRESHOLD, w32_prefix), (EXACT, x32_prefix)])
