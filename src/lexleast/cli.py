@@ -153,7 +153,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
                 text = handle.read()
         letters = parse_letters_text(text)
         occ = contains_forbidden(letters, args.exponent, args.mode)
-    except (OSError, ValueError, OverflowError) as exc:
+    except (OSError, ValueError, OverflowError, RecursionError) as exc:
+        # RecursionError: JSON nested deeper than the decoder can follow
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if occ is None:

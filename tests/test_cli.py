@@ -122,7 +122,11 @@ def test_scan_parse_error(capsys, tmp_path):
     assert run_cli(capsys, "scan", str(tmp_path / "missing.txt"))[0] == 2
 
 
-@pytest.mark.parametrize("text", ["[0, true]", "[0, 1.5]", '[0, "1"]', "[[0]]", "[0, 1, 0"])
+# the JSON decoder recurses once per bracket, so nesting past the
+# interpreter's limit is bad input too, not a forbidden factor (exit 1)
+@pytest.mark.parametrize(
+    "text", ["[0, true]", "[0, 1.5]", '[0, "1"]', "[[0]]", "[0, 1, 0", pytest.param("[" * 100_000, id="deeply nested")]
+)
 def test_scan_bad_json_is_a_usage_error(capsys, monkeypatch, text):
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     code, out, err = run_cli(capsys, "scan")

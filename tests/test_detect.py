@@ -362,6 +362,14 @@ def test_blocked_maps_equal_dense_table_past_a_wide_window(exponent, mode):
     _follow_dense_past_the_window(exponent, mode, "near-periodic")
 
 
+@pytest.mark.parametrize("kind", ["greedy", "near-periodic"])
+def test_blocked_maps_equal_dense_table_past_an_empty_band(kind):
+    # 1000/101 exact: S = 32 and the periods are 101t, so the band [32, 64)
+    # holds none and opens no _Band; the first band, [64, 128) with period
+    # 101, opens at about 999 letters
+    _follow_dense_past_the_window(Exponent(1000, 101), EXACT, kind)
+
+
 @pytest.mark.parametrize("kind", ["near-periodic", "w32"])
 def test_blocked_maps_equal_dense_table_when_first_asked_on_a_long_word(kind):
     # every rule is first asked at 1,500 letters, so one refresh opens its

@@ -1,6 +1,6 @@
 import tracemalloc
 from collections import deque
-from itertools import islice
+from itertools import chain, islice
 
 import pytest
 from hypothesis import given
@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 
 from lexleast.formulas import b_rec, w32_prefix, x32_prefix
 from lexleast.morphic import (
-    BarLetter,
     bar_fixed_point,
-    phi,
-    phi_fixed_prefix,
-    tau,
-    upsilon,
+    phi_letter,
+    tau_letter,
+    upsilon_letter,
     w32_stream,
     w32_via_morphism,
     x32_stream,
@@ -22,69 +20,66 @@ from lexleast.morphic import (
 
 import golden
 
-bar_letters = st.builds(BarLetter, value=st.integers(1, 40), barred=st.booleans())
-bar_words = st.lists(bar_letters, max_size=30)
+bar_letters = st.tuples(st.integers(1, 40), st.booleans())
 
 
-def bl(value, barred=False):
-    return BarLetter(value, barred)
+def fixed_prefix(k):
+    return list(islice(bar_fixed_point(), k))
+
+
+def expand(letter_map, word):
+    return list(chain.from_iterable(map(letter_map, word)))
 
 
 def test_phi_images():
-    assert phi([bl(3)]) == [bl(3), bl(3, True), bl(4), bl(4, True), bl(3), bl(5, True)]
-    assert phi([bl(3, True)]) == [bl(4), bl(3, True), bl(3), bl(4, True), bl(4), bl(5, True)]
-    assert phi([]) == []
+    assert phi_letter((3, False)) == ((3, False), (3, True), (4, False), (4, True), (3, False), (5, True))
+    assert phi_letter((3, True)) == ((4, False), (3, True), (3, False), (4, True), (4, False), (5, True))
+    assert phi_letter((7, True))[-1] == (9, True)
 
 
 def test_phi_fixed_prefix_examples():
-    assert phi_fixed_prefix(2) == [bl(3), bl(3, True)]
-    assert phi_fixed_prefix(6) == [bl(3), bl(3, True), bl(4), bl(4, True), bl(3), bl(5, True)]
-    assert phi_fixed_prefix(8) == [
-        bl(3), bl(3, True), bl(4), bl(4, True), bl(3), bl(5, True), bl(4), bl(3, True),
-    ]
-    assert phi_fixed_prefix(0) == []
+    assert fixed_prefix(2) == [(3, False), (3, True)]
+    assert fixed_prefix(6) == list(phi_letter((3, False)))
+    assert fixed_prefix(8) == list(phi_letter((3, False))) + [(4, False), (3, True)]
+    assert fixed_prefix(0) == []
 
 
 def test_tau_images():
-    assert tau([bl(3)]) == [0, 1, 2, 0, 3]
-    assert tau([bl(3, True)]) == [1, 0, 2, 1, 3]
-    assert tau(phi_fixed_prefix(2)) == [0, 1, 2, 0, 3, 1, 0, 2, 1, 3]
+    assert tau_letter((3, False)) == (0, 1, 2, 0, 3)
+    assert tau_letter((3, True)) == (1, 0, 2, 1, 3)
+    assert expand(tau_letter, fixed_prefix(2)) == [0, 1, 2, 0, 3, 1, 0, 2, 1, 3]
 
 
 def test_upsilon_images():
-    assert upsilon([bl(3)]) == [0, 0, 1, 1, 0, 2]
-    assert upsilon([bl(3, True)]) == [1, 0, 0, 1, 1, 2]
-    assert upsilon(phi_fixed_prefix(2)) == [0, 0, 1, 1, 0, 2, 1, 0, 0, 1, 1, 2]
+    assert upsilon_letter((3, False)) == (0, 0, 1, 1, 0, 2)
+    assert upsilon_letter((3, True)) == (1, 0, 0, 1, 1, 2)
+    assert expand(upsilon_letter, fixed_prefix(2)) == [0, 0, 1, 1, 0, 2, 1, 0, 0, 1, 1, 2]
 
 
 def test_upsilon_rejects_zero():
-    with pytest.raises(ValueError):
-        upsilon([bl(0)])
-
-
-def test_bar_letter_validation():
-    with pytest.raises(ValueError):
-        BarLetter(-1)
+    for barred in (False, True):
+        with pytest.raises(ValueError):
+            upsilon_letter((0, barred))
 
 
 def test_fixed_point_property():
+    # phi applied letter by letter to a prefix of x starts with that prefix
     for n in (1, 5, 36, 200):
-        prefix = phi_fixed_prefix(n)
-        assert phi(prefix)[:n] == prefix
+        prefix = fixed_prefix(n)
+        assert expand(phi_letter, prefix)[:n] == prefix
 
 
 def test_fixed_point_structure():
     # even slots alternate plain 3, 4; odd slot 2k+1 carries barred b(k)
-    prefix = phi_fixed_prefix(2_000)
-    for pos, letter in enumerate(prefix):
+    for pos, letter in enumerate(fixed_prefix(2_000)):
         if pos % 2 == 0:
-            assert letter == bl(3 if (pos // 2) % 2 == 0 else 4)
+            assert letter == (3 if (pos // 2) % 2 == 0 else 4, False)
         else:
-            assert letter == bl(b_rec(pos // 2), True)
+            assert letter == (b_rec(pos // 2), True)
 
 
 def test_fixed_point_letters_at_least_three():
-    assert all(letter.value >= 3 for letter in phi_fixed_prefix(5_000))
+    assert all(value >= 3 for value, _ in fixed_prefix(5_000))
 
 
 def test_codings_hit_golden_tables():
@@ -113,27 +108,29 @@ def test_streams_run_in_logarithmic_memory():
 
 
 def test_stream_is_incremental():
+    # each stream codes the fixed point one letter at a time
     gen = bar_fixed_point()
-    head = [next(gen) for _ in range(10)]
-    assert head == phi_fixed_prefix(10)
+    letters = [next(gen) for _ in range(50)]
+    assert letters == fixed_prefix(50)
+    assert list(islice(w32_stream(), 250)) == expand(tau_letter, letters)
+    assert list(islice(x32_stream(), 300)) == expand(upsilon_letter, letters)
 
 
-@given(bar_words)
-def test_length_bookkeeping(word):
-    assert len(phi(word)) == 6 * len(word)
-    assert len(tau(word)) == 5 * len(word)
-    assert len(upsilon(word)) == 6 * len(word)
-
-
-@given(bar_words, bar_words)
-def test_maps_respect_concatenation(u, v):
-    assert phi(u + v) == phi(u) + phi(v)
-    assert tau(u + v) == tau(u) + tau(v)
-    assert upsilon(u + v) == upsilon(u) + upsilon(v)
+@given(bar_letters)
+def test_length_bookkeeping(letter):
+    assert len(phi_letter(letter)) == 6
+    assert len(tau_letter(letter)) == 5
+    assert len(upsilon_letter(letter)) == 6
 
 
 @given(st.integers(0, 300))
 def test_prefix_lengths(n):
-    assert len(phi_fixed_prefix(n)) == n
+    assert len(fixed_prefix(n)) == n
     assert len(w32_via_morphism(n)) == n
     assert len(x32_via_morphism(n)) == n
+
+
+def test_prefix_rejects_negative_length():
+    for prefix in (w32_via_morphism, x32_via_morphism):
+        with pytest.raises(ValueError):
+            prefix(-1)

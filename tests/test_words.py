@@ -3,7 +3,6 @@ import pickle
 
 import pytest
 
-from lexleast.morphic import BarLetter
 from lexleast.words import Exponent, Occurrence, check_letters
 
 
@@ -42,13 +41,11 @@ VALUES = [
     (lambda: Exponent(3, 2), lambda: Exponent(q=2, p=3), Exponent(5, 2), "Exponent(p=3, q=2)"),
     (lambda: Occurrence(1, 2, 3), lambda: Occurrence(start=1, period=2, length=3), Occurrence(1, 2, 4),
      "Occurrence(start=1, period=2, length=3)"),
-    (lambda: BarLetter(3), lambda: BarLetter(value=3, barred=False), BarLetter(3, True),
-     "BarLetter(value=3, barred=False)"),
 ]
 
 
 @pytest.mark.parametrize(
-    "make,make_by_keyword,other,text", VALUES, ids=["Exponent", "Occurrence", "BarLetter"]
+    "make,make_by_keyword,other,text", VALUES, ids=["Exponent", "Occurrence"]
 )
 def test_value_classes_are_immutable_values(make, make_by_keyword, other, text):
     value = make()
