@@ -343,13 +343,12 @@ def check_x_squares(
             unit[v] += 1
             first_unit.setdefault(v, i - 1)
         # a square with a root of two letters or more ends here
-        root = idx.blocked(2, 1, first=2).get(v)
+        root = idx.append_unless_blocked(v, 2, 1, first=2)
         if root is not None:
             violation = Violation(
                 "square-root-too-long", i, {"start": i + 1 - 2 * root, "root_length": root}
             )
             break
-        idx.append(v)
     extras = {
         "count_00": unit.get(0, 0),
         "count_11": unit.get(1, 0),
@@ -370,11 +369,10 @@ def check_x_overlapfree(
     violation = None
     for i, v in enumerate(letters):
         # a x a x a ends here: a factor of exponent above 2, period |a x|
-        period = idx.blocked(2, 1, strict=True).get(v)
+        period = idx.append_unless_blocked(v, 2, 1, strict=True)
         if period is not None:
             violation = Violation("overlap", i, {"start": i - 2 * period, "period": period})
             break
-        idx.append(v)
     return CheckReport("x-overlap", params, violation)
 
 

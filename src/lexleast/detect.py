@@ -15,8 +15,12 @@ compared letter but the last is already committed, and the last pits the
 letter at n against ``word[n - P]``.  One scan over the periods therefore
 yields every blocked letter with its smallest period
 (``LceIndex.blocked``).  Greedy generation takes the least letter missing
-from that map, minimality needs every smaller letter in it, and a scan or a
-structure check looks up the one letter actually present.
+from that map, and the minimality check, which runs greedy, needs every
+smaller letter in it.  A caller that knows its letter builds no map: a scan
+(``contains_forbidden``, ``forbidden_suffix``) and the x32 structure checks
+(``LceIndex.append_unless_blocked``) ask one letter step, which reads the
+smallest period that blocks that letter from the letter's own mask, and
+follows the letter's append when none does.
 
 Let run(P) be the length of the longest suffix of the word with period P.
 Every query asks one need rule: P blocks ``word[n - P]`` when
@@ -27,9 +31,10 @@ bounds the periods itself: a caller names an exponent, a first period and
 a step.  Threshold mode asks it over every period, exact mode over the
 multiples of q (period q*t reaches exponent p/q exactly at length p*t), and
 the x32 structure checks for exponent 2.  The discipline is chosen in one
-place: ``AvoidanceMode.query`` names the mode's query
-(``LceIndex.threshold_hit`` or ``exact_hit``), and greedy,
-``forbidden_suffix`` and ``contains_forbidden`` call what it names, so a
+place: ``AvoidanceMode.periods`` gives the mode's first period and step,
+which ``contains_forbidden`` and ``forbidden_suffix`` hand to their rule,
+and ``AvoidanceMode.query`` names the mode's map query
+(``LceIndex.threshold_hit`` or ``exact_hit``), which greedy calls; so a
 mode that is not an ``AvoidanceMode`` fails at once.  There are no hashes:
 every verdict rests on letter comparisons.
 
@@ -51,7 +56,11 @@ about, the runs that can still reach their need.
   fills slot 0 with every period and REP copies M into each slot.  A query
   reads ``runs & NEEDMASK``, NEEDMASK holding each period P in slot need(P);
   need(P) grows with P, so the bits come out in ascending P.  A period of
-  need 0 blocks ``word[n - P]`` once P <= n and is read from the word.  The
+  need 0 blocks ``word[n - P]`` once P <= n and is read from the word.  A
+  letter step reads the letter's mask M alone: its need-0 periods are
+  ``M & ZEROBITS`` and its blocking periods in the slots the bits of
+  ``runs & NEEDMASK & M * REP``, the lowest bit giving the smallest; the
+  same ``M * REP`` then serves the append.  The
   bits at length n rest on the last T + need(T) letters only, T the largest
   period kept in bits, so a rule first asked on a long word replays those.
 * A band [S * 2**i, S * 2**(i+1)) opens with its lowest period and is kept
@@ -107,6 +116,11 @@ class AvoidanceMode(Enum):
         """The discipline's ``query(idx, p, q)``, read from the class at each call."""
         return LceIndex.threshold_hit if self is AvoidanceMode.THRESHOLD else LceIndex.exact_hit
 
+    def periods(self, q: int) -> tuple[int, int]:
+        """The first period and the step of the periods the discipline asks
+        about: every period, or the multiples of q."""
+        return (1, 1) if self is AvoidanceMode.THRESHOLD else (q, q)
+
 
 def _checked(letter: int) -> int:
     # an integer of any kind (numpy's too) as an int; a float raises TypeError
@@ -141,7 +155,7 @@ class _Rule:
     once P blocks."""
 
     __slots__ = ("_a", "_b", "_q", "_step", "_size", "_zero", "_ones", "_rep", "_needmask",
-                 "_masks", "_runs", "_lo", "_first", "_bands", "_kept", "_due")
+                 "_masks", "_runs", "_lo", "_first", "_bands", "_kept", "_due", "_zerobits")
 
     def __init__(self, p: int, q: int, strict: bool, start: int, step: int, word: list[int]) -> None:
         if q < 1 or p <= q or start < 1 or step < 1:
@@ -160,6 +174,7 @@ class _Rule:
         small = small[: sum(self.need(P) <= 4 * S for P in small)]
         # the periods of need 0, which block word[n - P] as soon as P <= n
         self._zero = small[: sum(self.need(P) == 0 for P in small)]
+        self._zerobits = sum(1 << P for P in self._zero)
         top = small[-1] if small else 0
         self._size, self._ones = S, (1 << S) - 1
         self._rep = sum(1 << (k * S) for k in range(1, self.need(top) + 1))
@@ -202,6 +217,43 @@ class _Rule:
                 del masks[old]
         if self._kept:
             self._kept = [(P, s - 1) for P, s in self._kept if word[n - P] == letter]
+
+    def step(self, word: list[int], letter: int) -> int | None:
+        """The smallest period that blocks ``letter`` at length n = len(word),
+        read from the letter's own mask.  When none does, follow the append
+        of ``letter`` as ``push`` does, with that same mask."""
+        n = len(word)
+        if n >= self._due:
+            self._refresh(word, n)
+        S, masks = self._size, self._masks
+        last = masks.get(letter)
+        if last is not None:
+            # the periods P < S with word[n - P] == letter, those of need 0
+            # first, then the run slots, whose bits come out in ascending P
+            mask = last[0] << (n - last[1]) & self._ones
+            hits = mask & self._zerobits
+            if hits:
+                return (hits & -hits).bit_length() - 1
+            rep = mask * self._rep
+            hits = self._runs & self._needmask & rep
+            if hits:
+                return ((hits & -hits).bit_length() - 1) & (S - 1)
+        for P, s in self._kept:
+            if s <= 0 and word[n - P] == letter:
+                return P
+        if last is None:
+            masks[letter] = [2, n + 1]
+            self._runs = 0
+        else:
+            last[0], last[1] = mask << 1 | 2, n + 1
+            self._runs = ((self._runs | self._ones) << S) & rep
+        if n >= S - 1:
+            old = word[n + 1 - S]
+            if masks.get(old, (0, 0))[1] == n + 2 - S:
+                del masks[old]
+        if self._kept:
+            self._kept = [(P, s - 1) for P, s in self._kept if word[n - P] == letter]
+        return None
 
     def blocked(self, word: list[int]) -> dict[int, int]:
         """Each letter that a period blocks, with the smallest such period."""
@@ -307,10 +359,10 @@ class LceIndex:
 
     Letters are natural numbers below 2**31, kept in a list.  ``run(P)`` is
     the length of the longest suffix of the word that has period P, counted
-    on demand.  Each need rule asked of ``blocked`` gets its own tracked
-    state (see the module docstring), built from the last letters when it
-    is first asked: bands open at queries, and every ``append`` follows
-    the state.
+    on demand.  Each need rule asked of ``blocked`` or
+    ``append_unless_blocked`` gets its own tracked state (see the module
+    docstring), built from the last letters when it is first asked: bands
+    open at queries, and every append follows the state.
     """
 
     __slots__ = ("_word", "_rules")
@@ -371,22 +423,45 @@ class LceIndex:
             rule = self._rules[key] = _Rule(p, q, bool(strict), first, step, self._word)
         return rule.blocked(self._word)
 
+    def append_unless_blocked(
+        self, letter: int, p: int, q: int, strict: bool = False, first: int = 1, step: int = 1
+    ) -> int | None:
+        """The smallest period that ``blocked``'s rule names for ``letter``,
+        or None once ``letter`` is appended: a caller that knows its letter
+        asks this, and no map is built."""
+        letter = _checked(letter)
+        key = (p, q, strict, first, step)
+        rule = self._rules.get(key)
+        if rule is None:
+            rule = self._rules[key] = _Rule(p, q, bool(strict), first, step, self._word)
+        period = rule.step(self._word, letter)
+        if period is None:
+            n = len(self._word)
+            for other in self._rules.values():
+                if other is not rule:
+                    other.push(self._word, n, letter)
+            self._word.append(letter)
+        return period
+
     def threshold_hit(self, p: int, q: int) -> dict[int, int]:
         """``blocked`` for factors of exponent >= p/q, over every period."""
         return self.blocked(p, q)
 
     def exact_hit(self, p: int, q: int) -> dict[int, int]:
-        """``blocked`` for exact p/q-powers: the same rule on multiples of q."""
+        """``blocked`` for exact p/q-powers: the same rule on multiples of q.
+        These are ``AvoidanceMode.EXACT.periods(q)``, spelled out because
+        greedy asks this once per letter and an enum lookup is not free."""
         return self.blocked(p, q, first=q, step=q)
 
 
-def _occurrence(idx: LceIndex, exponent: Exponent, mode: AvoidanceMode, period: int) -> Occurrence:
-    """The forbidden factor, of smallest period ``period``, that appending a letter would complete."""
+def _occurrence(word: list[int], exponent: Exponent, mode: AvoidanceMode, period: int) -> Occurrence:
+    """The forbidden factor, of smallest period ``period``, that appending a letter to ``word`` would complete."""
+    n = len(word)
     if mode is AvoidanceMode.THRESHOLD:
-        length = period + idx.run(period) + 1
+        length = period + _run(word, n, period, n) + 1
     else:
         length = period // exponent.q * exponent.p
-    return Occurrence(len(idx) + 1 - length, period, length)
+    return Occurrence(n + 1 - length, period, length)
 
 
 def forbidden_suffix(
@@ -400,12 +475,13 @@ def forbidden_suffix(
     to the longest length for that period in threshold mode (exact powers
     have their length pinned to p*t).
     """
-    query = mode.query()  # before the empty word returns, so a bad mode always raises
+    first, step = mode.periods(exponent.q)  # before the empty word returns, so a bad mode always raises
     if len(word) == 0:
         return None
-    idx = LceIndex(word[:-1])
-    period = query(idx, exponent.p, exponent.q).get(_checked(word[-1]))
-    return None if period is None else _occurrence(idx, exponent, mode, period)
+    prefix = [_checked(v) for v in word[:-1]]
+    rule = _Rule(exponent.p, exponent.q, False, first, step, prefix)
+    period = rule.step(prefix, _checked(word[-1]))
+    return None if period is None else _occurrence(prefix, exponent, mode, period)
 
 
 def contains_forbidden(
@@ -415,20 +491,21 @@ def contains_forbidden(
 ) -> Occurrence | None:
     """First forbidden factor in end-position order over the whole word.
 
-    One pass over any iterable: the scan stops at the first position that
+    One pass over any iterable, one letter step per letter on a rule of
+    its own, with no blocked map: the scan stops at the first position that
     completes a forbidden factor, but every letter, those after it too, is
-    checked against the ``LceIndex`` bound.
+    checked to be a natural number below 2**31.
     """
-    idx = LceIndex()
-    hit = mode.query()
-    p, q = exponent.p, exponent.q
+    first, step = mode.periods(exponent.q)
+    scanned: list[int] = []
+    rule = _Rule(exponent.p, exponent.q, False, first, step, scanned)
     letters = iter(word)
     for v in letters:
         v = _checked(v)
-        blocked = hit(idx, p, q)
-        if v in blocked:
+        period = rule.step(scanned, v)
+        if period is not None:
             for rest in letters:
                 _checked(rest)
-            return _occurrence(idx, exponent, mode, blocked[v])
-        idx.append(v)
+            return _occurrence(scanned, exponent, mode, period)
+        scanned.append(v)
     return None

@@ -137,7 +137,7 @@ def test_criterion_09_x32_structure():
 def _tracked_witness(idx, mode, letter):
     """The E32 witness that appending ``letter`` to ``idx`` would complete."""
     period = mode.query()(idx, E32.p, E32.q).get(letter)
-    return None if period is None else detect._occurrence(idx, E32, mode, period)
+    return None if period is None else detect._occurrence(idx.to_list(), E32, mode, period)
 
 
 def test_criterion_10_oracle_equivalence():

@@ -47,6 +47,32 @@ def test_contains_forbidden_examples():
         contains_forbidden(iter([0, 0, 1 << 31]), Exponent(2, 1))
 
 
+def _w32_with_a_band_repeat():
+    # w32[:200] with position 179 set to 5 repeats position 59 at period 120
+    word = generate(E32, THRESHOLD, 200)
+    word[179] = 5
+    return word
+
+
+@pytest.mark.parametrize(
+    "word,expected",
+    [
+        ([0, 1, 0], Occurrence(0, 2, 3)),
+        ([0, 1, 2, 0, 1], Occurrence(0, 3, 5)),
+        (_w32_with_a_band_repeat(), Occurrence(0, 120, 180)),
+    ],
+    ids=["need 0", "run slot", "band [64, 128)"],
+)
+def test_scan_witness_from_each_place_of_the_smallest_period(word, expected):
+    # a scan reads its smallest period from the need-0 bits, the run slots
+    # or a band's kept periods; each witness is the oracle's for the first
+    # forbidden prefix
+    prefixes = (oracle.naive_forbidden_suffix(word[:k], E32, THRESHOLD) for k in range(1, len(word) + 1))
+    first = next(occ for occ in prefixes if occ is not None)
+    assert contains_forbidden(word, E32, THRESHOLD) == first == expected
+    assert forbidden_suffix(word[: first.end], E32, THRESHOLD) == expected
+
+
 def test_lce_index_append_pop():
     idx = LceIndex()
     for v in [0, 1, 2, 0, 3]:
@@ -136,7 +162,13 @@ def test_run_table_follows_append_pop_walks(steps, exponent, mode):
             if word:
                 assert idx.pop() == word.pop()
         else:
-            idx.append(step)
+            # appended through the overlap rule's letter step, which must
+            # name that rule's smallest period and keep the mode's rule
+            # following; a blocked letter is then appended plainly
+            overlap = idx.blocked(2, 1, strict=True).get(step)
+            assert idx.append_unless_blocked(step, 2, 1, strict=True) == overlap
+            if overlap is not None:
+                idx.append(step)
             word.append(step)
         n = len(word)
         assert idx.to_list() == word
@@ -208,7 +240,7 @@ def test_exact_32_reduces_to_balanced_xyx():
 def _tracked_witness(idx, mode, letter):
     """The E32 witness that appending ``letter`` to ``idx`` would complete."""
     period = mode.query()(idx, E32.p, E32.q).get(letter)
-    return None if period is None else detect._occurrence(idx, E32, mode, period)
+    return None if period is None else detect._occurrence(idx.to_list(), E32, mode, period)
 
 
 def test_detectors_against_oracle_small_exhaustive():
@@ -279,21 +311,66 @@ X32_QUERIES = [
 ]
 
 
+def _tracked_state(rule):
+    return rule._masks, rule._runs, rule._kept, rule._due
+
+
+def _step_put_back(rule, word, letter):
+    """``rule.step(word, letter)``, with the rule then put back as it was.
+    Asked right after ``blocked`` at the same length, a step refreshes
+    nothing; a clean one changes its letter's mask in place or adds it,
+    drops the mask of the letter leaving the window, and sets the runs and
+    the kept list."""
+    n, masks = len(word), rule._masks
+    gone = word[n + 1 - rule._size] if n + 1 >= rule._size else None
+    own, old = masks.get(letter), masks.get(gone)
+    saved, runs, kept = own and own[:], rule._runs, rule._kept
+    period = rule.step(word, letter)
+    if period is None:
+        if own:
+            own[:] = saved
+        else:
+            del masks[letter]
+        if old is not None:
+            masks[gone] = old
+        rule._runs, rule._kept = runs, kept
+    return period
+
+
 def _follow_dense(word, queries, seed, quiet=0):
     """Append ``word`` letter by letter to an ``LceIndex`` and to the dense
     run table; after every append from the ``quiet``-th letter on, the whole
     blocked map of each query and the run of a few seeded periods must
-    agree."""
+    agree.  Each rule's letter step must then name, for every letter among
+    the last S positions and one that never occurs, the period that the
+    rule's map names for it.  A twin of each rule, built when the rule is
+    and advanced by the step (and by ``push`` after a hit), must hold the
+    masks, runs, kept list and next refresh of the rule that ``push``
+    advances."""
     rng = random.Random(seed)
     idx, dense = LceIndex(), oracle.DenseRunTable()
+    letters, twins, absent = [], {}, max(word, default=0) + 1
     for v in word:
+        for twin in twins.values():
+            if twin.step(letters, v) is not None:
+                twin.push(letters, len(letters), v)
         idx.append(v)
         dense.append(v)
+        letters.append(v)
         n = len(idx)
+        for key, twin in twins.items():
+            assert _tracked_state(twin) == _tracked_state(idx._rules[key]), (key, n)
         if n < quiet:
             continue
         for query, name in queries:
             assert query(idx) == query(dense), (name, n)
+        for key, rule in idx._rules.items():
+            blocked = idx.blocked(*key)
+            for c in {*letters[-rule._size :], absent}:
+                assert _step_put_back(rule, letters, c) == blocked.get(c), (key, n, c)
+            if key not in twins:
+                p, q, strict, first, step = key
+                twins[key] = detect._Rule(p, q, bool(strict), first, step, letters)
         for period in rng.sample(range(1, n + 1), min(n, 3)):
             assert idx.run(period) == dense.run(period), (period, n)
 
@@ -573,9 +650,10 @@ REPLAYED_RULES = [
 def test_first_query_on_a_word_replays_enough_letters(options, S, top, need, kind):
     # a rule first asked at length n rebuilds its bits from the last
     # top + need(top) letters; at every length up to S + K + 2 the first
-    # query of a fresh index equals the dense table's.  The periodic word
-    # repeats ``top`` distinct letters, so run(top) reaches its need and
-    # top is the smallest period blocking its letter.
+    # query of a fresh index equals the dense table's, and so does the
+    # letter step of each letter among the last S positions.  The periodic
+    # word repeats ``top`` distinct letters, so run(top) reaches its need
+    # and top is the smallest period blocking its letter.
     rng = random.Random(f"replay/{top}/{kind}")
     size = S + need + 2
     if kind == "periodic":
@@ -585,10 +663,13 @@ def test_first_query_on_a_word_replays_enough_letters(options, S, top, need, kin
     dense = oracle.DenseRunTable()
     for n in range(size + 1):
         idx = LceIndex(word[:n])
-        assert idx.blocked(*options) == dense.blocked(*options), n
+        blocked = dense.blocked(*options)
+        assert idx.blocked(*options) == blocked, n
+        (rule,) = idx._rules.values()
+        for c in {*word[max(0, n - S) : n], 4096}:
+            assert _step_put_back(rule, idx._word, c) == blocked.get(c), (n, c)
         if n < size:
             dense.append(word[n])
-    (rule,) = idx._rules.values()
     assert rule._size == S
 
 
