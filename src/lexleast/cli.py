@@ -7,18 +7,19 @@ imports ``lexleast.checks``, so the other commands start without it.
 
 Exit codes are uniform: 0 means pass or clean, 1 means a violation or
 forbidden factor was found, 2 means a usage or parse error.  Standard
-output is fully deterministic; timings go to stderr.
+output is fully deterministic; timings go to stderr.  ``json`` is imported
+only by the code that reads or writes it.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
+from functools import cache
 from itertools import count, islice
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from .detect import AvoidanceMode, contains_forbidden
 from .formulas import (
@@ -71,12 +72,47 @@ def parse_letters_text(text: str) -> list[int]:
     if not text:
         return []
     if text.startswith("["):
+        import json
+
         return check_letters(json.loads(text))
     return check_letters([int(tok) for tok in text.replace(",", " ").split()])
 
 
+CHUNK = 8192
+
+
+def read_letters(handle: TextIO) -> Iterator[int]:
+    """The word in ``handle``, as ``parse_letters_text`` reads it, read
+    ``CHUNK`` characters at a time.  Text letters are streamed as ints and
+    left to the caller to check; a JSON array, known by its first non-space
+    character, is read whole and checked by ``check_letters``."""
+    chunks = iter(lambda: handle.read(CHUNK), "")
+    for chunk in chunks:
+        chunk = chunk.lstrip()
+        if chunk:
+            break
+    else:
+        return
+    if chunk[0] == "[":
+        import json
+
+        yield from check_letters(json.loads("".join([chunk, *chunks]).strip()))
+        return
+    carry = ""
+    while chunk:
+        tokens = (carry + chunk).replace(",", " ").split()
+        # a token that runs to the end of the chunk may go on in the next
+        carry = "" if chunk[-1] == "," or chunk[-1].isspace() else tokens.pop()
+        yield from map(int, tokens)
+        chunk = next(chunks, "")
+    if carry:
+        yield int(carry)
+
+
 def _emit(out: TextIO, letters: Iterable[int], fmt: str) -> None:
     if fmt == "json":
+        import json
+
         json.dump([int(v) for v in letters], out)
         out.write("\n")
         return
@@ -147,12 +183,10 @@ def cmd_term(args: argparse.Namespace) -> int:
 def cmd_scan(args: argparse.Namespace) -> int:
     try:
         if args.path == "-":
-            text = sys.stdin.read()
+            occ = contains_forbidden(read_letters(sys.stdin), args.exponent, args.mode)
         else:
             with open(args.path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        letters = parse_letters_text(text)
-        occ = contains_forbidden(letters, args.exponent, args.mode)
+                occ = contains_forbidden(read_letters(handle), args.exponent, args.mode)
     except (OSError, ValueError, OverflowError, RecursionError) as exc:
         # RecursionError: JSON nested deeper than the decoder can follow
         print(f"error: {exc}", file=sys.stderr)
@@ -204,6 +238,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return 2
     elapsed = time.perf_counter() - t0
     if args.format == "json":
+        import json
+
         print(json.dumps(report.to_dict(), sort_keys=True))
     else:
         print(report.summary())
@@ -211,7 +247,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="lexleast",
         description="Lexicographically least power-avoiding sequences over the naturals.",

@@ -67,14 +67,22 @@ about, the runs that can still reach their need.
   sparsely; the first one also takes the periods below S left out of the
   bits.  Let nu be that period's need, L = max(1, nu // 2) and
   F = nu - L + 1.  Every L letters a refresh keeps the band's periods with
-  slack need(P) - run(P) < L, whose runs are F or more: it filters them one
-  letter at a time, first on the largest of the last F letters (the rarest
-  on greedy words), until at most two remain, then checks each survivor
-  with a slice comparison and measures its run up to need(P), in
-  ascending P: the kept periods form one list ascending in P, and a
-  refresh replaces the band's slice of it.  Between refreshes, an append
-  grows a kept period's run when the new letter repeats ``word[n - P]``
-  and drops the period otherwise.
+  slack need(P) - run(P) < L, i.e. whose run reaches the keep threshold
+  need(P) - L + 1 (F at the lowest period, at least F above it), in one
+  pass.  A kept period repeats the largest of the last F letters (the
+  rarest on greedy words), at position ``end``: one strided slice
+  ``word[end - top : end - first + 1 : step]`` holds ``word[end - P]`` for
+  the band's periods top, top - step, ..., first (top the largest at most
+  n - F), and ``index`` walks the candidates on it in one pass, up to a
+  copy of the letter put after its end; in exact mode they are only the
+  multiples of q.  Each is checked once, by a slice comparison of its keep
+  threshold's length, and only those that pass have their run measured up
+  to need(P).  A kept period is stored as (P, at), ``at`` = n + need(P) -
+  run(P) being the length from which it blocks; the kept periods form one
+  list ascending in P, and a refresh replaces the band's slice of it.
+  Between refreshes, an append grows a kept period's run when the new
+  letter repeats ``word[n - P]``, which leaves ``at`` as it is, and drops
+  the period otherwise, so the list is rebuilt only when a run breaks.
 
 No period is missed, on any word.  Below S, slot k holds P exactly when
 run(P) >= k: the new slot 1 is M, the new slot k + 1 is the old slot k
@@ -86,11 +94,11 @@ letters after the band's last refresh at r, as a query at or past r + L
 refreshes it first, however many letters came since the last query.  A run
 grows by at most one letter per append, so a period that blocks at m had an
 unbroken run of more than need(P) - L at r: the refresh kept it, no append
-dropped it, and its slack, lowered once per append, is exact while
-positive.  A period not kept had slack L or more at r and reaches at most
-need(P) - L + m - r < need(P); a dropped one restarts from 0 and reaches at
-most L - 2 < nu.  So after a query a band period P <= n is kept exactly
-when need(P) - run(P) < due - n.
+dropped it, and its ``at``, unchanged while the run grows, is exact while
+above the length.  A period not kept had slack L or more at r and reaches
+at most need(P) - L + m - r < need(P); a dropped one restarts from 0 and
+reaches at most L - 2 < nu.  So after a query a band period P <= n is
+kept exactly when need(P) - run(P) < due - n.
 Along the greedy words few periods pass a refresh: the tests hold the
 periods kept above S at or below log2 n up to 2 * 10**4 letters of w32, x32
 and the ruler word, and about one per query on average for w32 and x32.
@@ -136,7 +144,9 @@ def _checked(letter: int) -> int:
 class _Band:
     """The ``periods`` of one band, whose lowest need is ``nu``: refreshed
     every ``every`` letters (next at length ``due``), keeping the periods
-    with slack need(P) - run(P) < ``every``, whose runs are ``floor`` or more."""
+    with slack need(P) - run(P) < ``every``, i.e. whose runs reach the keep
+    threshold need(P) - every + 1, which is ``floor`` at the lowest period
+    and at least ``floor`` at every other."""
 
     __slots__ = ("periods", "every", "floor", "due")
 
@@ -150,12 +160,13 @@ class _Band:
 class _Rule:
     """One need rule over one arithmetic range of periods, tracked along the
     word: below S the letter masks and the run slots of the module
-    docstring, above it (P, slack) pairs in ascending P for the kept periods
-    of the bands, the slack being need(P) - run(P) while positive and <= 0
-    once P blocks."""
+    docstring, above it (P, at) pairs in ascending P for the kept periods
+    of the bands, ``at`` being the length at which P blocks, n + need(P) -
+    run(P) while the run is short of need(P).  An append that grows the run
+    leaves ``at`` as it is, so the list changes only when a run breaks."""
 
     __slots__ = ("_a", "_b", "_q", "_step", "_size", "_zero", "_ones", "_rep", "_needmask",
-                 "_masks", "_runs", "_lo", "_first", "_bands", "_kept", "_due", "_zerobits")
+                 "_masks", "_runs", "_lo", "_first", "_open", "_bands", "_kept", "_due", "_zerobits")
 
     def __init__(self, p: int, q: int, strict: bool, start: int, step: int, word: list[int]) -> None:
         if q < 1 or p <= q or start < 1 or step < 1:
@@ -182,8 +193,10 @@ class _Rule:
         # letter -> [periods P < S with word[at - P] == letter, at]
         self._masks: dict[int, list[int]] = {}
         self._runs = 0
-        # the next band's first period and lower bound S * 2**i
+        # the next band's first period and lower bound S * 2**i, and the
+        # length at which it opens, first + need(first)
         self._first, self._lo = start + len(small) * step, S
+        self._open = self._first + self.need(self._first)
         self._bands: list[_Band] = []
         self._kept: list[tuple[int, int]] = []
         # the length at which the next band opens or one is refreshed
@@ -215,8 +228,11 @@ class _Rule:
             old = word[n + 1 - S]
             if masks.get(old, (0, 0))[1] == n + 2 - S:
                 del masks[old]
-        if self._kept:
-            self._kept = [(P, s - 1) for P, s in self._kept if word[n - P] == letter]
+        kept = self._kept
+        for P, _ in kept:
+            if word[n - P] != letter:
+                self._kept = [e for e in kept if word[n - e[0]] == letter]
+                break
 
     def step(self, word: list[int], letter: int) -> int | None:
         """The smallest period that blocks ``letter`` at length n = len(word),
@@ -238,8 +254,12 @@ class _Rule:
             hits = self._runs & self._needmask & rep
             if hits:
                 return ((hits & -hits).bit_length() - 1) & (S - 1)
-        for P, s in self._kept:
-            if s <= 0 and word[n - P] == letter:
+        # the kept periods, ascending: the first that blocks is the smallest
+        kept, broken = self._kept, False
+        for P, at in kept:
+            if word[n - P] != letter:
+                broken = True
+            elif at <= n:
                 return P
         if last is None:
             masks[letter] = [2, n + 1]
@@ -251,8 +271,8 @@ class _Rule:
             old = word[n + 1 - S]
             if masks.get(old, (0, 0))[1] == n + 2 - S:
                 del masks[old]
-        if self._kept:
-            self._kept = [(P, s - 1) for P, s in self._kept if word[n - P] == letter]
+        if broken:
+            self._kept = [e for e in kept if word[n - e[0]] == letter]
         return None
 
     def blocked(self, word: list[int]) -> dict[int, int]:
@@ -272,23 +292,24 @@ class _Rule:
             P = (low.bit_length() - 1) & below
             found.setdefault(word[n - P], P)
             hits ^= low
-        for P, s in self._kept:
-            if s <= 0:
+        for P, at in self._kept:
+            if at <= n:
                 found.setdefault(word[n - P], P)
         return found
 
     def _refresh(self, word: list[int], n: int) -> None:
         """Open every band whose lowest period can block at length n
         (P + need(P) <= n), then refresh every band that is due."""
-        while self._first + self.need(self._first) <= n:
+        while self._open <= n:
             P = self._first
             periods = range(P, 2 * self._lo, self._step)
             if periods:
-                self._bands.append(_Band(periods, self.need(P), n))
+                self._bands.append(_Band(periods, self._open - P, n))
             self._lo *= 2
             self._first += len(periods) * self._step
+            self._open = self._first + self.need(self._first)
         # each band is one slice of the kept list, ascending in P
-        kept, due = self._kept, self._first + self.need(self._first)
+        kept, due = self._kept, self._open
         for band in self._bands:
             if band.due <= n:
                 band.due = n + band.every
@@ -298,40 +319,35 @@ class _Rule:
         self._due = due
 
     def _survivors(self, word: list[int], n: int, band: _Band) -> list[tuple[int, int]]:
-        """(P, slack) in ascending P for the band's periods whose slack is below ``every``."""
-        floor = band.floor
+        """(P, at) in ascending P for the band's periods whose run reaches
+        the keep threshold need(P) - every + 1: the candidates come from
+        one strided slice, each is checked by one slice comparison, and
+        only those that pass have their run measured."""
+        floor, every, step = band.floor, band.every, self._step
         # a run of ``floor`` letters needs P <= n - floor; the lowest period
-        # always stays, as it opened with P + need(P) <= n and floor <= need(P)
-        periods = band.periods[: (n - floor - band.periods.start) // self._step + 1]
+        # always meets it, as it opened with P + need(P) <= n and floor <= need(P)
+        first = band.periods.start
+        top = band.periods[: (n - floor - first) // step + 1][-1]
+        # a kept period repeats the largest of the last ``floor`` letters,
+        # the rarest on the words greedy builds: word[end - P] == word[end]
         tail = word[n - floor :]
-        # filter first on the largest letter of the tail, the rarest on the
-        # words greedy builds: P survives when word[end - P] == word[end]
         letter = max(tail)
         end = n - floor + tail.index(letter)
-        first, step = periods.start, self._step
-        # P = end - j for each j with word[j] == letter, descending in P
-        alive, j, stop = [], end - periods[-1], end - first + 1
-        try:
-            while True:
-                j = word.index(letter, j, stop)
-                if step == 1 or (end - j - first) % step == 0:
-                    alive.append(end - j)
-                j += 1
-        except ValueError:
-            pass
-        # then one letter at a time back from the end
-        k = 1
-        while len(alive) > 2 and k <= floor:
-            letter = word[n - k]
-            alive = [P for P in alive if word[n - k - P] == letter]
-            k += 1
-        found = []
-        for P in reversed(alive):
-            if word[n - floor - P : n - P] == tail:
-                need = self.need(P)
-                slack = need - _run(word, n, P, need, floor)
-                if slack < band.every:
-                    found.append((P, slack))
+        # one strided slice holds word[end - P] for the band's periods up to
+        # top, descending in P: its i-th letter is word[end - top + i * step];
+        # the letter put after it ends the walk, which raises no ValueError
+        near = word[end - top : end - first + 1 : step]
+        stop = len(near)
+        near.append(letter)
+        found, i = [], near.index(letter)
+        while i < stop:
+            P = top - i * step
+            i = near.index(letter, i + 1)
+            keep = self.need(P) - every + 1
+            if keep <= n - P and word[n - keep - P : n - P] == word[n - keep :]:
+                need = keep + every - 1
+                found.append((P, n + need - _run(word, n, P, need, keep)))
+        found.reverse()
         return found
 
 

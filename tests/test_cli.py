@@ -2,12 +2,15 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexleast import Exponent, cli, contains_forbidden
 from lexleast.cli import main, parse_letters_text
+from lexleast.formulas import w32_term
 
 import golden
 
@@ -162,6 +165,76 @@ def test_scan_stdin(capsys, monkeypatch):
     assert (code, out) == (0, "clean\n")
 
 
+W32_TEXT = [w32_term(i) for i in range(300)]
+# lowering a letter of w32 completes a forbidden factor there
+LOWERED = next(i for i in range(250, 300) if W32_TEXT[i])
+MUTATED_TEXT = W32_TEXT[:LOWERED] + [W32_TEXT[LOWERED] - 1] + W32_TEXT[LOWERED + 1 :]
+# clean w32, or forbidden from letter LOWERED on
+STREAMED_INPUTS = {
+    "csv": ",".join(map(str, W32_TEXT)),
+    "whitespace": " \t ".join(map(str, W32_TEXT)) + "  \n\n",
+    "lines": "".join(f"{v}\n" for v in W32_TEXT),
+    "crlf": "".join(f"{v}\r\n" for v in MUTATED_TEXT),
+    "trailing separator": ",".join(map(str, MUTATED_TEXT)) + ",",
+    "multi-digit": " ".join(str(1000 * v + 7) for v in MUTATED_TEXT),
+    "json after long space": " " * 20 + "\n" + json.dumps(MUTATED_TEXT) + "\n",
+    "empty": "",
+    "blank": " \n \n",
+}
+CLEAN_INPUTS = {"csv", "whitespace", "lines", "empty", "blank"}
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+@pytest.mark.parametrize("name", STREAMED_INPUTS)
+def test_scan_streams_its_input_across_chunk_boundaries(capsys, monkeypatch, tmp_path, chunk, name):
+    # scan reads its input ``chunk`` characters at a time: a token cut at the
+    # end of a chunk goes on in the next, and JSON is known by its first
+    # non-space character however many chunks of space come before it
+    text = STREAMED_INPUTS[name]
+    occ = contains_forbidden(parse_letters_text(text), Exponent(3, 2))
+    expected = (0, "clean\n") if occ is None else (
+        1, f"forbidden start={occ.start} period={occ.period} length={occ.length}\n"
+    )
+    assert (occ is None) == (name in CLEAN_INPUTS)
+    monkeypatch.setattr(cli, "CHUNK", chunk)
+    path = tmp_path / "word.txt"
+    path.write_bytes(text.encode())
+    assert run_cli(capsys, "scan", str(path))[:2] == expected
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text, newline=None))
+    assert run_cli(capsys, "scan", "-")[:2] == expected
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 8192])
+@pytest.mark.parametrize("bad", ["x", "-1", "2.5", "1e3"])
+def test_scan_bad_token_after_a_violation_is_a_usage_error(capsys, monkeypatch, chunk, bad):
+    # the scan stops at the first violation but reads and checks every
+    # letter after it, so a bad one is still a usage error, not exit 1
+    monkeypatch.setattr(cli, "CHUNK", chunk)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(f"0 1 0 1 0 2 3 {bad} 4\n"))
+    code, out, err = run_cli(capsys, "scan")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+def test_scan_holds_only_the_scanned_word(capsys, tmp_path):
+    # the input is streamed into the scan, which keeps the word it has read
+    # as a list of letters and nothing of the text
+    n = 100_000
+    path = tmp_path / "w32.csv"
+    path.write_text(",".join(str(w32_term(i)) for i in range(n)))
+    small = tmp_path / "small.csv"
+    small.write_text("0,1,2,0,3")
+    assert main(["scan", str(small)]) == 0  # warm up: imports, the parser
+    tracemalloc.start()
+    try:
+        code = main(["scan", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, capsys.readouterr().out) == (0, "clean\nclean\n")
+    assert peak <= 17 * n, peak / n
+
+
 def test_verify_pass_and_fail_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "verify", "cross", "--length", "200")
     assert code == 0
@@ -288,26 +361,30 @@ def test_package_runs_without_numpy():
 
 def test_commands_load_only_the_code_they_run(tmp_path):
     # generate, scan and term start without the checks and without
-    # dataclasses (which pulls in inspect); verify imports the checks
+    # dataclasses (which pulls in inspect); verify imports the checks; json
+    # is loaded only to read or write JSON
     word = tmp_path / "word.txt"
     word.write_text("0 1 0\n")
     script = f"""
 import io, sys
 from lexleast.cli import main
 sys.stdout = sys.stderr = io.StringIO()
+def loaded(*names):
+    print([m for m in names if m in sys.modules], file=sys.__stdout__)
 for argv in (
     ["generate", "--length", "20", "--method", "greedy"],
-    ["generate", "--length", "20", "--method", "closed", "--format", "json"],
-    ["generate", "--length", "20", "--method", "morphism", "--mode", "exact"],
+    ["generate", "--length", "20", "--method", "morphism", "--mode", "exact", "--format", "lines"],
     ["scan", {str(word)!r}],
     ["term", "--which", "b", "--index", "1000", "--closed"],
     ["term", "--which", "x32", "--index", "1000"],
 ):
     main(argv)
-print([m for m in ("lexleast.checks", "dataclasses", "inspect") if m in sys.modules], file=sys.__stdout__)
+loaded("json", "lexleast.checks", "dataclasses", "inspect")
+main(["generate", "--length", "20", "--method", "closed", "--format", "json"])
+loaded("lexleast.checks", "dataclasses", "inspect")
 main(["verify", "cross", "--length", "20"])
 print("lexleast.checks" in sys.modules, file=sys.__stdout__)
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[]", "True"]
+    assert proc.stdout.split() == ["[]", "[]", "True"]

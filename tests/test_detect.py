@@ -312,7 +312,7 @@ X32_QUERIES = [
 
 
 def _tracked_state(rule):
-    return rule._masks, rule._runs, rule._kept, rule._due
+    return rule._masks, rule._runs, rule._kept, rule._due, rule._open
 
 
 def _step_put_back(rule, word, letter):
@@ -345,8 +345,8 @@ def _follow_dense(word, queries, seed, quiet=0):
     the last S positions and one that never occurs, the period that the
     rule's map names for it.  A twin of each rule, built when the rule is
     and advanced by the step (and by ``push`` after a hit), must hold the
-    masks, runs, kept list and next refresh of the rule that ``push``
-    advances."""
+    masks, runs, kept list, next refresh and next band opening of the rule
+    that ``push`` advances."""
     rng = random.Random(seed)
     idx, dense = LceIndex(), oracle.DenseRunTable()
     letters, twins, absent = [], {}, max(word, default=0) + 1
@@ -603,12 +603,13 @@ def _assert_kept_exactly_the_periods_that_can_block(idx, dense):
             reach = dense.runs(periods) + (band.due - n - 1)
             can_block = q * reach >= (p - q) * periods - q + strict
             assert set(periods[can_block].tolist()) == {P for P in kept if P in band.periods}, (n, band.periods)
-        for P, slack in kept.items():
+        for P, at in kept.items():
             need, run = rule.need(P), idx.run(P)
             assert run == dense.run(P), (n, P)
-            # _run stops at need(P), so only a positive slack is exact
-            assert (slack <= 0) == (run >= need), (n, P, slack)
-            assert run >= need or slack == need - run, (n, P, slack)
+            # P blocks from length at on; _run stops at need(P), so at is
+            # exact only while P does not block yet: n + need(P) - run(P)
+            assert (at <= n) == (run >= need), (n, P, at)
+            assert run >= need or at - n == need - run, (n, P, at)
 
 
 @pytest.mark.parametrize("kind", [*GREEDY_KINDS, "near-periodic"])
