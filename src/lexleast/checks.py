@@ -185,7 +185,9 @@ def check_minimality(
 def check_cross(length: int = 10_000) -> CheckReport:
     """Greedy search, closed form, and morphic coding agree pointwise, for
     both the threshold and the exact discipline.  The three routes run side
-    by side, so only greedy's own word is held."""
+    by side, so only greedy's own word is held.  The closed form is read by
+    ``map(term, count())``, not ``formulas.by_blocks``, so that greedy and
+    the morphism check the term function at every index."""
     params = {"length": length}
     violation = None
     routes = (

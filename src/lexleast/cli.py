@@ -18,13 +18,15 @@ import os
 import sys
 import time
 from functools import cache
-from itertools import count, islice
+from itertools import islice
 from typing import Iterable, Iterator, TextIO
 
 from .detect import AvoidanceMode, contains_forbidden
 from .formulas import (
+    BLOCKS,
     b_closed,
     b_rec,
+    by_blocks,
     c_closed,
     c_term,
     d_closed,
@@ -109,7 +111,14 @@ def read_letters(handle: TextIO) -> Iterator[int]:
         yield int(carry)
 
 
+# the ``lines`` text of letters 0-63, which hold every letter of the closed-form
+# words far past 10^6 letters; larger letters are formatted as they come
+_LINES = tuple(f"{v}\n" for v in range(64))
+
+
 def _emit(out: TextIO, letters: Iterable[int], fmt: str) -> None:
+    """Write the natural numbers ``letters`` to ``out`` in ``fmt``.  Under
+    ``lines`` each letter is one ``write`` call."""
     if fmt == "json":
         import json
 
@@ -117,8 +126,9 @@ def _emit(out: TextIO, letters: Iterable[int], fmt: str) -> None:
         out.write("\n")
         return
     if fmt == "lines":
+        write = out.write
         for v in letters:
-            out.write(f"{v}\n")
+            write(_LINES[v] if v < 64 else f"{v}\n")
         return
     first = True
     for v in letters:
@@ -129,10 +139,11 @@ def _emit(out: TextIO, letters: Iterable[int], fmt: str) -> None:
     out.write("\n")
 
 
+# the ``by_blocks`` settings (term, size, cycle) of each closed form
 _CLOSED = {
-    (3, 2, THRESHOLD): w32_term,
-    (3, 2, EXACT): f_term,
-    (2, 1, THRESHOLD): ruler_term,
+    (3, 2, THRESHOLD): BLOCKS["w32"],
+    (3, 2, EXACT): BLOCKS["x32"],
+    (2, 1, THRESHOLD): BLOCKS["ruler"],
 }
 
 _MORPHIC = {
@@ -146,11 +157,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
         stream = iter(GreedyState(args.exponent, args.mode).step, None)
     else:
         table, what = (_CLOSED, "closed form") if args.method == "closed" else (_MORPHIC, "morphic generator")
-        make = table.get((args.exponent.p, args.exponent.q, args.mode))
-        if make is None:
+        entry = table.get((args.exponent.p, args.exponent.q, args.mode))
+        if entry is None:
             print(f"error: no {what} for exponent {args.exponent} in {args.mode.value} mode", file=sys.stderr)
             return 2
-        stream = map(make, count()) if table is _CLOSED else make()
+        stream = by_blocks(*entry) if table is _CLOSED else entry()
     _emit(sys.stdout, islice(stream, args.length), args.format)
     return 0
 

@@ -6,9 +6,19 @@ only.  Both follow a short periodic template with two free slots per block,
 and the letters in the free slots reduce to the helper sequence ``b`` whose
 value is read off the base-6 digits of the index.  All evaluators run in
 O(log n) per term with plain iteration, no call-stack recursion.
+
+``by_blocks`` reads such a word one template block at a time: the letters
+before a block's last one depend only on the block index modulo a short
+cycle, so they are computed once, and only the last letter of each block
+is evaluated.  ``generate --method closed`` and the ``*_prefix`` functions
+stream the words this way, with the settings in ``BLOCKS``, in constant
+memory.
 """
 
 from __future__ import annotations
+
+from itertools import count, islice
+from typing import Callable, Iterator
 
 
 def w32_term(n: int) -> int:
@@ -135,6 +145,13 @@ def d_closed(s: int) -> int:
     return 6 ** (t + 1) if digit in (2, 3, 4) else 3 * 6**t
 
 
+# f_term at residues 0-10 of a block, for even and for odd block index
+_F_HEADS = (
+    (0, 0, 1, 1, 0, 2, 1, 0, 0, 1, 1),
+    (0, 0, 1, 1, 0, 3, 1, 0, 0, 1, 1),
+)
+
+
 def f_term(n: int) -> int:
     """Letter n of x32 via the period-12 template.
 
@@ -148,17 +165,11 @@ def f_term(n: int) -> int:
     add = 0
     while True:
         block, r = divmod(n, 12)
-        if r in (0, 1, 4, 7, 8):
-            return add
-        if r in (2, 3, 6, 9, 10):
-            return 1 + add
-        if r == 5:
-            return (2 if block % 2 == 0 else 3) + add
-        # r == 11
-        if block % 3 == 0:
-            return 2 + add
-        if block % 3 == 1:
-            return 3 + add
+        if r < 11:
+            return _F_HEADS[block & 1][r] + add
+        k = block % 3
+        if k < 2:
+            return 2 + k + add
         add += 2
         n = 2 * block + 1
 
@@ -193,13 +204,43 @@ def ell_m(b: int, m: int) -> int:
     return (30 if m == b - 1 else 60) * 6 ** ((m + 1) // 2 - 3)
 
 
+def by_blocks(term: Callable[[int], int], size: int, cycle: int) -> Iterator[int]:
+    """``term(0), term(1), ...`` read in blocks of ``size`` letters, where
+    every letter but a block's last depends only on the block index mod
+    ``cycle``: those are computed once, by ``term`` itself, and only each
+    block's last letter calls ``term``."""
+    last = size - 1
+    heads = [[term(size * k + r) for r in range(last)] for k in range(cycle)]
+    for block in count():
+        yield from heads[block % cycle]
+        yield term(size * block + last)
+
+
+# (term, size, cycle) for ``by_blocks``: the w32 and x32 templates have
+# periods 10 and 12, with one letter alternating with the block parity; the
+# ruler word's blocks may be any power of two long.  A module-level dict,
+# like the CLI's dispatch tables, so that perfbench's tracer, which rebinds
+# the term functions held in such tables, also sees the prefixes' calls.
+BLOCKS = {
+    "w32": (w32_term, 10, 2),
+    "x32": (f_term, 12, 2),
+    "ruler": (ruler_term, 4, 1),
+}
+
+
+def _prefix(name: str, length: int) -> list[int]:
+    if length < 0:
+        raise ValueError(f"length must be non-negative, got {length}")
+    return list(islice(by_blocks(*BLOCKS[name]), length))
+
+
 def w32_prefix(length: int) -> list[int]:
-    return [w32_term(i) for i in range(length)]
+    return _prefix("w32", length)
 
 
 def x32_prefix(length: int) -> list[int]:
-    return [f_term(i) for i in range(length)]
+    return _prefix("x32", length)
 
 
 def ruler_prefix(length: int) -> list[int]:
-    return [ruler_term(i) for i in range(length)]
+    return _prefix("ruler", length)

@@ -369,3 +369,21 @@ def a_ref(n: int) -> int:
     if block % 3 == 1:
         return 4
     return a_ref(5 * (block - 2) // 3 + 4) + 2
+
+
+def f_ref(n: int) -> int:
+    """The period-12 template of x32 with its literal self-referential
+    branch, residue by residue as ``formulas.f_term`` documents it, kept
+    recursive on purpose as an independent route to the x32 letters."""
+    block, r = divmod(n, 12)
+    if r in (0, 1, 4, 7, 8):
+        return 0
+    if r in (2, 3, 6, 9, 10):
+        return 1
+    if r == 5:
+        return 2 if block % 2 == 0 else 3
+    if block % 3 == 0:
+        return 2
+    if block % 3 == 1:
+        return 3
+    return f_ref(2 * block + 1) + 2

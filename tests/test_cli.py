@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import subprocess
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from lexleast import Exponent, cli, contains_forbidden
 from lexleast.cli import main, parse_letters_text
-from lexleast.formulas import w32_term
+from lexleast.formulas import BLOCKS, w32_term
 
 import golden
 
@@ -55,6 +56,68 @@ def test_generate_formats_agree(capsys):
         assert code == 0
         rows[fmt] = parse_letters_text(out)
     assert rows["lines"] == rows["csv"] == rows["json"] == golden.W32_100[:20]
+
+
+CLOSED_ROUTES = (
+    (("--exponent", "3/2"), "w32"),
+    (("--exponent", "3/2", "--mode", "exact"), "x32"),
+    (("--exponent", "2/1"), "ruler"),
+)
+
+
+@pytest.mark.parametrize("route, name", CLOSED_ROUTES)
+@pytest.mark.parametrize("fmt", ["lines", "csv", "json"])
+def test_generate_closed_reads_every_term_across_block_ends(capsys, route, name, fmt):
+    term, size, _ = BLOCKS[name]
+    for n in (0, 1, size - 1, size, size + 1):
+        letters = [term(i) for i in range(n)]
+        expected = {
+            "lines": "".join(f"{v}\n" for v in letters),
+            "csv": ",".join(map(str, letters)) + "\n",
+            "json": json.dumps(letters) + "\n",
+        }[fmt]
+        code, out, _ = run_cli(
+            capsys, "generate", *route, "--method", "closed", "--length", str(n), "--format", fmt,
+        )
+        assert code == 0
+        assert out == expected, n
+
+
+class WriteCounter:
+    """Stands in for stdout and counts ``write`` calls."""
+
+    def __init__(self):
+        self.writes = 0
+        self.text = io.StringIO()
+
+    def write(self, text):
+        self.writes += 1
+        return self.text.write(text)
+
+
+@pytest.mark.parametrize("route", [
+    ("--method", "greedy", "--exponent", "3/2"),
+    ("--method", "greedy", "--exponent", "401/400"),
+    ("--method", "closed", "--exponent", "3/2"),
+    ("--method", "closed", "--exponent", "3/2", "--mode", "exact"),
+    ("--method", "closed", "--exponent", "2/1"),
+    ("--method", "morphism", "--exponent", "3/2"),
+    ("--method", "morphism", "--exponent", "3/2", "--mode", "exact"),
+])
+def test_generate_lines_is_one_write_per_letter(route):
+    for n in (0, 1, 37, 500):
+        sink = WriteCounter()
+        with contextlib.redirect_stdout(sink):
+            assert main(["generate", *route, "--length", str(n), "--format", "lines"]) == 0
+        assert sink.writes == n
+        assert len(parse_letters_text(sink.text.getvalue())) == n
+
+
+def test_emit_lines_matches_formatting_each_letter():
+    letters = [0, 63, 64, 65, 400, 2**31 - 1]
+    out = io.StringIO()
+    cli._emit(out, letters, "lines")
+    assert out.getvalue() == "".join(f"{v}\n" for v in letters)
 
 
 def test_generate_zero_length(capsys):

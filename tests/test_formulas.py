@@ -1,10 +1,16 @@
+import tracemalloc
+from collections import deque
+from itertools import count, islice
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from lexleast.formulas import (
+    BLOCKS,
     b_closed,
     b_rec,
+    by_blocks,
     c_closed,
     c_term,
     d_closed,
@@ -15,6 +21,7 @@ from lexleast.formulas import (
     ruler_term,
     w32_prefix,
     w32_term,
+    x32_prefix,
     x32_term,
 )
 
@@ -149,6 +156,15 @@ def test_x32_prefix_matches_golden():
     assert [f_term(n) for n in range(144)] == golden.X32_144
 
 
+def test_f_matches_literal_recursion():
+    assert [f_term(n) for n in range(10_000)] == [oracle.f_ref(n) for n in range(10_000)]
+
+
+@given(big_indices)
+def test_f_matches_literal_recursion_large(n):
+    assert f_term(n) == oracle.f_ref(n)
+
+
 def test_f_b_identity_small():
     assert all(f_term(12 * n + 11) + 1 == b_rec(n) for n in range(100_000))
 
@@ -200,3 +216,41 @@ def test_negative_indices_rejected():
     for fn in (w32_term, b_rec, b_closed, c_term, d_term, f_term, ruler_term):
         with pytest.raises(ValueError):
             fn(-1)
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKS))
+def test_by_blocks_reads_every_term(name):
+    term, size, cycle = BLOCKS[name]
+    n = 200_000
+    assert list(islice(by_blocks(term, size, cycle), n)) == list(islice(map(term, count()), n))
+
+
+def test_by_blocks_runs_in_constant_memory():
+    for name, entry in BLOCKS.items():
+        tracemalloc.start()
+        try:
+            deque(islice(by_blocks(*entry), 10**5), maxlen=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 1024, (name, peak)
+
+
+def test_by_blocks_calls_term_once_per_block_after_the_heads():
+    calls = []
+
+    def term(n):
+        calls.append(n)
+        return w32_term(n)
+
+    blocks = 1_000
+    assert list(islice(by_blocks(term, 10, 2), 10 * blocks)) == w32_prefix(10 * blocks)
+    heads = [10 * k + r for k in range(2) for r in range(9)]
+    assert calls == heads + [10 * k + 9 for k in range(blocks)]
+
+
+def test_prefixes_reject_negative_length():
+    for prefix in (w32_prefix, x32_prefix, ruler_prefix):
+        assert prefix(0) == []
+        with pytest.raises(ValueError, match="length must be non-negative, got -1"):
+            prefix(-1)
