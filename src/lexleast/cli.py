@@ -111,32 +111,33 @@ def read_letters(handle: TextIO) -> Iterator[int]:
         yield int(carry)
 
 
-# the ``lines`` text of letters 0-63, which hold every letter of the closed-form
-# words far past 10^6 letters; larger letters are formatted as they come
+# the ``lines`` and ``csv`` text of letters 0-63, which hold every letter of the
+# closed-form words far past 10^6 letters; larger letters are formatted as they come
 _LINES = tuple(f"{v}\n" for v in range(64))
+_CELLS = tuple(f"{v}," for v in range(64))
 
 
 def _emit(out: TextIO, letters: Iterable[int], fmt: str) -> None:
     """Write the natural numbers ``letters`` to ``out`` in ``fmt``.  Under
-    ``lines`` each letter is one ``write`` call."""
+    ``lines`` each letter is one ``write`` call; ``csv`` writes 4,096
+    letters at a time."""
     if fmt == "json":
         import json
 
         json.dump([int(v) for v in letters], out)
         out.write("\n")
         return
+    write = out.write
     if fmt == "lines":
-        write = out.write
         for v in letters:
             write(_LINES[v] if v < 64 else f"{v}\n")
         return
-    first = True
-    for v in letters:
-        if not first:
-            out.write(",")
-        out.write(str(v))
-        first = False
-    out.write("\n")
+    letters, sep = iter(letters), ""
+    while cells := [_CELLS[v] if v < 64 else f"{v}," for v in islice(letters, 4096)]:
+        # each cell ends with a comma, the block's last too
+        write(sep + "".join(cells)[:-1])
+        sep = ","
+    write("\n")
 
 
 # the ``by_blocks`` settings (term, size, cycle) of each closed form

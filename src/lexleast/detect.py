@@ -14,10 +14,12 @@ would complete a forbidden factor?  For each candidate period P, every
 compared letter but the last is already committed, and the last pits the
 letter at n against ``word[n - P]``.  One scan over the periods therefore
 yields every blocked letter with its smallest period
-(``LceIndex.blocked``).  Greedy generation takes the least letter missing
-from that map, and the minimality check, which runs greedy, needs every
-smaller letter in it.  A caller that knows its letter builds no map: a scan
-(``contains_forbidden``, ``forbidden_suffix``) and the x32 structure checks
+(``LceIndex.blocked``, for the tests).  Greedy, and the minimality check
+that runs it, needs only the least letter missing from it: its step
+(``LceIndex.threshold_hit`` or ``exact_hit``) ORs the blocked letters into
+one int and appends the letter of its lowest clear bit.  A caller that
+knows its letter builds no map either: a scan (``contains_forbidden``,
+``forbidden_suffix``) and the x32 structure checks
 (``LceIndex.append_unless_blocked``) ask one letter step, which reads the
 smallest period that blocks that letter from the letter's own mask, and
 follows the letter's append when none does.
@@ -33,9 +35,9 @@ multiples of q (period q*t reaches exponent p/q exactly at length p*t), and
 the x32 structure checks for exponent 2.  The discipline is chosen in one
 place: ``AvoidanceMode.periods`` gives the mode's first period and step,
 which ``contains_forbidden`` and ``forbidden_suffix`` hand to their rule,
-and ``AvoidanceMode.query`` names the mode's map query
-(``LceIndex.threshold_hit`` or ``exact_hit``), which greedy calls; so a
-mode that is not an ``AvoidanceMode`` fails at once.  There are no hashes:
+and ``AvoidanceMode.query`` names the mode's greedy step
+(``LceIndex.threshold_hit`` or ``exact_hit``); so a mode that is not an
+``AvoidanceMode`` fails at once.  There are no hashes:
 every verdict rests on letter comparisons.
 
 ``LceIndex`` keeps the letters in a list and, for each rule it is asked
@@ -63,6 +65,11 @@ about, the runs that can still reach their need.
   same ``M * REP`` then serves the append.  The
   bits at length n rest on the last T + need(T) letters only, T the largest
   period kept in bits, so a rule first asked on a long word replays those.
+* Greedy's step sets a bit for each blocked letter below S (the map is
+  read only if all are: periods below S block at most S - 1 letters).  The
+  need-0 periods 1..Z of threshold mode block the last Z positions'
+  letters, kept from Z = 3 on along the step's appends (the mask dict tells
+  when ``word[n - Z]`` leaves) and read again after any other append.
 * A band [S * 2**i, S * 2**(i+1)) opens with its lowest period and is kept
   sparsely; the first one also takes the periods below S left out of the
   bits.  Let nu be that period's need, L = max(1, nu // 2) and
@@ -120,8 +127,9 @@ class AvoidanceMode(Enum):
     THRESHOLD = "threshold"
     EXACT = "exact"
 
-    def query(self) -> Callable[[LceIndex, int, int], dict[int, int]]:
-        """The discipline's ``query(idx, p, q)``, read from the class at each call."""
+    def query(self) -> Callable[[LceIndex, int, int], int]:
+        """The discipline's greedy step ``query(idx, p, q)``, which appends
+        the least free letter, read from the class at each call."""
         return LceIndex.threshold_hit if self is AvoidanceMode.THRESHOLD else LceIndex.exact_hit
 
     def periods(self, q: int) -> tuple[int, int]:
@@ -166,7 +174,8 @@ class _Rule:
     leaves ``at`` as it is, so the list changes only when a run breaks."""
 
     __slots__ = ("_a", "_b", "_q", "_step", "_size", "_zero", "_ones", "_rep", "_needmask",
-                 "_masks", "_runs", "_lo", "_first", "_open", "_bands", "_kept", "_due", "_zerobits")
+                 "_masks", "_runs", "_lo", "_first", "_open", "_bands", "_kept", "_due", "_zerobits",
+                 "_window", "_win", "_wat")
 
     def __init__(self, p: int, q: int, strict: bool, start: int, step: int, word: list[int]) -> None:
         if q < 1 or p <= q or start < 1 or step < 1:
@@ -186,6 +195,10 @@ class _Rule:
         # the periods of need 0, which block word[n - P] as soon as P <= n
         self._zero = small[: sum(self.need(P) == 0 for P in small)]
         self._zerobits = sum(1 << P for P in self._zero)
+        # from Z = 3 on (two are read faster than kept) ``least_free`` keeps the letters
+        # of threshold mode's need-0 periods 1..Z in ``_win``, current at length ``_wat``
+        self._window = len(self._zero) if start == step == 1 and len(self._zero) > 2 else 0
+        self._win, self._wat = 0, -1
         top = small[-1] if small else 0
         self._size, self._ones = S, (1 << S) - 1
         self._rep = sum(1 << (k * S) for k in range(1, self.need(top) + 1))
@@ -274,6 +287,73 @@ class _Rule:
         if broken:
             self._kept = [e for e in kept if word[n - e[0]] == letter]
         return None
+
+    def least_free(self, word: list[int]) -> int:
+        """The least letter that no period blocks at length n = len(word),
+        the lowest clear bit of one int of the blocked letters below S.
+        Then follow its append, with its own mask, as ``step`` does."""
+        n = len(word)
+        if n >= self._due:
+            self._refresh(word, n)
+        S, Z = self._size, self._window
+        if Z:
+            if self._wat != n:
+                # another path appended since: read the window again
+                self._win = sum(1 << v for v in set(word[max(0, n - Z) :]) if v < S)
+            free = win = self._win
+        else:
+            free = 0
+            for P in self._zero:
+                if P > n:
+                    break
+                v = word[n - P]
+                if v < S:
+                    free |= 1 << v
+        hits = self._runs & self._needmask
+        while hits:
+            low = hits & -hits
+            v = word[n - ((low.bit_length() - 1) & (S - 1))]
+            if v < S:
+                free |= 1 << v
+            hits ^= low
+        for P, at in self._kept:
+            if at <= n:
+                v = word[n - P]
+                if v < S:
+                    free |= 1 << v
+        letter = (~free & (free + 1)).bit_length() - 1
+        if letter == S:
+            # every letter below S is blocked: the rest are read from the map
+            found = self.blocked(word)
+            while letter in found:
+                letter += 1
+        # follow the append as ``push`` does, without the call
+        masks, kept = self._masks, self._kept
+        last = masks.get(letter)
+        if last is None:
+            masks[letter] = [2, n + 1]
+            self._runs = 0
+        else:
+            mask = last[0] << (n - last[1]) & self._ones
+            last[0], last[1] = mask << 1 | 2, n + 1
+            self._runs = ((self._runs | self._ones) << S) & mask * self._rep
+        if n >= S - 1:
+            old = word[n + 1 - S]
+            if masks.get(old, (0, 0))[1] == n + 2 - S:
+                del masks[old]
+        for P, _ in kept:
+            if word[n - P] != letter:
+                self._kept = [e for e in kept if word[n - e[0]] == letter]
+                break
+        if Z:
+            win |= 1 << letter if letter < S else 0
+            # word[n - Z] leaves the window unless it occurs again after it
+            if n >= Z:
+                old = word[n - Z]
+                if old < S and masks.get(old, (0, 0))[1] <= n + 1 - Z:
+                    win ^= 1 << old
+            self._win, self._wat = win, n + 1
+        return letter
 
     def blocked(self, word: list[int]) -> dict[int, int]:
         """Each letter that a period blocks, with the smallest such period."""
@@ -375,10 +455,10 @@ class LceIndex:
 
     Letters are natural numbers below 2**31, kept in a list.  ``run(P)`` is
     the length of the longest suffix of the word that has period P, counted
-    on demand.  Each need rule asked of ``blocked`` or
-    ``append_unless_blocked`` gets its own tracked state (see the module
-    docstring), built from the last letters when it is first asked: bands
-    open at queries, and every append follows the state.
+    on demand.  Each need rule asked of ``blocked``,
+    ``append_unless_blocked`` or greedy's step gets its own tracked state
+    (see the module docstring), built from the last letters when it is
+    first asked: bands open at queries, and every append follows the state.
     """
 
     __slots__ = ("_word", "_rules")
@@ -433,11 +513,7 @@ class LceIndex:
         length p*t.  The rule also bounds the periods: P can block only
         when P + need(P) <= n, so callers name no upper bound.
         """
-        key = (p, q, strict, first, step)
-        rule = self._rules.get(key)
-        if rule is None:
-            rule = self._rules[key] = _Rule(p, q, bool(strict), first, step, self._word)
-        return rule.blocked(self._word)
+        return self._rule(p, q, strict, first, step).blocked(self._word)
 
     def append_unless_blocked(
         self, letter: int, p: int, q: int, strict: bool = False, first: int = 1, step: int = 1
@@ -446,10 +522,7 @@ class LceIndex:
         or None once ``letter`` is appended: a caller that knows its letter
         asks this, and no map is built."""
         letter = _checked(letter)
-        key = (p, q, strict, first, step)
-        rule = self._rules.get(key)
-        if rule is None:
-            rule = self._rules[key] = _Rule(p, q, bool(strict), first, step, self._word)
+        rule = self._rules.get((p, q, strict, first, step)) or self._rule(p, q, strict, first, step)
         period = rule.step(self._word, letter)
         if period is None:
             n = len(self._word)
@@ -459,15 +532,36 @@ class LceIndex:
             self._word.append(letter)
         return period
 
-    def threshold_hit(self, p: int, q: int) -> dict[int, int]:
-        """``blocked`` for factors of exponent >= p/q, over every period."""
-        return self.blocked(p, q)
+    def _rule(self, p: int, q: int, strict: bool, first: int, step: int) -> _Rule:
+        # the per-letter callers look the rule up inline and call this on a miss
+        key = (p, q, strict, first, step)
+        rule = self._rules.get(key)
+        if rule is None:
+            rule = self._rules[key] = _Rule(p, q, bool(strict), first, step, self._word)
+        return rule
 
-    def exact_hit(self, p: int, q: int) -> dict[int, int]:
-        """``blocked`` for exact p/q-powers: the same rule on multiples of q.
-        These are ``AvoidanceMode.EXACT.periods(q)``, spelled out because
-        greedy asks this once per letter and an enum lookup is not free."""
-        return self.blocked(p, q, first=q, step=q)
+    def _append_least(self, p: int, q: int, first: int, step: int) -> int:
+        rule = self._rules.get((p, q, False, first, step)) or self._rule(p, q, False, first, step)
+        word = self._word
+        letter = rule.least_free(word)
+        if len(self._rules) > 1:
+            n = len(word)
+            for other in self._rules.values():
+                if other is not rule:
+                    other.push(word, n, letter)
+        word.append(letter)
+        return letter
+
+    def threshold_hit(self, p: int, q: int) -> int:
+        """Greedy's step for exponent >= p/q: append the least letter that
+        ``blocked`` leaves out, and return it."""
+        return self._append_least(p, q, 1, 1)
+
+    def exact_hit(self, p: int, q: int) -> int:
+        """``threshold_hit`` for exact p/q-powers: the same rule on multiples
+        of q, ``AvoidanceMode.EXACT.periods(q)`` spelled out, as greedy asks
+        this once per letter and an enum lookup is not free."""
+        return self._append_least(p, q, q, q)
 
 
 def _occurrence(word: list[int], exponent: Exponent, mode: AvoidanceMode, period: int) -> Occurrence:

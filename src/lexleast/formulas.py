@@ -21,6 +21,13 @@ from itertools import count, islice
 from typing import Callable, Iterator
 
 
+# w32_term at residues 0-8 of a block, for even and for odd block index
+_W32_HEADS = (
+    (0, 1, 2, 0, 3, 1, 0, 2, 1),
+    (0, 1, 2, 0, 4, 1, 0, 2, 1),
+)
+
+
 def w32_term(n: int) -> int:
     """Letter n of w32 via the period-10 template.
 
@@ -31,14 +38,8 @@ def w32_term(n: int) -> int:
     if n < 0:
         raise ValueError(f"index must be non-negative, got {n}")
     block, r = divmod(n, 10)
-    if r in (0, 3, 6):
-        return 0
-    if r in (1, 5, 8):
-        return 1
-    if r in (2, 7):
-        return 2
-    if r == 4:
-        return 3 + block % 2
+    if r < 9:
+        return _W32_HEADS[block & 1][r]
     return b_rec(block)
 
 

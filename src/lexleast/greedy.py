@@ -1,8 +1,9 @@
 """Greedy construction of lexicographically least power-avoiding words.
 
 Extend the word one position at a time with the smallest letter that does
-not complete a forbidden repetition: one detector query gives every blocked
-letter at the next position, and the least letter missing from it wins.  No
+not complete a forbidden repetition.  A step is one detector call, the
+mode's ``AvoidanceMode.query``: it sets a bit for every blocked letter at
+the next position, appends the lowest clear one and returns it.  No
 backtracking is ever needed: a blocked letter repeats an earlier letter of
 the word, so some letter up to ``max letter + 1`` is always free.
 """
@@ -19,6 +20,7 @@ class GreedyState:
     def __init__(self, exponent: Exponent, mode: AvoidanceMode = AvoidanceMode.THRESHOLD) -> None:
         self.exponent = exponent
         self.mode = mode
+        self._p, self._q = exponent.p, exponent.q
         self._query = mode.query()
         self._idx = LceIndex()
 
@@ -29,20 +31,9 @@ class GreedyState:
     def word(self) -> list[int]:
         return self._idx.to_list()
 
-    def next_letter(self) -> int:
-        """Least letter whose appending leaves the word free of forbidden suffixes."""
-        e = self.exponent
-        blocked = self._query(self._idx, e.p, e.q)
-        letter = 0
-        while letter in blocked:
-            letter += 1
-        return letter
-
     def step(self) -> int:
-        """Append the next letter and return it."""
-        letter = self.next_letter()
-        self._idx.append(letter)
-        return letter
+        """Append the least letter that completes no forbidden suffix; return it."""
+        return self._query(self._idx, self._p, self._q)
 
     def extend_to(self, length: int) -> None:
         step = self.step

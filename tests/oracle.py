@@ -87,8 +87,8 @@ class DenseRunTable:
     backwards is one contiguous slice.  It answers ``blocked`` by comparing
     every run with its need at once, so it can check the production
     detector after every letter of words far too long for the direct loops
-    above.  Its ``blocked`` keeps ``LceIndex.blocked``'s contract, so a
-    discipline's query, ``AvoidanceMode.query()``, applies to it as well.
+    above.  Its ``blocked`` keeps ``LceIndex.blocked``'s contract, and
+    ``least_free`` names the letter that greedy's step appends.
     """
 
     def __init__(self) -> None:
@@ -137,6 +137,16 @@ class DenseRunTable:
         for period in ps[hits].tolist():
             found.setdefault(int(backwards[period - 1]), period)
         return found
+
+    def least_free(self, p: int, q: int, strict: bool = False, first: int = 1, step: int = 1) -> int:
+        """The least letter missing from ``blocked``'s map, found without
+        building it: k blocked letters leave one of 0..k free."""
+        ps = np.arange(first, self._n + 1, step, dtype=np.int64)
+        hits = q * self._run[ps] >= (p - q) * ps - q + strict
+        letters = self._backwards()[ps[hits] - 1]
+        seen = np.zeros(len(letters) + 1, dtype=bool)
+        seen[letters[letters <= len(letters)]] = True
+        return int(np.argmin(seen))
 
 
 def dense_greedy(exponent: Exponent, mode: AvoidanceMode, length: int) -> list[int]:

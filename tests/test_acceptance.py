@@ -136,7 +136,8 @@ def test_criterion_09_x32_structure():
 
 def _tracked_witness(idx, mode, letter):
     """The E32 witness that appending ``letter`` to ``idx`` would complete."""
-    period = mode.query()(idx, E32.p, E32.q).get(letter)
+    first, step = mode.periods(E32.q)
+    period = idx.blocked(E32.p, E32.q, first=first, step=step).get(letter)
     return None if period is None else detect._occurrence(idx.to_list(), E32, mode, period)
 
 

@@ -9,11 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexleast import Exponent, cli, contains_forbidden
+from lexleast import AvoidanceMode, Exponent, cli, contains_forbidden
 from lexleast.cli import main, parse_letters_text
-from lexleast.formulas import BLOCKS, w32_term
+from lexleast.formulas import BLOCKS, ruler_prefix, w32_prefix, w32_term, x32_prefix
+from lexleast.greedy import generate
+from lexleast.morphic import w32_via_morphism, x32_via_morphism
 
 import golden
+
+E32, E21 = Exponent(3, 2), Exponent(2, 1)
+THRESHOLD, EXACT = AvoidanceMode.THRESHOLD, AvoidanceMode.EXACT
 
 
 def run_cli(capsys, *argv):
@@ -111,6 +116,30 @@ def test_generate_lines_is_one_write_per_letter(route):
             assert main(["generate", *route, "--length", str(n), "--format", "lines"]) == 0
         assert sink.writes == n
         assert len(parse_letters_text(sink.text.getvalue())) == n
+
+
+# (options, the word's prefix by the library, lengths)
+CSV_ROUTES = [
+    (("--exponent", "3/2"), lambda n: generate(E32, THRESHOLD, n), (0, 1, 4_097, 10_000)),
+    (("--exponent", "3/2", "--mode", "exact"), lambda n: generate(E32, EXACT, n), (0, 1, 4_097, 10_000)),
+    (("--exponent", "2/1"), lambda n: generate(E21, THRESHOLD, n), (0, 1, 4_097, 10_000)),
+    # letters up to about 400, past the table of cells
+    (("--exponent", "401/400"), lambda n: generate(Exponent(401, 400), THRESHOLD, n), (4_097,)),
+    (("--method", "closed"), w32_prefix, (0, 1, 4_097, 10_000)),
+    (("--method", "closed", "--mode", "exact"), x32_prefix, (0, 1, 4_097, 10_000)),
+    (("--method", "closed", "--exponent", "2/1"), ruler_prefix, (0, 1, 4_097, 10_000)),
+    (("--method", "morphism"), w32_via_morphism, (0, 1, 4_097, 10_000)),
+    (("--method", "morphism", "--mode", "exact"), x32_via_morphism, (0, 1, 4_097, 10_000)),
+]
+
+
+@pytest.mark.parametrize("route,prefix,lengths", CSV_ROUTES, ids=[" ".join(r[0]) for r in CSV_ROUTES])
+def test_generate_csv_is_every_letter_joined_by_commas(capsys, route, prefix, lengths):
+    # csv is written 4,096 letters at a time, from a table below 64
+    for n in lengths:
+        code, out, _ = run_cli(capsys, "generate", *route, "--length", str(n), "--format", "csv")
+        assert code == 0
+        assert out == ",".join(map(str, prefix(n))) + "\n", n
 
 
 def test_emit_lines_matches_formatting_each_letter():

@@ -27,6 +27,26 @@ EXACT = AvoidanceMode.EXACT
 words = st.lists(st.integers(0, 2), min_size=0, max_size=16)
 
 
+def _mode_blocked(idx, exponent, mode):
+    """The blocked map of the discipline's rule, on ``idx`` or on the dense
+    table, whose ``blocked`` keeps the same contract."""
+    first, step = mode.periods(exponent.q)
+    return idx.blocked(exponent.p, exponent.q, first=first, step=step)
+
+
+def _refresh(state):
+    """Refresh the rule of a greedy state's index, as its next step would,
+    by asking that rule's blocked map."""
+    return _mode_blocked(state._idx, state.exponent, state.mode)
+
+
+def _least_missing(blocked):
+    letter = 0
+    while letter in blocked:
+        letter += 1
+    return letter
+
+
 def test_forbidden_suffix_examples():
     assert forbidden_suffix([0, 1, 2, 0, 3, 1, 0], E32, THRESHOLD) is None
     assert forbidden_suffix([0, 1, 2, 0, 1], E32, THRESHOLD) == Occurrence(0, 3, 5)
@@ -143,7 +163,7 @@ def test_blocked_letters_match_naive_oracle(word, exponent, mode):
         occ = oracle.naive_forbidden_suffix(word + [m], exponent, mode)
         if occ is not None:
             expected[m] = occ.period
-    assert mode.query()(idx, exponent.p, exponent.q) == expected
+    assert _mode_blocked(idx, exponent, mode) == expected
 
 
 @given(
@@ -179,7 +199,7 @@ def test_run_table_follows_append_pop_walks(steps, exponent, mode):
             occ = oracle.naive_forbidden_suffix(word + [m], exponent, mode)
             if occ is not None:
                 expected[m] = occ.period
-        assert mode.query()(idx, exponent.p, exponent.q) == expected
+        assert _mode_blocked(idx, exponent, mode) == expected
 
 
 @given(words, st.sampled_from([THRESHOLD, EXACT]))
@@ -239,7 +259,7 @@ def test_exact_32_reduces_to_balanced_xyx():
 
 def _tracked_witness(idx, mode, letter):
     """The E32 witness that appending ``letter`` to ``idx`` would complete."""
-    period = mode.query()(idx, E32.p, E32.q).get(letter)
+    period = _mode_blocked(idx, E32, mode).get(letter)
     return None if period is None else detect._occurrence(idx.to_list(), E32, mode, period)
 
 
@@ -275,9 +295,8 @@ EXPONENTS = [Exponent(4, 3), E32, Exponent(5, 3), Exponent(2, 1), Exponent(5, 2)
 
 
 def _mode_query(exponent, mode):
-    """The discipline's query as a ``_follow_dense`` query: it applies to the
-    dense table too, whose ``blocked`` keeps the same contract."""
-    return lambda idx: mode.query()(idx, exponent.p, exponent.q), f"{exponent} {mode.value}"
+    """The discipline's blocked map as a ``_follow_dense`` query."""
+    return lambda idx: _mode_blocked(idx, exponent, mode), f"{exponent} {mode.value}"
 
 
 MODE_QUERIES = [_mode_query(e, m) for e in EXPONENTS for m in (THRESHOLD, EXACT)]
@@ -482,7 +501,7 @@ def test_large_exponent_keeps_no_run_slots():
     exponent = Exponent(1000, 1)
     assert generate(exponent, THRESHOLD, 500) == [0] * 500
     idx = LceIndex([0] * 500)
-    assert EXACT.query()(idx, exponent.p, exponent.q) == {}
+    assert _mode_blocked(idx, exponent, EXACT) == {}
     (rule,) = idx._rules.values()
     assert rule._runs == rule._needmask == 0
 
@@ -512,8 +531,20 @@ def test_letter_masks_stay_within_the_window(mode):
     # a letter's mask goes when its last occurrence leaves the window
     idx = LceIndex()
     for v in range(10_000):
-        assert set(mode.query()(idx, E32.p, E32.q)) <= {v - 1, v - 2}
+        assert set(_mode_blocked(idx, E32, mode)) <= {v - 1, v - 2}
         idx.append(v)
+        (rule,) = idx._rules.values()
+        assert len(rule._masks) <= rule._size, v
+
+
+@pytest.mark.parametrize("mode", [THRESHOLD, EXACT], ids=["threshold", "exact"])
+def test_letter_masks_stay_within_the_window_along_greedy_steps(mode):
+    # distinct letters appended between greedy steps: half of them leave the
+    # window at a step, which must drop their masks as an append does
+    idx = LceIndex()
+    for v in range(5_000):
+        idx.append(10_000 + v)
+        mode.query()(idx, E32.p, E32.q)
         (rule,) = idx._rules.values()
         assert len(rule._masks) <= rule._size, v
 
@@ -526,7 +557,7 @@ def test_tracked_periods_stay_logarithmic_along_greedy(exponent, mode):
     # (when a refresh may just have filled them), stay at or below log2 n
     state = GreedyState(exponent, mode)
     while len(state) < 20_000:
-        state.next_letter()
+        _refresh(state)
         kept = sum(len(rule._kept) for rule in state._idx._rules.values())
         assert kept <= math.log2(max(len(state), 1)), (len(state), kept)
         state.step()
@@ -539,7 +570,7 @@ def test_kept_periods_average_at_most_one_and_a_half_per_query_along_greedy(expo
     state = GreedyState(exponent, mode)
     kept = 0
     while len(state) < 20_000:
-        state.next_letter()
+        _refresh(state)
         kept += sum(len(rule._kept) for rule in state._idx._rules.values())
         state.step()
     assert kept / 20_000 <= 1.5
@@ -569,7 +600,7 @@ def _after_each_query(kind, check):
         return
     state = GreedyState(*GREEDY_KINDS[kind])
     while len(state) < 3_000:
-        state.next_letter()
+        _refresh(state)
         check(state._idx, dense)
         dense.append(state.step())
 
@@ -623,7 +654,7 @@ def test_small_window_opens_with_the_word_near_exponent_one():
     # a period above n - k, as run(P) <= n - P
     state = GreedyState(Exponent(401, 400), THRESHOLD)
     while len(state) < 300:
-        state.next_letter()
+        _refresh(state)
         (rule,) = state._idx._rules.values()
         n, S, ones = len(state), rule._size, rule._ones
         for m, at in rule._masks.values():
@@ -689,3 +720,121 @@ def test_blocked_rejects_rules_it_cannot_track():
 def test_blocked_strict_rule_is_keyed_and_built_alike():
     # a rule is cached under strict as given and built from bool(strict)
     assert LceIndex([0, 1, 2, 0]).blocked(3, 2, strict=2) == {0: 1, 1: 3}
+
+
+# the greedy step: threshold_hit / exact_hit append the least letter that
+# the rule's blocked map leaves out, read as the lowest clear bit of one int
+
+def _dense_least(dense, exponent, mode):
+    first, step = mode.periods(exponent.q)
+    return dense.least_free(exponent.p, exponent.q, first=first, step=step)
+
+
+STEP_RULES = [(e, m) for e in EXPONENTS + [Exponent(101, 100)] for m in (THRESHOLD, EXACT)]
+
+
+@pytest.mark.parametrize("exponent,mode", STEP_RULES, ids=[f"{e} {m.value}" for e, m in STEP_RULES])
+def test_greedy_step_appends_the_dense_tables_least_free_letter(exponent, mode):
+    # along 2,000 letters of the greedy word that the step itself builds;
+    # from three need-0 periods on (4/3, 5/4, 101/100 threshold) the step
+    # keeps their letters in a window that each step follows
+    idx, dense = LceIndex(), oracle.DenseRunTable()
+    step = mode.query()
+    for n in range(2_000):
+        letter = _dense_least(dense, exponent, mode)
+        assert step(idx, exponent.p, exponent.q) == letter, n
+        dense.append(letter)
+    assert idx.to_list() == generate(exponent, mode, 2_000)
+
+
+def test_greedy_step_equals_the_dense_table_near_exponent_one():
+    # 4097/4096: S = 8192, the 4,096 need-0 periods block the letters of
+    # the last 4,096 positions, and from 4,098 letters on period 4,097 one
+    # more, so the word takes the letters 0..4,097
+    exponent, idx, dense = Exponent(4097, 4096), LceIndex(), oracle.DenseRunTable()
+    for n in range(4_300):
+        letter = dense.least_free(exponent.p, exponent.q)
+        assert idx.threshold_hit(exponent.p, exponent.q) == letter, n
+        dense.append(letter)
+    assert max(idx.to_list()) == 4_097
+
+
+@pytest.mark.parametrize("kind", ["random", "near-periodic"])
+def test_greedy_step_on_a_word_first_asked_at_each_length(kind):
+    # LceIndex(w[:k]) has no rule until the step builds one from the last
+    # letters, so the need-0 window is read from the word, not followed
+    rng = random.Random(f"step/{kind}")
+    word = [rng.randrange(3) for _ in range(1_500)] if kind == "random" else _near_periodic(rng, 1_500)
+    dense = oracle.DenseRunTable()
+    lengths = {*range(70), *range(70, 1_501, 61), 1_500}
+    for k in range(1_501):
+        if k in lengths:
+            for exponent, mode in STEP_RULES:
+                letter = _dense_least(dense, exponent, mode)
+                assert mode.query()(LceIndex(word[:k]), exponent.p, exponent.q) == letter, (k, exponent, mode)
+        if k < 1_500:
+            dense.append(word[k])
+
+
+def test_greedy_steps_mixed_with_other_appends_on_one_index():
+    # one index, four ways to append: plain appends and overlap letter steps
+    # leave the greedy rules' windows stale, so the next greedy step reads
+    # them again; every rule follows every append
+    rng = random.Random("step/mixed")
+    idx, dense, word = LceIndex(), oracle.DenseRunTable(), []
+    rules = [(Exponent(101, 100), THRESHOLD), (Exponent(4, 3), THRESHOLD), (E32, THRESHOLD), (E32, EXACT)]
+    for i in range(3_000):
+        kind = rng.randrange(4)
+        if kind == 0:
+            letter = rng.randrange(4)
+            idx.append(letter)
+        elif kind == 1:
+            letter = rng.randrange(4)
+            period = dense.blocked(2, 1, strict=True).get(letter)
+            assert idx.append_unless_blocked(letter, 2, 1, strict=True) == period, i
+            if period is not None:
+                continue
+        else:
+            exponent, mode = rng.choice(rules)
+            letter = _dense_least(dense, exponent, mode)
+            assert letter == _least_missing(_mode_blocked(dense, exponent, mode)), i
+            assert mode.query()(idx, exponent.p, exponent.q) == letter, i
+        dense.append(letter)
+        word.append(letter)
+    assert idx.to_list() == word
+    assert len(idx._rules) == len(rules) + 1
+
+
+def test_greedy_step_after_letters_near_the_width():
+    # letters up to 2**31 - 1 sit among the blocked ones, yet the step's int
+    # holds only the letters below S: a wider one would take 256 MiB
+    import tracemalloc
+
+    top = (1 << 31) - 1
+    word = [top, top - 1, 0, top, top - 1, 1, top, 2]
+    for exponent, mode in [(E32, THRESHOLD), (E32, EXACT), (Exponent(4, 3), THRESHOLD), (Exponent(101, 100), THRESHOLD)]:
+        idx, dense = LceIndex(word), oracle.DenseRunTable()
+        for v in word:
+            dense.append(v)
+        tracemalloc.start()
+        for n in range(150):
+            letter = _dense_least(dense, exponent, mode)
+            assert mode.query()(idx, exponent.p, exponent.q) == letter, (exponent, mode, n)
+            dense.append(letter)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 1 << 20, (exponent, mode, peak)
+
+
+def test_greedy_step_reads_the_map_when_every_letter_below_S_is_blocked():
+    # periods below S block at most S - 1 letters, so only kept periods can
+    # block every letter below S; kept by hand here, each blocking from
+    # length 0 on, they block the letters 0..136 of range(200) at 3/2
+    idx = LceIndex(range(200))
+    idx.blocked(3, 2)
+    (rule,) = idx._rules.values()
+    rule._kept, rule._due = [(P, 0) for P in range(64, 201)], 10**9
+    blocked = idx.blocked(3, 2)
+    assert rule._size == 64 and set(range(137)) <= set(blocked)
+    assert idx.threshold_hit(3, 2) == _least_missing(blocked) == 137
+    assert idx.to_list() == [*range(200), 137]

@@ -45,12 +45,20 @@ def test_w32_prefix_matches_golden():
 
 
 def test_w32_matches_literal_recursion():
-    assert [w32_term(n) for n in range(10_000)] == [oracle.a_ref(n) for n in range(10_000)]
+    terms = [w32_term(n) for n in range(10_000)]
+    assert terms == [oracle.a_ref(n) for n in range(10_000)] == w32_prefix(10_000)
 
 
 @given(big_indices)
 def test_w32_matches_literal_recursion_large(n):
     assert w32_term(n) == oracle.a_ref(n)
+
+
+@given(big_indices, st.integers(0, 9))
+def test_w32_term_reads_b_at_residue_9_and_the_heads_elsewhere(block, r):
+    # residues 0-8 depend on the block parity alone, residue 9 is b(block)
+    expected = b_rec(block) if r == 9 else w32_term(10 * (block % 2) + r)
+    assert w32_term(10 * block + r) == expected
 
 
 def test_w32_pseudoperiodic_template():

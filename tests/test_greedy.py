@@ -16,16 +16,17 @@ THRESHOLD = AvoidanceMode.THRESHOLD
 EXACT = AvoidanceMode.EXACT
 
 
-def test_next_letter_examples():
-    assert GreedyState(E32, THRESHOLD).next_letter() == 0
+def test_step_examples():
+    # each step appends the least letter that completes no forbidden
+    # factor and returns it: 3 after 0120, 2 after 00110
     state = GreedyState(E32, THRESHOLD)
-    for v in [0, 1, 2, 0]:
+    for v in [0, 1, 2, 0, 3]:
         assert state.step() == v
-    assert state.next_letter() == 3
+    assert state.word == [0, 1, 2, 0, 3]
     state = GreedyState(E32, EXACT)
-    for v in [0, 0, 1, 1, 0]:
+    for v in [0, 0, 1, 1, 0, 2]:
         assert state.step() == v
-    assert state.next_letter() == 2
+    assert len(state) == 6
 
 
 def test_generate_golden_prefixes():
