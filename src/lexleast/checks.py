@@ -330,27 +330,27 @@ def check_b_window(n_max: int = 2_000, r_max: int = 200) -> CheckReport:
 def check_x_squares(
     length: int = 10_000, source: str | Sequence[int] = "x32"
 ) -> CheckReport:
-    """Every square factor has a one-letter root, and that letter is 0 or 1."""
+    """Every square factor has a one-letter root, and that letter is 0 or 1:
+    one batched ``LceIndex.extend_unless_blocked`` call finds the longer
+    roots, over the letters before the first square vv with v > 1."""
     name, letters, _, _ = _resolve(source, E32, EXACT, length)
     params = {"target": name, "length": length}
+    stop = next((i for i in range(1, len(letters)) if letters[i] == letters[i - 1] > 1), len(letters))
     idx = LceIndex()
-    violation = None
+    root = idx.extend_unless_blocked(islice(letters, stop), 2, 1, first=2)
+    end, violation = len(idx), None
+    if root is not None:
+        violation = Violation("square-root-too-long", end, {"start": end + 1 - 2 * root, "root_length": root})
+    elif end < len(letters):
+        violation = Violation("square-letter", end, {"root": [letters[end]]})
+    # the unit squares 00 and 11 up to the violation, a root's included
     unit: Counter[int] = Counter()
     first_unit: dict[int, int] = {}
-    for i, v in enumerate(letters):
-        if i >= 1 and letters[i] == letters[i - 1]:
-            if v > 1:
-                violation = Violation("square-letter", i, {"root": [v]})
-                break
+    for i in range(1, end + (root is not None)):
+        v = letters[i]
+        if v == letters[i - 1]:
             unit[v] += 1
             first_unit.setdefault(v, i - 1)
-        # a square with a root of two letters or more ends here
-        root = idx.append_unless_blocked(v, 2, 1, first=2)
-        if root is not None:
-            violation = Violation(
-                "square-root-too-long", i, {"start": i + 1 - 2 * root, "root_length": root}
-            )
-            break
     extras = {
         "count_00": unit.get(0, 0),
         "count_11": unit.get(1, 0),
@@ -363,18 +363,15 @@ def check_x_squares(
 def check_x_overlapfree(
     length: int = 10_000, source: str | Sequence[int] = "x32"
 ) -> CheckReport:
-    """No factor of shape a x a x a (single letter a, x possibly empty);
-    equivalently no factor of exponent above 2."""
+    """No factor of shape a x a x a (single letter a, x possibly empty), i.e.
+    of exponent above 2: one batched ``LceIndex.extend_unless_blocked`` call
+    stops at the first, with period |a x|."""
     name, letters, _, _ = _resolve(source, E32, EXACT, length)
     params = {"target": name, "length": length}
     idx = LceIndex()
-    violation = None
-    for i, v in enumerate(letters):
-        # a x a x a ends here: a factor of exponent above 2, period |a x|
-        period = idx.append_unless_blocked(v, 2, 1, strict=True)
-        if period is not None:
-            violation = Violation("overlap", i, {"start": i - 2 * period, "period": period})
-            break
+    period = idx.extend_unless_blocked(letters, 2, 1, strict=True)
+    i = len(idx)
+    violation = None if period is None else Violation("overlap", i, {"start": i - 2 * period, "period": period})
     return CheckReport("x-overlap", params, violation)
 
 

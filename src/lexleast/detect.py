@@ -17,12 +17,11 @@ yields every blocked letter with its smallest period
 (``LceIndex.blocked``, for the tests).  Greedy, and the minimality check
 that runs it, needs only the least letter missing from it: its step
 (``LceIndex.threshold_hit`` or ``exact_hit``) ORs the blocked letters into
-one int and appends the letter of its lowest clear bit.  A caller that
-knows its letter builds no map either: a scan (``contains_forbidden``,
-``forbidden_suffix``) and the x32 structure checks
-(``LceIndex.append_unless_blocked``) ask one letter step, which reads the
-smallest period that blocks that letter from the letter's own mask, and
-follows the letter's append when none does.
+one int and appends the letter of its lowest clear bit.  Callers that know
+their letters (``contains_forbidden``, ``forbidden_suffix`` and, through
+``LceIndex.extend_unless_blocked``, the x32 structure checks) run one loop,
+``_Rule.scan``, which appends each letter up to the first that a period
+blocks, read with its smallest period from that letter's own mask.
 
 Let run(P) be the length of the longest suffix of the word with period P.
 Every query asks one need rule: P blocks ``word[n - P]`` when
@@ -33,12 +32,9 @@ bounds the periods itself: a caller names an exponent, a first period and
 a step.  Threshold mode asks it over every period, exact mode over the
 multiples of q (period q*t reaches exponent p/q exactly at length p*t), and
 the x32 structure checks for exponent 2.  The discipline is chosen in one
-place: ``AvoidanceMode.periods`` gives the mode's first period and step,
-which ``contains_forbidden`` and ``forbidden_suffix`` hand to their rule,
-and ``AvoidanceMode.query`` names the mode's greedy step
-(``LceIndex.threshold_hit`` or ``exact_hit``); so a mode that is not an
-``AvoidanceMode`` fails at once.  There are no hashes:
-every verdict rests on letter comparisons.
+place, ``AvoidanceMode.periods`` (first period and step) and ``.query``
+(greedy's step), so a mode that is not an ``AvoidanceMode`` fails at once.
+There are no hashes: every verdict rests on letter comparisons.
 
 ``LceIndex`` keeps the letters in a list and, for each rule it is asked
 about, the runs that can still reach their need.
@@ -59,7 +55,7 @@ about, the runs that can still reach their need.
   reads ``runs & NEEDMASK``, NEEDMASK holding each period P in slot need(P);
   need(P) grows with P, so the bits come out in ascending P.  A period of
   need 0 blocks ``word[n - P]`` once P <= n and is read from the word.  A
-  letter step reads the letter's mask M alone: its need-0 periods are
+  scanned letter is read from its mask M alone: its need-0 periods are
   ``M & ZEROBITS`` and its blocking periods in the slots the bits of
   ``runs & NEEDMASK & M * REP``, the lowest bit giving the smallest; the
   same ``M * REP`` then serves the append.  The
@@ -82,11 +78,12 @@ about, the runs that can still reach their need.
   the band's periods top, top - step, ..., first (top the largest at most
   n - F), and ``index`` walks the candidates on it in one pass, up to a
   copy of the letter put after its end; in exact mode they are only the
-  multiples of q.  Each is checked once, by a slice comparison of its keep
-  threshold's length, and only those that pass have their run measured up
-  to need(P).  A kept period is stored as (P, at), ``at`` = n + need(P) -
-  run(P) being the length from which it blocks; the kept periods form one
-  list ascending in P, and a refresh replaces the band's slice of it.
+  multiples of q.  Each is checked once, on the last letter, then by a
+  slice comparison of its keep threshold's length, and only those that
+  pass have their run measured up to need(P).  A kept period is stored as
+  (P, at), ``at`` = n + need(P) - run(P) being the length from which it
+  blocks; the kept periods form one list ascending in P, and a refresh
+  replaces the band's slice of it.
   Between refreshes, an append grows a kept period's run when the new
   letter repeats ``word[n - P]``, which leaves ``at`` as it is, and drops
   the period otherwise, so the list is rebuilt only when a run breaks.
@@ -168,10 +165,8 @@ class _Band:
 class _Rule:
     """One need rule over one arithmetic range of periods, tracked along the
     word: below S the letter masks and the run slots of the module
-    docstring, above it (P, at) pairs in ascending P for the kept periods
-    of the bands, ``at`` being the length at which P blocks, n + need(P) -
-    run(P) while the run is short of need(P).  An append that grows the run
-    leaves ``at`` as it is, so the list changes only when a run breaks."""
+    docstring, above it the (P, at) pairs of the bands' kept periods, in
+    ascending P, ``at`` being the length from which P blocks."""
 
     __slots__ = ("_a", "_b", "_q", "_step", "_size", "_zero", "_ones", "_rep", "_needmask",
                  "_masks", "_runs", "_lo", "_first", "_open", "_bands", "_kept", "_due", "_zerobits",
@@ -247,51 +242,63 @@ class _Rule:
                 self._kept = [e for e in kept if word[n - e[0]] == letter]
                 break
 
-    def step(self, word: list[int], letter: int) -> int | None:
-        """The smallest period that blocks ``letter`` at length n = len(word),
-        read from the letter's own mask.  When none does, follow the append
-        of ``letter`` as ``push`` does, with that same mask."""
-        n = len(word)
-        if n >= self._due:
-            self._refresh(word, n)
-        S, masks = self._size, self._masks
-        last = masks.get(letter)
-        if last is not None:
-            # the periods P < S with word[n - P] == letter, those of need 0
-            # first, then the run slots, whose bits come out in ascending P
-            mask = last[0] << (n - last[1]) & self._ones
-            hits = mask & self._zerobits
-            if hits:
-                return (hits & -hits).bit_length() - 1
-            rep = mask * self._rep
-            hits = self._runs & self._needmask & rep
-            if hits:
-                return ((hits & -hits).bit_length() - 1) & (S - 1)
-        # the kept periods, ascending: the first that blocks is the smallest
-        kept, broken = self._kept, False
-        for P, at in kept:
-            if word[n - P] != letter:
-                broken = True
-            elif at <= n:
-                return P
-        if last is None:
-            masks[letter] = [2, n + 1]
-            self._runs = 0
-        else:
-            last[0], last[1] = mask << 1 | 2, n + 1
-            self._runs = ((self._runs | self._ones) << S) & rep
-        if n >= S - 1:
-            old = word[n + 1 - S]
-            if masks.get(old, (0, 0))[1] == n + 2 - S:
-                del masks[old]
-        if broken:
-            self._kept = [e for e in kept if word[n - e[0]] == letter]
-        return None
+    def scan(self, word: list[int], letters: Iterable[int]) -> int | None:
+        """Append ``letters`` to ``word`` in turn, each followed as ``push``
+        does, up to the first that a period blocks: return its smallest
+        period, read from its own mask (None once all are in), the state
+        kept in locals meanwhile."""
+        S, ONES, REP, ZEROBITS, NEEDMASK = self._size, self._ones, self._rep, self._zerobits, self._needmask
+        masks, runs, kept, due, n, append = self._masks, self._runs, self._kept, self._due, len(word), word.append
+        get = masks.get
+        try:
+            for v in letters:
+                if not (type(v) is int and 0 <= v < 1 << 31):
+                    v = _checked(v)
+                if n >= due:
+                    self._kept = kept
+                    self._refresh(word, n)
+                    kept, due = self._kept, self._due
+                last = get(v)
+                if last is not None:
+                    # the periods P < S with word[n - P] == v: those of need 0
+                    # first, then the run slots, whose bits come out in ascending P
+                    mask = last[0] << (n - last[1]) & ONES
+                    hits = mask & ZEROBITS
+                    if hits:
+                        return (hits & -hits).bit_length() - 1
+                    rep = mask * REP
+                    hits = runs & NEEDMASK & rep
+                    if hits:
+                        return ((hits & -hits).bit_length() - 1) & (S - 1)
+                # the kept periods, ascending: the first that blocks is the smallest
+                broken = False
+                for P, at in kept:
+                    if word[n - P] != v:
+                        broken = True
+                    elif at <= n:
+                        return P
+                if last is None:
+                    masks[v] = [2, n + 1]
+                    runs = 0
+                else:
+                    last[0], last[1] = mask << 1 | 2, n + 1
+                    runs = ((runs | ONES) << S) & rep
+                if n >= S - 1:
+                    old = word[n + 1 - S]
+                    if get(old, (0, 0))[1] == n + 2 - S:
+                        del masks[old]
+                if broken:
+                    kept = [e for e in kept if word[n - e[0]] == v]
+                append(v)
+                n += 1
+            return None
+        finally:
+            self._runs, self._kept = runs, kept
 
     def least_free(self, word: list[int]) -> int:
         """The least letter that no period blocks at length n = len(word),
         the lowest clear bit of one int of the blocked letters below S.
-        Then follow its append, with its own mask, as ``step`` does."""
+        Then follow its append, with its own mask, as ``scan`` does."""
         n = len(word)
         if n >= self._due:
             self._refresh(word, n)
@@ -393,21 +400,24 @@ class _Rule:
         for band in self._bands:
             if band.due <= n:
                 band.due = n + band.every
-                i = bisect_left(kept, (band.periods.start,))
-                kept[i : bisect_left(kept, (band.periods.stop,), i)] = self._survivors(word, n, band)
-            due = min(due, band.due)
+                found = self._survivors(word, n, band)
+                if kept or found:
+                    i = bisect_left(kept, (band.periods.start,))
+                    kept[i : bisect_left(kept, (band.periods.stop,), i)] = found
+            if band.due < due:
+                due = band.due
         self._due = due
 
     def _survivors(self, word: list[int], n: int, band: _Band) -> list[tuple[int, int]]:
         """(P, at) in ascending P for the band's periods whose run reaches
         the keep threshold need(P) - every + 1: the candidates come from
-        one strided slice, each is checked by one slice comparison, and
-        only those that pass have their run measured."""
-        floor, every, step = band.floor, band.every, self._step
+        one strided slice, each is checked on its last letter, then by one
+        slice comparison, and only those that pass have their run measured."""
+        floor, every, step, a, b, q = band.floor, band.every, self._step, self._a, self._b, self._q
         # a run of ``floor`` letters needs P <= n - floor; the lowest period
         # always meets it, as it opened with P + need(P) <= n and floor <= need(P)
         first = band.periods.start
-        top = band.periods[: (n - floor - first) // step + 1][-1]
+        top = min(first + (n - floor - first) // step * step, band.periods[-1])
         # a kept period repeats the largest of the last ``floor`` letters,
         # the rarest on the words greedy builds: word[end - P] == word[end]
         tail = word[n - floor :]
@@ -415,17 +425,20 @@ class _Rule:
         end = n - floor + tail.index(letter)
         # one strided slice holds word[end - P] for the band's periods up to
         # top, descending in P: its i-th letter is word[end - top + i * step];
-        # the letter put after it ends the walk, which raises no ValueError
-        near = word[end - top : end - first + 1 : step]
-        stop = len(near)
-        near.append(letter)
-        found, i = [], near.index(letter)
+        # the letter, put in one more slot read with it, ends the walk (no ValueError)
+        near = word[end - top : end - first + step + 1 : step]
+        stop = (top - first) // step + 1
+        near[stop:] = (letter,)
+        found, i, final = [], near.index(letter), word[n - 1]
         while i < stop:
             P = top - i * step
             i = near.index(letter, i + 1)
-            keep = self.need(P) - every + 1
+            # most candidates fail at the last letter (need(P) >= nu >= 1 here)
+            if word[n - 1 - P] != final:
+                continue
+            need = -(-(a * P + b) // q)
+            keep = need - every + 1
             if keep <= n - P and word[n - keep - P : n - P] == word[n - keep :]:
-                need = keep + every - 1
                 found.append((P, n + need - _run(word, n, P, need, keep)))
         found.reverse()
         return found
@@ -456,7 +469,7 @@ class LceIndex:
     Letters are natural numbers below 2**31, kept in a list.  ``run(P)`` is
     the length of the longest suffix of the word that has period P, counted
     on demand.  Each need rule asked of ``blocked``,
-    ``append_unless_blocked`` or greedy's step gets its own tracked state
+    ``extend_unless_blocked`` or greedy's step gets its own tracked state
     (see the module docstring), built from the last letters when it is
     first asked: bands open at queries, and every append follows the state.
     """
@@ -503,37 +516,34 @@ class LceIndex:
     def blocked(self, p: int, q: int, strict: bool = False, first: int = 1, step: int = 1) -> dict[int, int]:
         """Letters at the next position that would complete a factor of
         exponent at least p/q (above p/q when ``strict``), each with its
-        smallest period among first, first + step, ... (first >= 1).
-
-        The need rule lives here alone: appending ``word[n - P]`` gives a
-        factor of length P + run(P) + 1 with period P, whose exponent
-        reaches p/q when q * run(P) >= (p - q) * P - q, and exceeds it with
-        one more on the right (for q = 1, one more letter).  Exact p/q-powers
-        are this rule on multiples of q: period q*t reaches p/q exactly at
-        length p*t.  The rule also bounds the periods: P can block only
-        when P + need(P) <= n, so callers name no upper bound.
+        smallest period among first, first + step, ... (first >= 1), by
+        the need rule of the module docstring (``strict`` asks for exponent
+        above p/q: for q = 1, one more letter of run).  P can
+        block only when P + need(P) <= n, so callers name no upper bound.
         """
         return self._rule(p, q, strict, first, step).blocked(self._word)
 
-    def append_unless_blocked(
-        self, letter: int, p: int, q: int, strict: bool = False, first: int = 1, step: int = 1
+    def extend_unless_blocked(
+        self, letters: Iterable[int], p: int, q: int, strict: bool = False, first: int = 1, step: int = 1
     ) -> int | None:
-        """The smallest period that ``blocked``'s rule names for ``letter``,
-        or None once ``letter`` is appended: a caller that knows its letter
-        asks this, and no map is built."""
-        letter = _checked(letter)
-        rule = self._rules.get((p, q, strict, first, step)) or self._rule(p, q, strict, first, step)
-        period = rule.step(self._word, letter)
-        if period is None:
-            n = len(self._word)
+        """Append ``letters`` up to the first that ``blocked``'s rule blocks and
+        return its smallest period (None once all are in), building no map:
+        one scan, or one a letter when other rules follow the appends."""
+        rule, word = self._rule(p, q, strict, first, step), self._word
+        if len(self._rules) == 1:
+            return rule.scan(word, letters)
+        for v in letters:
+            period = rule.scan(word, (v,))
+            if period is not None:
+                return period
+            n = len(word) - 1
             for other in self._rules.values():
                 if other is not rule:
-                    other.push(self._word, n, letter)
-            self._word.append(letter)
-        return period
+                    other.push(word, n, word[n])
+        return None
 
     def _rule(self, p: int, q: int, strict: bool, first: int, step: int) -> _Rule:
-        # the per-letter callers look the rule up inline and call this on a miss
+        # greedy's step looks the rule up inline and calls this on a miss
         key = (p, q, strict, first, step)
         rule = self._rules.get(key)
         if rule is None:
@@ -589,8 +599,7 @@ def forbidden_suffix(
     if len(word) == 0:
         return None
     prefix = [_checked(v) for v in word[:-1]]
-    rule = _Rule(exponent.p, exponent.q, False, first, step, prefix)
-    period = rule.step(prefix, _checked(word[-1]))
+    period = _Rule(exponent.p, exponent.q, False, first, step, prefix).scan(prefix, (word[-1],))
     return None if period is None else _occurrence(prefix, exponent, mode, period)
 
 
@@ -601,21 +610,15 @@ def contains_forbidden(
 ) -> Occurrence | None:
     """First forbidden factor in end-position order over the whole word.
 
-    One pass over any iterable, one letter step per letter on a rule of
-    its own, with no blocked map: the scan stops at the first position that
-    completes a forbidden factor, but every letter, those after it too, is
-    checked to be a natural number below 2**31.
+    One pass over any iterable, one scan of a rule of its own, with no
+    blocked map: the scan stops at the first position that completes a
+    forbidden factor, but every letter, those after it too, is checked to
+    be a natural number below 2**31.
     """
     first, step = mode.periods(exponent.q)
     scanned: list[int] = []
-    rule = _Rule(exponent.p, exponent.q, False, first, step, scanned)
     letters = iter(word)
-    for v in letters:
-        v = _checked(v)
-        period = rule.step(scanned, v)
-        if period is not None:
-            for rest in letters:
-                _checked(rest)
-            return _occurrence(scanned, exponent, mode, period)
-        scanned.append(v)
-    return None
+    period = _Rule(exponent.p, exponent.q, False, first, step, scanned).scan(scanned, letters)
+    for rest in letters:
+        _checked(rest)
+    return None if period is None else _occurrence(scanned, exponent, mode, period)

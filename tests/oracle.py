@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from lexleast.checks import CheckReport, Violation
 from lexleast.detect import AvoidanceMode
 from lexleast.words import Exponent, Occurrence
 
@@ -222,6 +223,42 @@ def overlap_scan(word: Word) -> tuple[int, dict] | None:
             if _repeats(word, i - 2 * period, period, 2 * period + 1):
                 return i, {"start": i - 2 * period, "period": period}
     return None
+
+
+def x_squares_per_letter(word: Word) -> CheckReport:
+    """``check_x_squares`` on an explicit word, by its per-letter loop: at
+    each position the unit square first, then the dense table's square
+    rule (roots from 2), one letter at a time."""
+    dense, violation = DenseRunTable(), None
+    unit: dict[int, int] = {0: 0, 1: 0}
+    first_unit: dict[int, int] = {}
+    for i, v in enumerate(word):
+        if i >= 1 and word[i] == word[i - 1]:
+            if v > 1:
+                violation = Violation("square-letter", i, {"root": [v]})
+                break
+            unit[v] += 1
+            first_unit.setdefault(v, i - 1)
+        root = dense.blocked(2, 1, first=2).get(v)
+        if root is not None:
+            violation = Violation("square-root-too-long", i, {"start": i + 1 - 2 * root, "root_length": root})
+            break
+        dense.append(v)
+    extras = {"count_00": unit[0], "count_11": unit[1], "first_00": first_unit.get(0), "first_11": first_unit.get(1)}
+    return CheckReport("x-squares", {"target": "<word>", "length": len(word)}, violation, extras)
+
+
+def x_overlapfree_per_letter(word: Word) -> CheckReport:
+    """``check_x_overlapfree`` on an explicit word, by its per-letter loop
+    over the dense table's overlap rule (exponent above 2)."""
+    dense, violation = DenseRunTable(), None
+    for i, v in enumerate(word):
+        period = dense.blocked(2, 1, strict=True).get(v)
+        if period is not None:
+            violation = Violation("overlap", i, {"start": i - 2 * period, "period": period})
+            break
+        dense.append(v)
+    return CheckReport("x-overlap", {"target": "<word>", "length": len(word)}, violation)
 
 
 def xyx_suffix(word: Word, gaps: tuple[int, ...]) -> bool:

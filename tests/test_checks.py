@@ -1,4 +1,5 @@
 import json
+import random
 import tracemalloc
 
 import pytest
@@ -270,6 +271,36 @@ def test_x32_structure_checks_match_letter_loops(word):
     if found is not None:
         v = report.violation
         assert (v.kind, v.position, v.detail) == ("overlap", *found)
+
+
+def _mutated_x32(seed):
+    """3,000 letters of x32 with one to four letters set at random to 0..3."""
+    rng = random.Random(f"x32/mutated/{seed}")
+    word = x32_prefix(3_000)
+    for _ in range(rng.randint(1, 4)):
+        word[rng.randrange(3_000)] = rng.randrange(4)
+    return word
+
+
+@pytest.mark.parametrize(
+    "word",
+    [
+        *(_mutated_x32(seed) for seed in range(12)),
+        x32_prefix(3_000),
+        # a root of three ending on the unit square 00, which is counted
+        [1, 0, 0, 1, 0, 0],
+        # a root of two, then 22 one letter later; 22, then a root of two
+        [0, 2, 0, 2, 2],
+        [1, 0, 2, 2, 0, 2, 0, 2],
+    ],
+    ids=[*(f"mutated-{seed}" for seed in range(12)), "clean", "root-on-00", "root-then-22", "22-then-root"],
+)
+def test_x32_checks_equal_their_per_letter_loops(word):
+    # one batched scan per check gives the per-letter loop's report: the
+    # same first violation, a square vv with v > 1 winning over any root
+    # square at a later position, and the same unit-square counts
+    assert check_x_squares(length=len(word), source=word).to_dict() == oracle.x_squares_per_letter(word).to_dict()
+    assert check_x_overlapfree(length=len(word), source=word).to_dict() == oracle.x_overlapfree_per_letter(word).to_dict()
 
 
 def test_report_serialization_shape():

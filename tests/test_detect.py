@@ -67,6 +67,15 @@ def test_contains_forbidden_examples():
         contains_forbidden(iter([0, 0, 1 << 31]), Exponent(2, 1))
 
 
+def test_scan_witness_on_a_period_97_word_at_exponent_101():
+    # over three letters, a band refresh meets many candidates that repeat
+    # its filter letter; most differ at the last letter, which is compared
+    # before the slices of the keep threshold
+    rng = random.Random("period-97")
+    word = ([rng.randrange(3) for _ in range(97)] * 196)[:19_000]
+    assert contains_forbidden(word, Exponent(101, 1)) == Occurrence(0, 97, 9797)
+
+
 def _w32_with_a_band_repeat():
     # w32[:200] with position 179 set to 5 repeats position 59 at period 120
     word = generate(E32, THRESHOLD, 200)
@@ -133,6 +142,25 @@ def test_letters_must_be_integers():
     assert LceIndex([True, False]).to_list() == [1, 0]
 
 
+@pytest.mark.parametrize(
+    "bad,error", [(0.0, TypeError), (-1, ValueError), (1 << 31, OverflowError)], ids=["float", "negative", "2**31"]
+)
+def test_scan_checks_every_letter_before_and_after_a_violation(bad, error):
+    # the scan's inline test passes only ints in range; any other letter
+    # goes to the same check as before, whether the scan is still stepping
+    # or already past its first violation
+    for word in ([0, 1, bad, 0, 1], [0, 1, 0, 1, 0, bad]):
+        with pytest.raises(error):
+            contains_forbidden(word, E32)
+        with pytest.raises(error):
+            contains_forbidden(iter(word), E32, EXACT)
+    assert contains_forbidden([True, False, True], E32) == Occurrence(0, 2, 3)
+    assert contains_forbidden([np.int64(0), True, np.int64(0), 1, False], Exponent(2, 1)) == Occurrence(0, 2, 4)
+    # numpy's bool is no integer to operator.index, as before
+    with pytest.raises(TypeError):
+        contains_forbidden([0, 1, np.bool_(False)], E32)
+
+
 def _random_word(rng):
     n = rng.randint(1, 40)
     alphabet = rng.choice(((0, 1), (0, 1, 2), (0, 1, 2, 3)))
@@ -182,11 +210,11 @@ def test_run_table_follows_append_pop_walks(steps, exponent, mode):
             if word:
                 assert idx.pop() == word.pop()
         else:
-            # appended through the overlap rule's letter step, which must
-            # name that rule's smallest period and keep the mode's rule
+            # appended through the overlap rule's one-letter scan, which
+            # must name that rule's smallest period and keep the mode's rule
             # following; a blocked letter is then appended plainly
             overlap = idx.blocked(2, 1, strict=True).get(step)
-            assert idx.append_unless_blocked(step, 2, 1, strict=True) == overlap
+            assert idx.extend_unless_blocked((step,), 2, 1, strict=True) == overlap
             if overlap is not None:
                 idx.append(step)
             word.append(step)
@@ -334,18 +362,19 @@ def _tracked_state(rule):
     return rule._masks, rule._runs, rule._kept, rule._due, rule._open
 
 
-def _step_put_back(rule, word, letter):
-    """``rule.step(word, letter)``, with the rule then put back as it was.
-    Asked right after ``blocked`` at the same length, a step refreshes
-    nothing; a clean one changes its letter's mask in place or adds it,
-    drops the mask of the letter leaving the window, and sets the runs and
-    the kept list."""
+def _scan_put_back(rule, word, letter):
+    """``rule.scan(word, (letter,))``, with the rule and ``word`` then put
+    back as they were.  Asked right after ``blocked`` at the same length, a
+    scan refreshes nothing; a clean letter is appended, changes its mask in
+    place or adds it, drops the mask of the letter leaving the window, and
+    sets the runs and the kept list."""
     n, masks = len(word), rule._masks
     gone = word[n + 1 - rule._size] if n + 1 >= rule._size else None
     own, old = masks.get(letter), masks.get(gone)
     saved, runs, kept = own and own[:], rule._runs, rule._kept
-    period = rule.step(word, letter)
+    period = rule.scan(word, (letter,))
     if period is None:
+        assert word.pop() == letter
         if own:
             own[:] = saved
         else:
@@ -360,18 +389,20 @@ def _follow_dense(word, queries, seed, quiet=0):
     """Append ``word`` letter by letter to an ``LceIndex`` and to the dense
     run table; after every append from the ``quiet``-th letter on, the whole
     blocked map of each query and the run of a few seeded periods must
-    agree.  Each rule's letter step must then name, for every letter among
-    the last S positions and one that never occurs, the period that the
-    rule's map names for it.  A twin of each rule, built when the rule is
-    and advanced by the step (and by ``push`` after a hit), must hold the
-    masks, runs, kept list, next refresh and next band opening of the rule
-    that ``push`` advances."""
+    agree.  Each rule's one-letter scan must then name, for every letter
+    among the last S positions and one that never occurs, the period that
+    the rule's map names for it.  A twin of each rule, built when the rule
+    is and advanced by one-letter scans (and by ``push`` after a hit), must
+    hold the masks, runs, kept list, next refresh and next band opening of
+    the rule that ``push`` advances."""
     rng = random.Random(seed)
     idx, dense = LceIndex(), oracle.DenseRunTable()
     letters, twins, absent = [], {}, max(word, default=0) + 1
     for v in word:
         for twin in twins.values():
-            if twin.step(letters, v) is not None:
+            if twin.scan(letters, (v,)) is None:
+                letters.pop()
+            else:
                 twin.push(letters, len(letters), v)
         idx.append(v)
         dense.append(v)
@@ -386,7 +417,7 @@ def _follow_dense(word, queries, seed, quiet=0):
         for key, rule in idx._rules.items():
             blocked = idx.blocked(*key)
             for c in {*letters[-rule._size :], absent}:
-                assert _step_put_back(rule, letters, c) == blocked.get(c), (key, n, c)
+                assert _scan_put_back(rule, letters, c) == blocked.get(c), (key, n, c)
             if key not in twins:
                 p, q, strict, first, step = key
                 twins[key] = detect._Rule(p, q, bool(strict), first, step, letters)
@@ -417,6 +448,71 @@ def _near_periodic(rng, n):
     for _ in range(n // 100):
         word[rng.randrange(n)] = rng.randrange(4)
     return word
+
+
+# every rule a scan asks: each test exponent in both modes, as
+# (name, options of LceIndex.blocked, its greedy word), and the x32 checks'
+SCAN_RULES = [
+    *((f"{e} {m.value}", (e.p, e.q, False, *m.periods(e.q)), lambda n, e=e, m=m: generate(e, m, n))
+      for e in EXPONENTS for m in (THRESHOLD, EXACT)),
+    ("2/1 from 2", (2, 1, False, 2, 1), x32_prefix),
+    ("2/1 strict", (2, 1, True, 1, 1), x32_prefix),
+]
+
+
+def _scan_word(kind, greedy, rng):
+    """A seeded word of 4,500 letters: random over 2 to 64 letters,
+    near-periodic, or the rule's greedy word with one letter past 4,097
+    changed, lowered where it can be (which a greedy word's rule blocks)."""
+    if kind == "random":
+        alphabet = rng.choice((2, 3, 8, 64))
+        return [rng.randrange(alphabet) for _ in range(4_500)]
+    if kind == "near-periodic":
+        return _near_periodic(rng, 4_500)
+    word = greedy(4_500)
+    pos = rng.randrange(4_100, 4_500)
+    word[pos] = rng.randrange(word[pos]) if word[pos] else word[pos] + 1
+    return word
+
+
+def _extend_stops(idx, word, size, options):
+    """``extend_unless_blocked`` over ``word`` cut in chunks of ``size``
+    letters, each blocked letter then appended plainly and the chunk's
+    scan resumed: the position and the period of every stop."""
+    stops = []
+    for k in range(0, len(word), size):
+        chunk = iter(word[k : k + size])
+        while (period := idx.extend_unless_blocked(chunk, *options)) is not None:
+            stops.append((len(idx), period))
+            idx.append(word[len(idx)])
+    assert idx.to_list() == word
+    return stops
+
+
+@pytest.mark.parametrize("kind", ["random", "near-periodic", "mutated greedy"])
+@pytest.mark.parametrize("options,greedy", [r[1:] for r in SCAN_RULES], ids=[r[0] for r in SCAN_RULES])
+def test_extend_stops_where_the_dense_table_blocks(options, greedy, kind):
+    # the dense table, walked letter by letter, blocks a letter when its map
+    # names it, with the smallest period named; the scan must stop at the
+    # first such letter with that period, and at every later one once the
+    # blocked letter is appended, fed whole, in chunks of 1, 7 and 4,097
+    # letters, or one letter at a time beside a second rule that follows
+    # each append
+    word = _scan_word(kind, greedy, random.Random(f"extend/{options}/{kind}"))
+    dense, expected = oracle.DenseRunTable(), []
+    for i, v in enumerate(word):
+        period = dense.blocked(*options).get(v)
+        if period is not None:
+            expected.append((i, period))
+        dense.append(v)
+    # a greedy word is clean under its own rule up to the changed letter
+    assert kind != "mutated greedy" or all(i >= 4_100 for i, _ in expected)
+    for size in (len(word), 1, 7, 4_097):
+        assert _extend_stops(LceIndex(), word, size, options) == expected, size
+    idx = LceIndex()
+    idx.blocked(3, 2)
+    assert _extend_stops(idx, word, len(word), options) == expected
+    assert idx.blocked(3, 2) == dense.blocked(3, 2)
 
 
 @pytest.mark.parametrize("kind", ["random", "near-periodic"])
@@ -535,6 +631,12 @@ def test_letter_masks_stay_within_the_window(mode):
         idx.append(v)
         (rule,) = idx._rules.values()
         assert len(rule._masks) <= rule._size, v
+    # so does one scan loop over them, which drops the masks itself
+    first, step = mode.periods(E32.q)
+    idx = LceIndex()
+    assert idx.extend_unless_blocked(range(10_000), E32.p, E32.q, first=first, step=step) is None
+    (rule,) = idx._rules.values()
+    assert len(rule._masks) <= rule._size
 
 
 @pytest.mark.parametrize("mode", [THRESHOLD, EXACT], ids=["threshold", "exact"])
@@ -683,7 +785,7 @@ def test_first_query_on_a_word_replays_enough_letters(options, S, top, need, kin
     # a rule first asked at length n rebuilds its bits from the last
     # top + need(top) letters; at every length up to S + K + 2 the first
     # query of a fresh index equals the dense table's, and so does the
-    # letter step of each letter among the last S positions.  The periodic
+    # one-letter scan of each letter among the last S positions.  The periodic
     # word repeats ``top`` distinct letters, so run(top) reaches its need
     # and top is the smallest period blocking its letter.
     rng = random.Random(f"replay/{top}/{kind}")
@@ -699,7 +801,7 @@ def test_first_query_on_a_word_replays_enough_letters(options, S, top, need, kin
         assert idx.blocked(*options) == blocked, n
         (rule,) = idx._rules.values()
         for c in {*word[max(0, n - S) : n], 4096}:
-            assert _step_put_back(rule, idx._word, c) == blocked.get(c), (n, c)
+            assert _scan_put_back(rule, idx._word, c) == blocked.get(c), (n, c)
         if n < size:
             dense.append(word[n])
     assert rule._size == S
@@ -777,9 +879,10 @@ def test_greedy_step_on_a_word_first_asked_at_each_length(kind):
 
 
 def test_greedy_steps_mixed_with_other_appends_on_one_index():
-    # one index, four ways to append: plain appends and overlap letter steps
-    # leave the greedy rules' windows stale, so the next greedy step reads
-    # them again; every rule follows every append
+    # one index, four ways to append: plain appends and overlap scans of one
+    # to four letters, which step each letter and push it to the other
+    # rules, leave the greedy rules' windows stale, so the next greedy step
+    # reads them again; every rule follows every append
     rng = random.Random("step/mixed")
     idx, dense, word = LceIndex(), oracle.DenseRunTable(), []
     rules = [(Exponent(101, 100), THRESHOLD), (Exponent(4, 3), THRESHOLD), (E32, THRESHOLD), (E32, EXACT)]
@@ -789,11 +892,16 @@ def test_greedy_steps_mixed_with_other_appends_on_one_index():
             letter = rng.randrange(4)
             idx.append(letter)
         elif kind == 1:
-            letter = rng.randrange(4)
-            period = dense.blocked(2, 1, strict=True).get(letter)
-            assert idx.append_unless_blocked(letter, 2, 1, strict=True) == period, i
-            if period is not None:
-                continue
+            period = None
+            letters = [rng.randrange(4) for _ in range(rng.randint(1, 4))]
+            for letter in letters:
+                period = dense.blocked(2, 1, strict=True).get(letter)
+                if period is not None:
+                    break
+                dense.append(letter)
+                word.append(letter)
+            assert idx.extend_unless_blocked(letters, 2, 1, strict=True) == period, i
+            continue
         else:
             exponent, mode = rng.choice(rules)
             letter = _dense_least(dense, exponent, mode)

@@ -1,9 +1,13 @@
-"""Smoke runs of the scripts under ``scripts/``, each in a fresh interpreter."""
+"""Smoke runs of the scripts under ``scripts/``, each in a fresh interpreter,
+and of the row function of ``scripts/bench.py`` in this one."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from lexleast.checks import BATTERY
 
@@ -61,3 +65,23 @@ def test_explore_exponents_into_closed_pipe_exits_quietly():
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+def _bench():
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_rows_at_their_smallest_size():
+    # each row of scripts/bench.py times a clean verdict at its smallest
+    # size; the slope needs two sizes, and reads 1 on times linear in them
+    bench = _bench()
+    for name, (_, sizes) in bench.ROWS.items():
+        result = bench.row(name, sizes[:1], repeats=1)
+        assert result["sizes"] == [sizes[0]] == [10_000], name
+        assert result["seconds"][0] > 0 and result["slope"] is None, name
+    assert bench.slope([10, 1_000], [0.5, 50.0]) == pytest.approx(1.0)
+    # perfbench's reference loop, loaded from its file, times itself
+    assert bench.reference_loop()() > 0
