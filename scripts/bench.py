@@ -1,26 +1,32 @@
 #!/usr/bin/env python3
 """Time the scan path at several sizes and write ``BENCH_<label>.json``.
 
-    python scripts/bench.py --label NAME [--repeats 3] [--out DIR]
+    python scripts/bench.py --label NAME [--out DIR]
 
-Standard library only.  Each row times one verdict on a clean prefix, the
-median of ``--repeats`` calls at each size, and fits the slope of log time
-against log size (1 means linear in the letters):
+Standard library only.  Each row times one verdict on a clean prefix,
+``REPEATS`` calls at each size, and fits the slope of log time against log
+size (1 means linear in the letters):
 
 * ``contains_forbidden`` on w32 (3/2, threshold) and on x32 (3/2, exact)
   at 10^4, 3*10^4, 10^5 and 10^6 letters;
 * ``check_x_squares`` and ``check_x_overlapfree`` on x32 at 10^4 and 10^5.
 
-The words are built before the clock starts.  The environment block holds
-the Python version, the CPU count, the git revision of the measured
-``lexleast`` sources and the raw times of perfbench's reference loop for
-``scan``, taken before and after the rows: the speed of a shared machine
-swings from run to run, so two files are compared through those times.
+The words are built before the clock starts.  The speed of a shared
+machine drifts within a run and swings between runs, so every timed call
+sits between two calls of perfbench's reference loop for ``scan``, and is
+scaled as perfbench scales a job: to a machine where that loop takes
+``REFERENCE_S``.  A row keeps, at each size, the median raw seconds, the
+median reference time next to them and the median scaled seconds; its
+microseconds per letter and slope are read from the scaled ones, so two
+files compare through them.  The environment block holds the Python
+version, the CPU count and the git revision of the measured ``lexleast``
+sources.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.util
 import json
 import math
@@ -43,6 +49,7 @@ ROOT = Path(__file__).resolve().parent.parent
 E32 = Exponent(3, 2)
 SCAN_SIZES = (10_000, 30_000, 100_000, 1_000_000)
 CHECK_SIZES = (10_000, 100_000)
+REPEATS = 3
 
 
 def _scan(make: Callable[[int], list[int]], mode: AvoidanceMode) -> Callable[[int], Callable[[], bool]]:
@@ -84,23 +91,33 @@ def slope(sizes: Sequence[int], seconds: Sequence[float]) -> float | None:
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
 
 
-def row(name: str, sizes: Sequence[int], repeats: int) -> dict:
-    """The median seconds of ``repeats`` timed calls of row ``name`` at each
-    size, with microseconds per letter and the fitted slope."""
+def row(name: str, sizes: Sequence[int], repeats: int = REPEATS) -> dict:
+    """``repeats`` timed calls of row ``name`` at each size, each between two
+    calls of the reference loop.  Per size: the median raw seconds, the
+    median reference seconds (mean of the loop just before and just after a
+    call) and the median scaled seconds; microseconds per letter and the
+    fitted slope come from the scaled seconds."""
     prepare, _ = ROWS[name]
-    seconds = []
+    reference, scaled = reference_loop(), _perfbench().scaled
+    raw, references, seconds = [], [], []
     for n in sizes:
-        call, times = prepare(n), []
+        call, times, refs = prepare(n), [], []
         for _ in range(repeats):
+            before = reference()
             t0 = time.perf_counter()
             clean = call()
             times.append(time.perf_counter() - t0)
+            refs.append((before + reference()) / 2)
             if not clean:
                 raise RuntimeError(f"{name} at {n} letters: the prefix is not clean")
-        seconds.append(statistics.median(times))
+        raw.append(statistics.median(times))
+        references.append(statistics.median(refs))
+        seconds.append(statistics.median(scaled(t, r) for t, r in zip(times, refs)))
     return {
         "row": name,
         "sizes": list(sizes),
+        "raw_seconds": raw,
+        "reference_s": references,
         "seconds": seconds,
         "us_per_letter": [s / n * 1e6 for n, s in zip(sizes, seconds)],
         "slope": slope(sizes, seconds),
@@ -108,7 +125,13 @@ def row(name: str, sizes: Sequence[int], repeats: int) -> dict:
 
 
 def reference_loop() -> Callable[[], float]:
-    """perfbench's reference loop for ``scan``, loaded from its file."""
+    """perfbench's reference loop for ``scan``."""
+    return _perfbench().REFERENCES["scan"]
+
+
+@functools.cache
+def _perfbench():
+    """perfbench's driver module, loaded once from its file."""
     folder = str(ROOT / "perfbench")
     sys.path.insert(0, folder)  # run.py imports its tracer by module name
     try:
@@ -119,7 +142,7 @@ def reference_loop() -> Callable[[], float]:
         spec.loader.exec_module(module)
     finally:
         sys.path.remove(folder)
-    return module.REFERENCES["scan"]
+    return module
 
 
 def revision() -> str | None:
@@ -137,28 +160,22 @@ def revision() -> str | None:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
-    parser.add_argument("--repeats", type=int, default=3, help="timed calls per size (default 3)")
     parser.add_argument("--out", type=Path, default=ROOT, help="directory of the file (default: the repository)")
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
-    reference = reference_loop()
-    before = [reference() for _ in range(5)]
     rows = []
     for name, (_, sizes) in ROWS.items():
-        rows.append(row(name, sizes, args.repeats))
+        rows.append(row(name, sizes))
         print(f"{name}: " + ", ".join(f"{us:.2f}" for us in rows[-1]["us_per_letter"]) + " us/letter", file=sys.stderr)
-    after = [reference() for _ in range(5)]
     report = {
-        "schema": "bench/1",
+        "schema": "bench/2",
         "label": args.label,
         "environment": {
             "python": platform.python_version(),
             "implementation": platform.python_implementation(),
             "cpu_count": os.cpu_count(),
             "git_revision": revision(),
-            "repeats": args.repeats,
-            "reference_loop_s": {"before": before, "after": after},
+            "repeats": REPEATS,
+            "scaled_to_reference_s": _perfbench().REFERENCE_S,
         },
         "rows": rows,
     }

@@ -76,12 +76,16 @@ def _bench():
 
 def test_bench_rows_at_their_smallest_size():
     # each row of scripts/bench.py times a clean verdict at its smallest
-    # size; the slope needs two sizes, and reads 1 on times linear in them
+    # size beside the reference loop, and scales it as perfbench does; the
+    # slope needs two sizes, and reads 1 on times linear in them
     bench = _bench()
     for name, (_, sizes) in bench.ROWS.items():
         result = bench.row(name, sizes[:1], repeats=1)
         assert result["sizes"] == [sizes[0]] == [10_000], name
-        assert result["seconds"][0] > 0 and result["slope"] is None, name
+        raw, ref, scaled = result["raw_seconds"][0], result["reference_s"][0], result["seconds"][0]
+        assert raw > 0 and ref > 0 and result["slope"] is None, name
+        assert scaled == pytest.approx(raw * bench._perfbench().REFERENCE_S / ref), name
+        assert result["us_per_letter"][0] == pytest.approx(scaled / 10_000 * 1e6), name
     assert bench.slope([10, 1_000], [0.5, 50.0]) == pytest.approx(1.0)
     # perfbench's reference loop, loaded from its file, times itself
     assert bench.reference_loop()() > 0
