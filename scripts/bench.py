@@ -98,7 +98,8 @@ def row(name: str, sizes: Sequence[int], repeats: int = REPEATS) -> dict:
     call) and the median scaled seconds; microseconds per letter and the
     fitted slope come from the scaled seconds."""
     prepare, _ = ROWS[name]
-    reference, scaled = reference_loop(), _perfbench().scaled
+    perfbench = _perfbench()
+    reference, scaled = perfbench.REFERENCES["scan"], perfbench.scaled
     raw, references, seconds = [], [], []
     for n in sizes:
         call, times, refs = prepare(n), [], []
@@ -122,11 +123,6 @@ def row(name: str, sizes: Sequence[int], repeats: int = REPEATS) -> dict:
         "us_per_letter": [s / n * 1e6 for n, s in zip(sizes, seconds)],
         "slope": slope(sizes, seconds),
     }
-
-
-def reference_loop() -> Callable[[], float]:
-    """perfbench's reference loop for ``scan``."""
-    return _perfbench().REFERENCES["scan"]
 
 
 @functools.cache
