@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
-"""Time the scan path at several sizes and write ``BENCH_<label>.json``.
+"""Time greedy and the scan path at several sizes and write ``BENCH_<label>.json``.
 
     python scripts/bench.py --label NAME [--out DIR]
 
-Standard library only.  Each row times one verdict on a clean prefix,
-``REPEATS`` calls at each size, and fits the slope of log time against log
-size (1 means linear in the letters):
+Standard library only.  Each row times one call, ``REPEATS`` calls at each
+size, and fits the slope of log time against log size (1 means linear in
+the letters):
 
-* ``contains_forbidden`` on w32 (3/2, threshold) and on x32 (3/2, exact)
-  at 10^4, 3*10^4, 10^5 and 10^6 letters;
+* ``GreedyState(...).extend_to(n)`` for w32 (3/2, threshold) and x32
+  (3/2, exact) at 10^4, 3*10^4 and 10^5 letters, and for 401/400
+  threshold at 3*10^3 and 10^4;
+* ``contains_forbidden`` on w32 and on x32 at 10^4, 3*10^4, 10^5 and 10^6
+  letters, each a clean verdict;
 * ``check_x_squares`` and ``check_x_overlapfree`` on x32 at 10^4 and 10^5.
 
-The words are built before the clock starts.  The speed of a shared
+The scanned words are built before the clock starts.  The speed of a shared
 machine drifts within a run and swings between runs, so every timed call
 sits between two calls of perfbench's reference loop for ``scan``, and is
 scaled as perfbench scales a job: to a machine where that loop takes
@@ -43,13 +46,31 @@ import lexleast
 from lexleast.checks import CheckReport, check_x_overlapfree, check_x_squares
 from lexleast.detect import AvoidanceMode, contains_forbidden
 from lexleast.formulas import w32_prefix, x32_prefix
+from lexleast.greedy import GreedyState
 from lexleast.words import Exponent
 
 ROOT = Path(__file__).resolve().parent.parent
 E32 = Exponent(3, 2)
+GREEDY_SIZES = (10_000, 30_000, 100_000)
+NEAR_ONE_SIZES = (3_000, 10_000)
 SCAN_SIZES = (10_000, 30_000, 100_000, 1_000_000)
 CHECK_SIZES = (10_000, 100_000)
 REPEATS = 3
+
+
+def _greedy(exponent: Exponent, mode: AvoidanceMode) -> Callable[[int], Callable[[], bool]]:
+    """A greedy row: the timed call builds the word of n letters from
+    scratch, and is True once it holds them."""
+
+    def prepare(n: int) -> Callable[[], bool]:
+        def call() -> bool:
+            state = GreedyState(exponent, mode)
+            state.extend_to(n)
+            return len(state) == n
+
+        return call
+
+    return prepare
 
 
 def _scan(make: Callable[[int], list[int]], mode: AvoidanceMode) -> Callable[[int], Callable[[], bool]]:
@@ -75,6 +96,9 @@ def _check(check: Callable[..., CheckReport]) -> Callable[[int], Callable[[], bo
 
 # row name -> (the timed call at each size, the sizes)
 ROWS: dict[str, tuple[Callable[[int], Callable[[], bool]], Sequence[int]]] = {
+    "greedy w32 threshold": (_greedy(E32, AvoidanceMode.THRESHOLD), GREEDY_SIZES),
+    "greedy x32 exact": (_greedy(E32, AvoidanceMode.EXACT), GREEDY_SIZES),
+    "greedy 401/400 threshold": (_greedy(Exponent(401, 400), AvoidanceMode.THRESHOLD), NEAR_ONE_SIZES),
     "contains_forbidden w32 threshold": (_scan(w32_prefix, AvoidanceMode.THRESHOLD), SCAN_SIZES),
     "contains_forbidden x32 exact": (_scan(x32_prefix, AvoidanceMode.EXACT), SCAN_SIZES),
     "check_x_squares": (_check(check_x_squares), CHECK_SIZES),
@@ -110,7 +134,7 @@ def row(name: str, sizes: Sequence[int], repeats: int = REPEATS) -> dict:
             times.append(time.perf_counter() - t0)
             refs.append((before + reference()) / 2)
             if not clean:
-                raise RuntimeError(f"{name} at {n} letters: the prefix is not clean")
+                raise RuntimeError(f"{name} at {n} letters: the call's check failed")
         raw.append(statistics.median(times))
         references.append(statistics.median(refs))
         seconds.append(statistics.median(scaled(t, r) for t, r in zip(times, refs)))
@@ -141,16 +165,21 @@ def _perfbench():
     return module
 
 
-def revision() -> str | None:
-    """``git describe --always --dirty`` of the measured package's sources."""
+def revision(sources: Path = Path(lexleast.__file__).parent.parent) -> str | None:
+    """``git describe --always`` of the checkout holding ``sources`` (the
+    measured package's ``src``), with ``-dirty`` only when a file under
+    ``sources`` differs from it: a BENCH file written elsewhere in the
+    checkout leaves the next run clean."""
+
+    def git(*args: str) -> str:
+        proc = subprocess.run(["git", *args], cwd=sources, capture_output=True, text=True, timeout=30)
+        return proc.stdout.strip()
+
     try:
-        proc = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=Path(lexleast.__file__).parent, capture_output=True, text=True, timeout=30,
-        )
+        commit, changed = git("describe", "--always"), git("status", "--porcelain", "--", ".")
     except OSError:
         return None
-    return proc.stdout.strip() or None
+    return commit + "-dirty" * bool(changed) if commit else None
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -331,13 +331,13 @@ def check_x_squares(
     length: int = 10_000, source: str | Sequence[int] = "x32"
 ) -> CheckReport:
     """Every square factor has a one-letter root, and that letter is 0 or 1:
-    one batched ``LceIndex.extend_unless_blocked`` call finds the longer
-    roots, over the letters before the first square vv with v > 1."""
+    one ``LceIndex.scan`` call finds the longer roots, over the letters
+    before the first square vv with v > 1."""
     name, letters, _, _ = _resolve(source, E32, EXACT, length)
     params = {"target": name, "length": length}
     stop = next((i for i in range(1, len(letters)) if letters[i] == letters[i - 1] > 1), len(letters))
-    idx = LceIndex()
-    root = idx.extend_unless_blocked(islice(letters, stop), 2, 1, first=2)
+    idx = LceIndex(2, 1, first=2)
+    root = idx.scan(islice(letters, stop))
     end, violation = len(idx), None
     if root is not None:
         violation = Violation("square-root-too-long", end, {"start": end + 1 - 2 * root, "root_length": root})
@@ -364,12 +364,12 @@ def check_x_overlapfree(
     length: int = 10_000, source: str | Sequence[int] = "x32"
 ) -> CheckReport:
     """No factor of shape a x a x a (single letter a, x possibly empty), i.e.
-    of exponent above 2: one batched ``LceIndex.extend_unless_blocked`` call
-    stops at the first, with period |a x|."""
+    of exponent above 2: one ``LceIndex.scan`` call stops at the first, with
+    period |a x|."""
     name, letters, _, _ = _resolve(source, E32, EXACT, length)
     params = {"target": name, "length": length}
-    idx = LceIndex()
-    period = idx.extend_unless_blocked(letters, 2, 1, strict=True)
+    idx = LceIndex(2, 1, strict=True)
+    period = idx.scan(letters)
     i = len(idx)
     violation = None if period is None else Violation("overlap", i, {"start": i - 2 * period, "period": period})
     return CheckReport("x-overlap", params, violation)

@@ -12,32 +12,32 @@ When the prefix before position n is clean, a new forbidden factor can only
 end at n, so every question here is one query: which letters at position n
 would complete a forbidden factor?  For each candidate period P, every
 compared letter but the last is already committed, and the last pits the
-letter at n against ``word[n - P]``.  One scan over the periods therefore
-yields every blocked letter with its smallest period
-(``LceIndex.blocked``, for the tests).  Greedy, and the minimality check
-that runs it, needs only the least letter missing from it: its step
-(``LceIndex.threshold_hit`` or ``exact_hit``) ORs the blocked letters into
-one int and appends the letter of its lowest clear bit.  Callers that know
-their letters (``contains_forbidden``, ``forbidden_suffix`` and, through
-``LceIndex.extend_unless_blocked``, the x32 structure checks) run one loop,
-``_Rule.scan``, which appends each letter up to the first that a period
-blocks, read with its smallest period from that letter's own mask.
+letter at n against ``word[n - P]``.  One pass over the periods therefore
+yields every blocked letter with its smallest period (``LceIndex.blocked``,
+for the tests and a fallback of greedy's step).  Greedy, and the minimality
+check that runs it, needs only the least letter missing from it: its step
+(``LceIndex.threshold_hit``, also named ``exact_hit``) ORs the blocked
+letters into one int and appends the letter of its lowest clear bit.
+Callers that know their letters (``contains_forbidden``, ``forbidden_suffix``
+and the x32 structure checks) make one ``LceIndex.scan`` call, one loop
+that appends each letter up to the first that a period blocks, read with
+its smallest period from that letter's own mask.
 
 Let run(P) be the length of the longest suffix of the word with period P.
 Every query asks one need rule: P blocks ``word[n - P]`` when
 q * run(P) >= (p - q) * P - q, i.e. when the factor of length
 P + run(P) + 1 reaches exponent p/q; need(P) is the least such run.  As
 run(P) <= n - P, only a period with P + need(P) <= n can block, so the rule
-bounds the periods itself: a caller names an exponent, a first period and
-a step.  Threshold mode asks it over every period, exact mode over the
-multiples of q (period q*t reaches exponent p/q exactly at length p*t), and
-the x32 structure checks for exponent 2.  The discipline is chosen in one
-place, ``AvoidanceMode.periods`` (first period and step) and ``.query``
-(greedy's step), so a mode that is not an ``AvoidanceMode`` fails at once.
+bounds the periods itself: an index is built for an exponent, a first
+period and a step.  Threshold mode asks it over every period, exact mode
+over the multiples of q (period q*t reaches exponent p/q exactly at length
+p*t), and the x32 structure checks for exponent 2.  The discipline is
+chosen in one place, ``AvoidanceMode.periods`` (first period and step), so
+a mode that is not an ``AvoidanceMode`` fails at once.
 There are no hashes: every verdict rests on letter comparisons.
 
-``LceIndex`` keeps the letters in a list and, for each rule it is asked
-about, the runs that can still reach their need.
+``LceIndex`` keeps the letters in a list and, for its one need rule, the
+runs that can still reach their need.
 
 * Below S (32, doubled until need(S) >= 1, then while the run slots of
   twice S, 2S * need(2S) bits, fit in 2048: 64 at 3/2) the run of every
@@ -46,8 +46,8 @@ about, the runs that can still reach their need.
   c among the last S - 1 positions, a mask holds the periods P < S with
   ``word[n - P] == c``.  It is stored as of the length at which c was last appended and
   shifted when next read, so an append touches only the new letter's mask,
-  and it goes once c's last occurrence leaves the window, so a rule holds at
-  most S masks whatever the alphabet.  One int ``runs`` holds in its S-bit
+  and it goes once c's last occurrence leaves the window, so an index holds
+  at most S masks whatever the alphabet.  One int ``runs`` holds in its S-bit
   slot k, for k = 1..K (K the largest need kept in bits), the periods with
   run(P) >= k.  Appending a letter with mask M lengthens exactly the runs of
   the periods in M, so ``runs = ((runs | ONES) << S) & (M * REP)``: ONES
@@ -60,7 +60,7 @@ about, the runs that can still reach their need.
   ``runs & NEEDMASK & M * REP``, the lowest bit giving the smallest; the
   same ``M * REP`` then serves the append.  The
   bits at length n rest on the last T + need(T) letters only, T the largest
-  period kept in bits, so a rule first asked on a long word replays those.
+  period kept in bits, so an index built on a long word replays those.
 * Greedy's step sets a bit for each blocked letter below S (the map is
   read only if all are: periods below S block at most S - 1 letters).  The
   need-0 periods 1..Z of threshold mode block the last Z positions'
@@ -115,7 +115,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from enum import Enum
 from operator import index
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .words import Exponent, Occurrence, Word
 
@@ -123,11 +123,6 @@ from .words import Exponent, Occurrence, Word
 class AvoidanceMode(Enum):
     THRESHOLD = "threshold"
     EXACT = "exact"
-
-    def query(self) -> Callable[[LceIndex, int, int], int]:
-        """The discipline's greedy step ``query(idx, p, q)``, which appends
-        the least free letter, read from the class at each call."""
-        return LceIndex.threshold_hit if self is AvoidanceMode.THRESHOLD else LceIndex.exact_hit
 
     def periods(self, q: int) -> tuple[int, int]:
         """The first period and the step of the periods the discipline asks
@@ -162,20 +157,32 @@ class _Band:
         self.due = due
 
 
-class _Rule:
-    """One need rule over one arithmetic range of periods, tracked along the
-    word: below S the letter masks and the run slots of the module
-    docstring, above it the (P, at) pairs of the bands' kept periods, in
-    ascending P, ``at`` being the length from which P blocks."""
+class LceIndex:
+    """A word and one need rule tracked along it: exponent p/q (above p/q
+    when ``strict``: for q = 1, one more letter of run) over the periods
+    first, first + step, ...  Below S it keeps the letter masks and the run
+    slots of the module docstring, above it the (P, at) pairs of the bands'
+    kept periods, in ascending P, ``at`` being the length from which P
+    blocks.  P can block only when P + need(P) <= n, so the rule names no
+    upper bound.
 
-    __slots__ = ("_a", "_b", "_q", "_step", "_size", "_zero", "_ones", "_rep", "_needmask",
+    Letters are natural numbers below 2**31, kept in a list.  Given
+    ``letters``, the index checks each and replays only the last ones that
+    the bits rest on; bands open and refresh at queries, and every append
+    follows the state.
+    """
+
+    __slots__ = ("_word", "_args", "_a", "_b", "_q", "_step", "_size", "_zero", "_ones", "_rep", "_needmask",
                  "_masks", "_runs", "_lo", "_first", "_open", "_bands", "_kept", "_due", "_zerobits",
                  "_window", "_win", "_wat")
 
-    def __init__(self, p: int, q: int, strict: bool, start: int, step: int, word: list[int]) -> None:
-        if q < 1 or p <= q or start < 1 or step < 1:
-            raise ValueError(f"need p > q >= 1, first >= 1 and step >= 1, got {p}/{q}, {start}, {step}")
-        self._a, self._b, self._q, self._step = p - q, strict - q, q, step
+    def __init__(
+        self, p: int, q: int, strict: bool = False, first: int = 1, step: int = 1, letters: Iterable[int] = ()
+    ) -> None:
+        if q < 1 or p <= q or first < 1 or step < 1:
+            raise ValueError(f"need p > q >= 1, first >= 1 and step >= 1, got {p}/{q}, {first}, {step}")
+        self._args = (p, q, strict, first, step)
+        self._a, self._b, self._q, self._step = p - q, bool(strict) - q, q, step
         S = 32
         while self.need(S) < 1:
             S *= 2
@@ -185,14 +192,14 @@ class _Rule:
         # the periods kept in bits: those below S with need(P) <= 4S (all of
         # them up to exponent 5), so that the run slots hold at most 4S**2
         # bits whatever the exponent; the others join the first band
-        small = range(start, S, step)
+        small = range(first, S, step)
         small = small[: sum(self.need(P) <= 4 * S for P in small)]
         # the periods of need 0, which block word[n - P] as soon as P <= n
         self._zero = small[: sum(self.need(P) == 0 for P in small)]
         self._zerobits = sum(1 << P for P in self._zero)
-        # from Z = 3 on (two are read faster than kept) ``least_free`` keeps the letters
+        # from Z = 3 on (two are read faster than kept) greedy's step keeps the letters
         # of threshold mode's need-0 periods 1..Z in ``_win``, current at length ``_wat``
-        self._window = len(self._zero) if start == step == 1 and len(self._zero) > 2 else 0
+        self._window = len(self._zero) if first == step == 1 and len(self._zero) > 2 else 0
         self._win, self._wat = 0, -1
         top = small[-1] if small else 0
         self._size, self._ones = S, (1 << S) - 1
@@ -203,24 +210,45 @@ class _Rule:
         self._runs = 0
         # the next band's first period and lower bound S * 2**i, and the
         # length at which it opens, first + need(first)
-        self._first, self._lo = start + len(small) * step, S
+        self._first, self._lo = first + len(small) * step, S
         self._open = self._first + self.need(self._first)
         self._bands: list[_Band] = []
         self._kept: list[tuple[int, int]] = []
         # the length at which the next band opens or one is refreshed
         self._due = 0
+        self._word = word = [_checked(v) for v in letters]
         # the bits at n rest on the last top + need(top) letters alone
         n = len(word)
         for i in range(max(0, n - top - self.need(top)), n):
-            self.push(word, i, word[i])
+            self._push(i, word[i])
+
+    def __len__(self) -> int:
+        return len(self._word)
+
+    def to_list(self) -> list[int]:
+        return list(self._word)
 
     def need(self, period: int) -> int:
         """Least run with which ``period`` blocks a letter."""
         return max(0, -(-(self._a * period + self._b) // self._q))
 
-    def push(self, word: list[int], n: int, letter: int) -> None:
-        """Follow the append of ``letter`` at position n."""
-        S, masks = self._size, self._masks
+    def append(self, letter: int) -> None:
+        letter = _checked(letter)
+        self._push(len(self._word), letter)
+        self._word.append(letter)
+
+    def pop(self) -> int:
+        """Remove and return the last letter.  The index is built again on
+        the rest, which checks each letter and replays the last ones."""
+        if not self._word:
+            raise IndexError("pop from empty index")
+        *rest, letter = self._word
+        self.__init__(*self._args, rest)
+        return letter
+
+    def _push(self, n: int, letter: int) -> None:
+        """Follow the append of ``letter`` at position n, before it is made."""
+        S, masks, word = self._size, self._masks, self._word
         last = masks.get(letter)
         if last is None:
             masks[letter] = [2, n + 1]
@@ -242,21 +270,21 @@ class _Rule:
                 self._kept = [e for e in kept if word[n - e[0]] == letter]
                 break
 
-    def scan(self, word: list[int], letters: Iterable[int]) -> int | None:
-        """Append ``letters`` to ``word`` in turn, each followed as ``push``
-        does, up to the first that a period blocks: return its smallest
-        period, read from its own mask (None once all are in), the state
-        kept in locals meanwhile."""
+    def scan(self, letters: Iterable[int]) -> int | None:
+        """Append ``letters`` in turn, each followed as ``append`` does, up to
+        the first that a period blocks: return its smallest period, read
+        from its own mask (None once all are in), the state kept in locals
+        meanwhile."""
         S, ONES, REP, ZEROBITS, NEEDMASK = self._size, self._ones, self._rep, self._zerobits, self._needmask
-        masks, runs, kept, due, n, append = self._masks, self._runs, self._kept, self._due, len(word), word.append
-        get = masks.get
+        word, masks, runs, kept, due = self._word, self._masks, self._runs, self._kept, self._due
+        n, append, get = len(word), word.append, masks.get
         try:
             for v in letters:
                 if not (type(v) is int and 0 <= v < 1 << 31):
                     v = _checked(v)
                 if n >= due:
                     self._kept = kept
-                    self._refresh(word, n)
+                    self._refresh(n)
                     kept, due = self._kept, self._due
                 last = get(v)
                 if last is not None:
@@ -295,13 +323,15 @@ class _Rule:
         finally:
             self._runs, self._kept = runs, kept
 
-    def least_free(self, word: list[int]) -> int:
-        """The least letter that no period blocks at length n = len(word),
-        the lowest clear bit of one int of the blocked letters below S.
-        Then follow its append, with its own mask, as ``scan`` does."""
+    def threshold_hit(self) -> int:
+        """Greedy's step: append the least letter that no period blocks at
+        length n, the lowest clear bit of one int of the blocked letters
+        below S, and return it.  Its append is followed with its own mask,
+        as ``scan`` does."""
+        word = self._word
         n = len(word)
         if n >= self._due:
-            self._refresh(word, n)
+            self._refresh(n)
         S, Z = self._size, self._window
         if Z:
             if self._wat != n:
@@ -331,10 +361,10 @@ class _Rule:
         letter = (~free & (free + 1)).bit_length() - 1
         if letter == S:
             # every letter below S is blocked: the rest are read from the map
-            found = self.blocked(word)
+            found = self.blocked()
             while letter in found:
                 letter += 1
-        # follow the append as ``push`` does, without the call
+        # follow the append as ``_push`` does, without the call
         masks, kept = self._masks, self._kept
         last = masks.get(letter)
         if last is None:
@@ -360,13 +390,20 @@ class _Rule:
                 if old < S and masks.get(old, (0, 0))[1] <= n + 1 - Z:
                     win ^= 1 << old
             self._win, self._wat = win, n + 1
+        word.append(letter)
         return letter
 
-    def blocked(self, word: list[int]) -> dict[int, int]:
-        """Each letter that a period blocks, with the smallest such period."""
+    # the same step for an index built on the multiples of q; perfbench's
+    # tracer wraps each name, and greedy calls the one of its mode
+    exact_hit = threshold_hit
+
+    def blocked(self) -> dict[int, int]:
+        """Letters at the next position that would complete a factor of the
+        rule's exponent, each with its smallest period."""
+        word = self._word
         n = len(word)
         if n >= self._due:
-            self._refresh(word, n)
+            self._refresh(n)
         found: dict[int, int] = {}
         for P in self._zero:
             if P > n:
@@ -384,7 +421,7 @@ class _Rule:
                 found.setdefault(word[n - P], P)
         return found
 
-    def _refresh(self, word: list[int], n: int) -> None:
+    def _refresh(self, n: int) -> None:
         """Open every band whose lowest period can block at length n
         (P + need(P) <= n), then refresh every band that is due."""
         while self._open <= n:
@@ -400,7 +437,7 @@ class _Rule:
         for band in self._bands:
             if band.due <= n:
                 band.due = n + band.every
-                found = self._survivors(word, n, band)
+                found = self._survivors(n, band)
                 if kept or found:
                     i = bisect_left(kept, (band.periods.start,))
                     kept[i : bisect_left(kept, (band.periods.stop,), i)] = found
@@ -408,12 +445,12 @@ class _Rule:
                 due = band.due
         self._due = due
 
-    def _survivors(self, word: list[int], n: int, band: _Band) -> list[tuple[int, int]]:
+    def _survivors(self, n: int, band: _Band) -> list[tuple[int, int]]:
         """(P, at) in ascending P for the band's periods whose run reaches
         the keep threshold need(P) - every + 1: the candidates come from
         one strided slice, each is checked on its last letter, then by one
         slice comparison, and only those that pass have their run measured."""
-        floor, every, step, a, b, q = band.floor, band.every, self._step, self._a, self._b, self._q
+        word, floor, every, step, a, b, q = self._word, band.floor, band.every, self._step, self._a, self._b, self._q
         # a run of ``floor`` letters needs P <= n - floor; the lowest period
         # always meets it, as it opened with P + need(P) <= n and floor <= need(P)
         first = band.periods.start
@@ -463,117 +500,6 @@ def _run(word: list[int], n: int, period: int, cap: int, known: int = 0) -> int:
     return run
 
 
-class LceIndex:
-    """Word with the repetition state of its suffixes.
-
-    Letters are natural numbers below 2**31, kept in a list.  ``run(P)`` is
-    the length of the longest suffix of the word that has period P, counted
-    on demand.  Each need rule asked of ``blocked``,
-    ``extend_unless_blocked`` or greedy's step gets its own tracked state
-    (see the module docstring), built from the last letters when it is
-    first asked: bands open at queries, and every append follows the state.
-    """
-
-    __slots__ = ("_word", "_rules")
-
-    def __init__(self, letters: Iterable[int] = ()) -> None:
-        self._word: list[int] = []
-        # (p, q, strict, first period, period step) -> tracked state
-        self._rules: dict[tuple, _Rule] = {}
-        for v in letters:
-            self.append(v)
-
-    def __len__(self) -> int:
-        return len(self._word)
-
-    def to_list(self) -> list[int]:
-        return list(self._word)
-
-    def run(self, period: int) -> int:
-        """Length of the longest suffix with the given period (0 when the
-        period is the length or more)."""
-        if period < 1:
-            raise ValueError(f"period must be positive, got {period}")
-        n = len(self._word)
-        return _run(self._word, n, period, n)
-
-    def append(self, letter: int) -> None:
-        letter = _checked(letter)
-        n = len(self._word)
-        for rule in self._rules.values():
-            rule.push(self._word, n, letter)
-        self._word.append(letter)
-
-    def pop(self) -> int:
-        """Remove and return the last letter.  The rest is appended again
-        into a fresh index, so a pop costs n appends."""
-        if not self._word:
-            raise IndexError("pop from empty index")
-        *rest, letter = self._word
-        self.__init__(rest)
-        return letter
-
-    def blocked(self, p: int, q: int, strict: bool = False, first: int = 1, step: int = 1) -> dict[int, int]:
-        """Letters at the next position that would complete a factor of
-        exponent at least p/q (above p/q when ``strict``), each with its
-        smallest period among first, first + step, ... (first >= 1), by
-        the need rule of the module docstring (``strict`` asks for exponent
-        above p/q: for q = 1, one more letter of run).  P can
-        block only when P + need(P) <= n, so callers name no upper bound.
-        """
-        return self._rule(p, q, strict, first, step).blocked(self._word)
-
-    def extend_unless_blocked(
-        self, letters: Iterable[int], p: int, q: int, strict: bool = False, first: int = 1, step: int = 1
-    ) -> int | None:
-        """Append ``letters`` up to the first that ``blocked``'s rule blocks and
-        return its smallest period (None once all are in), building no map:
-        one scan, or one a letter when other rules follow the appends."""
-        rule, word = self._rule(p, q, strict, first, step), self._word
-        if len(self._rules) == 1:
-            return rule.scan(word, letters)
-        for v in letters:
-            period = rule.scan(word, (v,))
-            if period is not None:
-                return period
-            n = len(word) - 1
-            for other in self._rules.values():
-                if other is not rule:
-                    other.push(word, n, word[n])
-        return None
-
-    def _rule(self, p: int, q: int, strict: bool, first: int, step: int) -> _Rule:
-        # greedy's step looks the rule up inline and calls this on a miss
-        key = (p, q, strict, first, step)
-        rule = self._rules.get(key)
-        if rule is None:
-            rule = self._rules[key] = _Rule(p, q, bool(strict), first, step, self._word)
-        return rule
-
-    def _append_least(self, p: int, q: int, first: int, step: int) -> int:
-        rule = self._rules.get((p, q, False, first, step)) or self._rule(p, q, False, first, step)
-        word = self._word
-        letter = rule.least_free(word)
-        if len(self._rules) > 1:
-            n = len(word)
-            for other in self._rules.values():
-                if other is not rule:
-                    other.push(word, n, letter)
-        word.append(letter)
-        return letter
-
-    def threshold_hit(self, p: int, q: int) -> int:
-        """Greedy's step for exponent >= p/q: append the least letter that
-        ``blocked`` leaves out, and return it."""
-        return self._append_least(p, q, 1, 1)
-
-    def exact_hit(self, p: int, q: int) -> int:
-        """``threshold_hit`` for exact p/q-powers: the same rule on multiples
-        of q, ``AvoidanceMode.EXACT.periods(q)`` spelled out, as greedy asks
-        this once per letter and an enum lookup is not free."""
-        return self._append_least(p, q, q, q)
-
-
 def _occurrence(word: list[int], exponent: Exponent, mode: AvoidanceMode, period: int) -> Occurrence:
     """The forbidden factor, of smallest period ``period``, that appending a letter to ``word`` would complete."""
     n = len(word)
@@ -598,9 +524,9 @@ def forbidden_suffix(
     first, step = mode.periods(exponent.q)  # before the empty word returns, so a bad mode always raises
     if len(word) == 0:
         return None
-    prefix = [_checked(v) for v in word[:-1]]
-    period = _Rule(exponent.p, exponent.q, False, first, step, prefix).scan(prefix, (word[-1],))
-    return None if period is None else _occurrence(prefix, exponent, mode, period)
+    idx = LceIndex(exponent.p, exponent.q, first=first, step=step, letters=word[:-1])
+    period = idx.scan((word[-1],))
+    return None if period is None else _occurrence(idx._word, exponent, mode, period)
 
 
 def contains_forbidden(
@@ -610,15 +536,14 @@ def contains_forbidden(
 ) -> Occurrence | None:
     """First forbidden factor in end-position order over the whole word.
 
-    One pass over any iterable, one scan of a rule of its own, with no
+    One pass over any iterable, one scan of an index of its own, with no
     blocked map: the scan stops at the first position that completes a
     forbidden factor, but every letter, those after it too, is checked to
     be a natural number below 2**31.
     """
     first, step = mode.periods(exponent.q)
-    scanned: list[int] = []
-    letters = iter(word)
-    period = _Rule(exponent.p, exponent.q, False, first, step, scanned).scan(scanned, letters)
+    idx, letters = LceIndex(exponent.p, exponent.q, first=first, step=step), iter(word)
+    period = idx.scan(letters)
     for rest in letters:
         _checked(rest)
-    return None if period is None else _occurrence(scanned, exponent, mode, period)
+    return None if period is None else _occurrence(idx._word, exponent, mode, period)

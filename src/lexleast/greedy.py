@@ -1,11 +1,12 @@
 """Greedy construction of lexicographically least power-avoiding words.
 
 Extend the word one position at a time with the smallest letter that does
-not complete a forbidden repetition.  A step is one detector call, the
-mode's ``AvoidanceMode.query``: it sets a bit for every blocked letter at
-the next position, appends the lowest clear one and returns it.  No
-backtracking is ever needed: a blocked letter repeats an earlier letter of
-the word, so some letter up to ``max letter + 1`` is always free.
+not complete a forbidden repetition.  A step is one call of the index's
+step (``LceIndex.threshold_hit``, or ``exact_hit`` in exact mode): it sets
+a bit for every blocked letter at the next position, appends the lowest
+clear one and returns it.  No backtracking is ever needed: a blocked
+letter repeats an earlier letter of the word, so some letter up to
+``max letter + 1`` is always free.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ class GreedyState:
     def __init__(self, exponent: Exponent, mode: AvoidanceMode = AvoidanceMode.THRESHOLD) -> None:
         self.exponent = exponent
         self.mode = mode
-        self._p, self._q = exponent.p, exponent.q
-        self._query = mode.query()
-        self._idx = LceIndex()
+        first, step = mode.periods(exponent.q)
+        self._idx = LceIndex(exponent.p, exponent.q, first=first, step=step)
+        self._hit = self._idx.threshold_hit if mode is AvoidanceMode.THRESHOLD else self._idx.exact_hit
 
     def __len__(self) -> int:
         return len(self._idx)
@@ -33,7 +34,7 @@ class GreedyState:
 
     def step(self) -> int:
         """Append the least letter that completes no forbidden suffix; return it."""
-        return self._query(self._idx, self._p, self._q)
+        return self._hit()
 
     def extend_to(self, length: int) -> None:
         step = self.step

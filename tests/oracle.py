@@ -88,7 +88,8 @@ class DenseRunTable:
     backwards is one contiguous slice.  It answers ``blocked`` by comparing
     every run with its need at once, so it can check the production
     detector after every letter of words far too long for the direct loops
-    above.  Its ``blocked`` keeps ``LceIndex.blocked``'s contract, and
+    above.  Its ``blocked(p, q, strict, first, step)`` answers as
+    ``LceIndex(p, q, strict, first, step).blocked()`` does, and
     ``least_free`` names the letter that greedy's step appends.
     """
 
@@ -128,7 +129,7 @@ class DenseRunTable:
         self._n = n + 1
 
     def blocked(self, p: int, q: int, strict: bool = False, first: int = 1, step: int = 1) -> dict[int, int]:
-        """Same contract as ``LceIndex.blocked``: P blocks ``word[n - P]``
+        """``LceIndex.blocked`` of the rule: P blocks ``word[n - P]``
         when q * run(P) >= (p - q) * P - q (+1 when ``strict``), for every
         P in first, first + step, ... up to n."""
         ps = np.arange(first, self._n + 1, step, dtype=np.int64)

@@ -136,8 +136,7 @@ def test_criterion_09_x32_structure():
 
 def _tracked_witness(idx, mode, letter):
     """The E32 witness that appending ``letter`` to ``idx`` would complete."""
-    first, step = mode.periods(E32.q)
-    period = idx.blocked(E32.p, E32.q, first=first, step=step).get(letter)
+    period = idx.blocked().get(letter)
     return None if period is None else detect._occurrence(idx.to_list(), E32, mode, period)
 
 
@@ -145,7 +144,8 @@ def test_criterion_10_oracle_equivalence():
     with criterion("criterion 10: detectors match the naive oracle on all ternary words to length 12", 60.0):
         total_words = (3**13 - 1) // 2
         for mode in (THRESHOLD, EXACT):
-            idx = LceIndex()
+            first, step = mode.periods(E32.q)
+            idx = LceIndex(E32.p, E32.q, first=first, step=step)
 
             def track(word, idx=idx):
                 # keep idx one letter behind the word, by appends and pops

@@ -27,17 +27,31 @@ EXACT = AvoidanceMode.EXACT
 words = st.lists(st.integers(0, 2), min_size=0, max_size=16)
 
 
-def _mode_blocked(idx, exponent, mode):
-    """The blocked map of the discipline's rule, on ``idx`` or on the dense
-    table, whose ``blocked`` keeps the same contract."""
-    first, step = mode.periods(exponent.q)
-    return idx.blocked(exponent.p, exponent.q, first=first, step=step)
+def _mode_options(exponent, mode):
+    """The discipline's rule as the options of ``LceIndex`` and of the dense
+    table's ``blocked``: (p, q, strict, first period, step)."""
+    return (exponent.p, exponent.q, False, *mode.periods(exponent.q))
+
+
+def _mode_index(exponent, mode, letters=()):
+    """An index of the discipline's rule, built on ``letters``."""
+    return LceIndex(*_mode_options(exponent, mode), letters=letters)
+
+
+def _mode_blocked(dense, exponent, mode):
+    """The dense table's blocked map for the discipline's rule."""
+    return dense.blocked(*_mode_options(exponent, mode))
+
+
+def _hit(idx, mode):
+    """Greedy's step by the name that greedy calls in ``mode``."""
+    return (idx.threshold_hit if mode is THRESHOLD else idx.exact_hit)()
 
 
 def _refresh(state):
-    """Refresh the rule of a greedy state's index, as its next step would,
-    by asking that rule's blocked map."""
-    return _mode_blocked(state._idx, state.exponent, state.mode)
+    """Refresh the index of a greedy state, as its next step would, by
+    asking its blocked map."""
+    return state._idx.blocked()
 
 
 def _least_missing(blocked):
@@ -103,7 +117,7 @@ def test_scan_witness_from_each_place_of_the_smallest_period(word, expected):
 
 
 def test_lce_index_append_pop():
-    idx = LceIndex()
+    idx = LceIndex(3, 2)
     for v in [0, 1, 2, 0, 3]:
         idx.append(v)
     assert idx.to_list() == [0, 1, 2, 0, 3]
@@ -131,15 +145,15 @@ def test_letters_must_be_integers():
     with pytest.raises(TypeError):
         contains_forbidden([0.5, 0], Exponent(2, 1))
     with pytest.raises(TypeError):
-        LceIndex([0.5, 1.9])
+        LceIndex(3, 2, letters=[0.5, 1.9])
     with pytest.raises(TypeError):
         forbidden_suffix([0, 1, 0.0], E32)
     word = np.array([0, 1, 2, 0, 1], dtype=np.int64)
     assert contains_forbidden(word, E32) == contains_forbidden(word.tolist(), E32) == Occurrence(0, 3, 5)
     assert forbidden_suffix(word, E32) == Occurrence(0, 3, 5)
-    letters = LceIndex(word).to_list()
+    letters = LceIndex(3, 2, letters=word).to_list()
     assert letters == word.tolist() and {type(v) for v in letters} == {int}
-    assert LceIndex([True, False]).to_list() == [1, 0]
+    assert LceIndex(3, 2, letters=[True, False]).to_list() == [1, 0]
 
 
 @pytest.mark.parametrize(
@@ -185,13 +199,12 @@ def test_indexed_equals_direct_on_random_words():
 def test_blocked_letters_match_naive_oracle(word, exponent, mode):
     # the query names every letter whose appending completes a forbidden
     # suffix, with the oracle's smallest period
-    idx = LceIndex(word)
     expected = {}
     for m in range(max(word, default=-1) + 2):
         occ = oracle.naive_forbidden_suffix(word + [m], exponent, mode)
         if occ is not None:
             expected[m] = occ.period
-    assert _mode_blocked(idx, exponent, mode) == expected
+    assert _mode_index(exponent, mode, word).blocked() == expected
 
 
 @given(
@@ -200,34 +213,36 @@ def test_blocked_letters_match_naive_oracle(word, exponent, mode):
     st.sampled_from([THRESHOLD, EXACT]),
 )
 def test_run_table_follows_append_pop_walks(steps, exponent, mode):
-    # a letter appends and None pops: after every step each run equals the
-    # direct backward scan, which pins the re-appending pop, and the query
-    # built on the runs matches the oracle
-    idx = LceIndex()
+    # a letter appends and None pops, on an index of the mode's rule and on
+    # one of the overlap rule: after every step each run equals the direct
+    # backward scan, the mode index's query matches the oracle, and so does
+    # that of a fresh index built on the word
+    idx, overlaps = _mode_index(exponent, mode), LceIndex(2, 1, strict=True)
     word = []
     for step in steps:
         if step is None:
             if word:
-                assert idx.pop() == word.pop()
+                assert idx.pop() == overlaps.pop() == word.pop()
         else:
-            # appended through the overlap rule's one-letter scan, which
-            # must name that rule's smallest period and keep the mode's rule
-            # following; a blocked letter is then appended plainly
-            overlap = idx.blocked(2, 1, strict=True).get(step)
-            assert idx.extend_unless_blocked((step,), 2, 1, strict=True) == overlap
+            # appended to the overlap index by its one-letter scan, which
+            # must name its map's smallest period; a blocked letter is then
+            # appended plainly
+            overlap = overlaps.blocked().get(step)
+            assert overlaps.scan((step,)) == overlap
             if overlap is not None:
-                idx.append(step)
+                overlaps.append(step)
+            idx.append(step)
             word.append(step)
         n = len(word)
-        assert idx.to_list() == word
+        assert idx.to_list() == overlaps.to_list() == word
         for period in range(1, n + 1):
-            assert idx.run(period) == oracle.lce_backward_scan(word, n - 1, n - 1 - period)
+            assert detect._run(word, n, period, n) == oracle.lce_backward_scan(word, n - 1, n - 1 - period)
         expected = {}
         for m in range(max(word, default=-1) + 2):
             occ = oracle.naive_forbidden_suffix(word + [m], exponent, mode)
             if occ is not None:
                 expected[m] = occ.period
-        assert _mode_blocked(idx, exponent, mode) == expected
+        assert idx.blocked() == _mode_index(exponent, mode, word).blocked() == expected
 
 
 @given(words, st.sampled_from([THRESHOLD, EXACT]))
@@ -287,7 +302,7 @@ def test_exact_32_reduces_to_balanced_xyx():
 
 def _tracked_witness(idx, mode, letter):
     """The E32 witness that appending ``letter`` to ``idx`` would complete."""
-    period = _mode_blocked(idx, E32, mode).get(letter)
+    period = idx.blocked().get(letter)
     return None if period is None else detect._occurrence(idx.to_list(), E32, mode, period)
 
 
@@ -297,7 +312,7 @@ def test_detectors_against_oracle_small_exhaustive():
     # the fourth scans the whole word, whose proper prefixes are clean here,
     # so its witness is the suffix's
     for mode in (THRESHOLD, EXACT):
-        idx = LceIndex()
+        idx = _mode_index(E32, mode)
 
         def track(word, idx=idx):
             # keep idx one letter behind the word
@@ -322,12 +337,12 @@ def test_detectors_against_oracle_small_exhaustive():
 EXPONENTS = [Exponent(4, 3), E32, Exponent(5, 3), Exponent(2, 1), Exponent(5, 2), Exponent(7, 4), Exponent(3, 1), Exponent(5, 4)]
 
 
-def _mode_query(exponent, mode):
-    """The discipline's blocked map as a ``_follow_dense`` query."""
-    return lambda idx: _mode_blocked(idx, exponent, mode), f"{exponent} {mode.value}"
+def _mode_rule(exponent, mode):
+    """The discipline's rule as a ``_follow_dense`` rule: (options, name)."""
+    return _mode_options(exponent, mode), f"{exponent} {mode.value}"
 
 
-MODE_QUERIES = [_mode_query(e, m) for e in EXPONENTS for m in (THRESHOLD, EXACT)]
+MODE_RULES = [_mode_rule(e, m) for e in EXPONENTS for m in (THRESHOLD, EXACT)]
 
 
 @pytest.mark.parametrize("mode", [THRESHOLD, EXACT], ids=["threshold", "exact"])
@@ -352,27 +367,25 @@ def test_witnesses_equal_naive_oracle_for_every_exponent(exponent, mode):
 
 
 # the x32 structure checks' rules: squares on roots from 2, overlaps
-X32_QUERIES = [
-    (lambda idx: idx.blocked(2, 1, first=2), "2/1 from 2"),
-    (lambda idx: idx.blocked(2, 1, strict=True), "2/1 strict"),
-]
+X32_RULES = [((2, 1, False, 2, 1), "2/1 from 2"), ((2, 1, True, 1, 1), "2/1 strict")]
 
 
-def _tracked_state(rule):
-    return rule._masks, rule._runs, rule._kept, rule._due, rule._open
+def _tracked_state(idx):
+    return idx._masks, idx._runs, idx._kept, idx._due, idx._open
 
 
-def _scan_put_back(rule, word, letter):
-    """``rule.scan(word, (letter,))``, with the rule and ``word`` then put
-    back as they were.  Asked right after ``blocked`` at the same length, a
-    scan refreshes nothing; a clean letter is appended, changes its mask in
-    place or adds it, drops the mask of the letter leaving the window, and
-    sets the runs and the kept list."""
-    n, masks = len(word), rule._masks
-    gone = word[n + 1 - rule._size] if n + 1 >= rule._size else None
+def _scan_put_back(idx, letter):
+    """``idx.scan((letter,))``, with the index then put back as it was.
+    Asked right after ``blocked`` at the same length, a scan refreshes
+    nothing; a clean letter is appended, changes its mask in place or adds
+    it, drops the mask of the letter leaving the window, and sets the runs
+    and the kept list."""
+    word, masks = idx._word, idx._masks
+    n = len(word)
+    gone = word[n + 1 - idx._size] if n + 1 >= idx._size else None
     own, old = masks.get(letter), masks.get(gone)
-    saved, runs, kept = own and own[:], rule._runs, rule._kept
-    period = rule.scan(word, (letter,))
+    saved, runs, kept = own and own[:], idx._runs, idx._kept
+    period = idx.scan((letter,))
     if period is None:
         assert word.pop() == letter
         if own:
@@ -381,48 +394,47 @@ def _scan_put_back(rule, word, letter):
             del masks[letter]
         if old is not None:
             masks[gone] = old
-        rule._runs, rule._kept = runs, kept
+        idx._runs, idx._kept = runs, kept
     return period
 
 
-def _follow_dense(word, queries, seed, quiet=0):
-    """Append ``word`` letter by letter to an ``LceIndex`` and to the dense
-    run table; after every append from the ``quiet``-th letter on, the whole
-    blocked map of each query and the run of a few seeded periods must
-    agree.  Each rule's one-letter scan must then name, for every letter
-    among the last S positions and one that never occurs, the period that
-    the rule's map names for it.  A twin of each rule, built when the rule
-    is and advanced by one-letter scans (and by ``push`` after a hit), must
-    hold the masks, runs, kept list, next refresh and next band opening of
-    the rule that ``push`` advances."""
+def _follow_dense(word, rules, seed, quiet=0):
+    """Append ``word`` letter by letter to one ``LceIndex`` per rule, each
+    built at the ``quiet``-th letter (or the first) on the letters so far,
+    and to the dense run table; after every append from then on, each
+    index's whole blocked map must equal the dense table's for its rule,
+    and the run of a few seeded periods the dense table's.  Each index's
+    one-letter scan must then name, for every letter among the last S
+    positions and one that never occurs, the period that its map names for
+    it.  A twin of each index, built with it and advanced by one-letter
+    scans (and by ``append`` after a hit), must hold the masks, runs, kept
+    list, next refresh and next band opening of the index that ``append``
+    advances."""
     rng = random.Random(seed)
-    idx, dense = LceIndex(), oracle.DenseRunTable()
-    letters, twins, absent = [], {}, max(word, default=0) + 1
+    dense, letters, absent = oracle.DenseRunTable(), [], max(word, default=0) + 1
+    indexes, twins = [], []
     for v in word:
-        for twin in twins.values():
-            if twin.scan(letters, (v,)) is None:
-                letters.pop()
-            else:
-                twin.push(letters, len(letters), v)
-        idx.append(v)
+        for twin in twins:
+            if twin.scan((v,)) is not None:
+                twin.append(v)
+        for idx in indexes:
+            idx.append(v)
         dense.append(v)
         letters.append(v)
-        n = len(idx)
-        for key, twin in twins.items():
-            assert _tracked_state(twin) == _tracked_state(idx._rules[key]), (key, n)
+        n = len(letters)
         if n < quiet:
             continue
-        for query, name in queries:
-            assert query(idx) == query(dense), (name, n)
-        for key, rule in idx._rules.items():
-            blocked = idx.blocked(*key)
-            for c in {*letters[-rule._size :], absent}:
-                assert _scan_put_back(rule, letters, c) == blocked.get(c), (key, n, c)
-            if key not in twins:
-                p, q, strict, first, step = key
-                twins[key] = detect._Rule(p, q, bool(strict), first, step, letters)
+        if not indexes:
+            indexes = [LceIndex(*options, letters=letters) for options, _ in rules]
+            twins = [LceIndex(*options, letters=letters) for options, _ in rules]
+        for (options, name), idx, twin in zip(rules, indexes, twins):
+            assert _tracked_state(twin) == _tracked_state(idx), (name, n)
+            blocked = idx.blocked()
+            assert blocked == dense.blocked(*options), (name, n)
+            for c in {*letters[-idx._size :], absent}:
+                assert _scan_put_back(idx, c) == blocked.get(c), (name, n, c)
         for period in rng.sample(range(1, n + 1), min(n, 3)):
-            assert idx.run(period) == dense.run(period), (period, n)
+            assert detect._run(letters, n, period, n) == dense.run(period), (period, n)
 
 
 @pytest.mark.parametrize("mode", [THRESHOLD, EXACT], ids=["threshold", "exact"])
@@ -431,7 +443,7 @@ def test_blocked_maps_equal_dense_table_along_greedy_words(exponent, mode):
     # 101/100 passes its small-window bound S = 256 and opens its first
     # band, whose need is 2, at 258 letters (threshold) or 302 (exact)
     word = generate(exponent, mode, 3_000)
-    _follow_dense(word, [_mode_query(exponent, mode)], seed=3_000)
+    _follow_dense(word, [_mode_rule(exponent, mode)], seed=3_000)
 
 
 
@@ -451,9 +463,9 @@ def _near_periodic(rng, n):
 
 
 # every rule a scan asks: each test exponent in both modes, as
-# (name, options of LceIndex.blocked, its greedy word), and the x32 checks'
+# (name, options of LceIndex, its greedy word), and the x32 checks'
 SCAN_RULES = [
-    *((f"{e} {m.value}", (e.p, e.q, False, *m.periods(e.q)), lambda n, e=e, m=m: generate(e, m, n))
+    *((f"{e} {m.value}", _mode_options(e, m), lambda n, e=e, m=m: generate(e, m, n))
       for e in EXPONENTS for m in (THRESHOLD, EXACT)),
     ("2/1 from 2", (2, 1, False, 2, 1), x32_prefix),
     ("2/1 strict", (2, 1, True, 1, 1), x32_prefix),
@@ -475,14 +487,15 @@ def _scan_word(kind, greedy, rng):
     return word
 
 
-def _extend_stops(idx, word, size, options):
-    """``extend_unless_blocked`` over ``word`` cut in chunks of ``size``
-    letters, each blocked letter then appended plainly and the chunk's
-    scan resumed: the position and the period of every stop."""
+def _extend_stops(idx, word, size):
+    """``idx.scan`` over the letters of ``word`` past those ``idx`` holds,
+    cut in chunks of ``size`` letters, each blocked letter then appended
+    plainly and the chunk's scan resumed: the position and the period of
+    every stop."""
     stops = []
-    for k in range(0, len(word), size):
+    for k in range(len(idx), len(word), size):
         chunk = iter(word[k : k + size])
-        while (period := idx.extend_unless_blocked(chunk, *options)) is not None:
+        while (period := idx.scan(chunk)) is not None:
             stops.append((len(idx), period))
             idx.append(word[len(idx)])
     assert idx.to_list() == word
@@ -496,8 +509,8 @@ def test_extend_stops_where_the_dense_table_blocks(options, greedy, kind):
     # names it, with the smallest period named; the scan must stop at the
     # first such letter with that period, and at every later one once the
     # blocked letter is appended, fed whole, in chunks of 1, 7 and 4,097
-    # letters, or one letter at a time beside a second rule that follows
-    # each append
+    # letters, or fed whole past 2,000 letters given to the index when it
+    # is built, of which it replays only the last
     word = _scan_word(kind, greedy, random.Random(f"extend/{options}/{kind}"))
     dense, expected = oracle.DenseRunTable(), []
     for i, v in enumerate(word):
@@ -508,23 +521,22 @@ def test_extend_stops_where_the_dense_table_blocks(options, greedy, kind):
     # a greedy word is clean under its own rule up to the changed letter
     assert kind != "mutated greedy" or all(i >= 4_100 for i, _ in expected)
     for size in (len(word), 1, 7, 4_097):
-        assert _extend_stops(LceIndex(), word, size, options) == expected, size
-    idx = LceIndex()
-    idx.blocked(3, 2)
-    assert _extend_stops(idx, word, len(word), options) == expected
-    assert idx.blocked(3, 2) == dense.blocked(3, 2)
+        assert _extend_stops(LceIndex(*options), word, size) == expected, size
+    idx = LceIndex(*options, letters=word[:2_000])
+    assert _extend_stops(idx, word, len(word)) == [(i, P) for i, P in expected if i >= 2_000]
+    assert idx.blocked() == dense.blocked(*options)
 
 
 @pytest.mark.parametrize("kind", ["random", "near-periodic"])
 def test_blocked_maps_equal_dense_table_on_words_with_repetitions(kind):
-    # scan-path words, far from power-free: every mode query of every
-    # exponent and both x32 structure rules, on one index
+    # scan-path words, far from power-free: every mode rule of every
+    # exponent and both x32 structure rules, one index each
     rng = random.Random(f"dense/{kind}")
     if kind == "random":
         word = [rng.randrange(2) for _ in range(2_500)]
     else:
         word = _near_periodic(rng, 2_500)
-    _follow_dense(word, MODE_QUERIES + X32_QUERIES, seed=kind)
+    _follow_dense(word, MODE_RULES + X32_RULES, seed=kind)
 
 
 def _follow_dense_past_the_window(exponent, mode, kind):
@@ -534,7 +546,7 @@ def _follow_dense_past_the_window(exponent, mode, kind):
         word = generate(exponent, mode, 2_500)
     else:
         word = _near_periodic(random.Random(f"dense/near-periodic/{exponent}"), 2_500)
-    _follow_dense(word, [_mode_query(exponent, mode)], seed=str(exponent))
+    _follow_dense(word, [_mode_rule(exponent, mode)], seed=str(exponent))
 
 
 @pytest.mark.parametrize("kind", ["greedy", "near-periodic"])
@@ -564,13 +576,13 @@ def test_blocked_maps_equal_dense_table_past_an_empty_band(kind):
 
 @pytest.mark.parametrize("kind", ["near-periodic", "w32"])
 def test_blocked_maps_equal_dense_table_when_first_asked_on_a_long_word(kind):
-    # every rule is first asked at 1,500 letters, so one refresh opens its
+    # every index is built on 1,500 letters, so one refresh opens its
     # small periods (each with the run it already has) and its first bands
     if kind == "w32":
         word = generate(E32, THRESHOLD, 2_500)
     else:
         word = _near_periodic(random.Random("late/near-periodic"), 2_500)
-    _follow_dense(word, MODE_QUERIES + X32_QUERIES, seed=kind, quiet=1_500)
+    _follow_dense(word, MODE_RULES + X32_RULES, seed=kind, quiet=1_500)
 
 
 @pytest.mark.parametrize("kind", ["greedy threshold", "greedy exact", "near-periodic", "period 30"])
@@ -588,22 +600,21 @@ def test_blocked_maps_equal_dense_table_above_exponent_five(exponent, kind):
             word[rng.randrange(2_000)] = 100
     else:
         word = generate(exponent, THRESHOLD if kind == "greedy threshold" else EXACT, 2_000)
-    _follow_dense(word, [_mode_query(exponent, m) for m in (THRESHOLD, EXACT)], seed=kind)
+    _follow_dense(word, [_mode_rule(exponent, m) for m in (THRESHOLD, EXACT)], seed=kind)
 
 
 def test_large_exponent_keeps_no_run_slots():
     # at 1000/1 even period 1 needs a run of 998 > 4S, so no period is kept
-    # in bits, and the cost of a rule does not grow with its needs
+    # in bits, and the cost of an index does not grow with its needs
     exponent = Exponent(1000, 1)
     assert generate(exponent, THRESHOLD, 500) == [0] * 500
-    idx = LceIndex([0] * 500)
-    assert _mode_blocked(idx, exponent, EXACT) == {}
-    (rule,) = idx._rules.values()
-    assert rule._runs == rule._needmask == 0
+    idx = _mode_index(exponent, EXACT, [0] * 500)
+    assert idx.blocked() == {}
+    assert idx._runs == idx._needmask == 0
 
 
 def test_blocked_maps_equal_dense_table_for_x32_checks():
-    _follow_dense(x32_prefix(3_000), X32_QUERIES, seed=32)
+    _follow_dense(x32_prefix(3_000), X32_RULES, seed=32)
 
 
 def test_blocked_maps_equal_dense_table_over_a_wide_alphabet():
@@ -618,37 +629,33 @@ def test_blocked_maps_equal_dense_table_over_a_wide_alphabet():
         if back <= len(word):
             word += [word[-back + i % back] for i in range(rng.randint(back // 2, 2 * back))]
         word += [rng.randrange(1000) for _ in range(rng.randint(1, 30))]
-    _follow_dense(word[:2_000], MODE_QUERIES + X32_QUERIES, seed="wide")
+    _follow_dense(word[:2_000], MODE_RULES + X32_RULES, seed="wide")
 
 
 @pytest.mark.parametrize("mode", [THRESHOLD, EXACT], ids=["threshold", "exact"])
 def test_letter_masks_stay_within_the_window(mode):
-    # a scan of 10**4 distinct letters keeps at most S letter masks per rule:
-    # a letter's mask goes when its last occurrence leaves the window
-    idx = LceIndex()
+    # a scan of 10**4 distinct letters keeps at most S letter masks: a
+    # letter's mask goes when its last occurrence leaves the window
+    idx = _mode_index(E32, mode)
     for v in range(10_000):
-        assert set(_mode_blocked(idx, E32, mode)) <= {v - 1, v - 2}
+        assert set(idx.blocked()) <= {v - 1, v - 2}
         idx.append(v)
-        (rule,) = idx._rules.values()
-        assert len(rule._masks) <= rule._size, v
+        assert len(idx._masks) <= idx._size, v
     # so does one scan loop over them, which drops the masks itself
-    first, step = mode.periods(E32.q)
-    idx = LceIndex()
-    assert idx.extend_unless_blocked(range(10_000), E32.p, E32.q, first=first, step=step) is None
-    (rule,) = idx._rules.values()
-    assert len(rule._masks) <= rule._size
+    idx = _mode_index(E32, mode)
+    assert idx.scan(range(10_000)) is None
+    assert len(idx._masks) <= idx._size
 
 
 @pytest.mark.parametrize("mode", [THRESHOLD, EXACT], ids=["threshold", "exact"])
 def test_letter_masks_stay_within_the_window_along_greedy_steps(mode):
     # distinct letters appended between greedy steps: half of them leave the
     # window at a step, which must drop their masks as an append does
-    idx = LceIndex()
+    idx = _mode_index(E32, mode)
     for v in range(5_000):
         idx.append(10_000 + v)
-        mode.query()(idx, E32.p, E32.q)
-        (rule,) = idx._rules.values()
-        assert len(rule._masks) <= rule._size, v
+        _hit(idx, mode)
+        assert len(idx._masks) <= idx._size, v
 
 
 @pytest.mark.parametrize(
@@ -660,7 +667,7 @@ def test_tracked_periods_stay_logarithmic_along_greedy(exponent, mode):
     state = GreedyState(exponent, mode)
     while len(state) < 20_000:
         _refresh(state)
-        kept = sum(len(rule._kept) for rule in state._idx._rules.values())
+        kept = len(state._idx._kept)
         assert kept <= math.log2(max(len(state), 1)), (len(state), kept)
         state.step()
 
@@ -673,7 +680,7 @@ def test_kept_periods_average_at_most_one_and_a_half_per_query_along_greedy(expo
     kept = 0
     while len(state) < 20_000:
         _refresh(state)
-        kept += sum(len(rule._kept) for rule in state._idx._rules.values())
+        kept += len(state._idx._kept)
         state.step()
     assert kept / 20_000 <= 1.5
 
@@ -688,16 +695,17 @@ GREEDY_KINDS = {
 
 def _after_each_query(kind, check):
     """``check(idx, dense)`` right after each query along 3,000 letters of a
-    greedy word, under its own rule, or of a near-periodic word, under every
-    mode and x32 rule; ``dense`` is the dense run table of the same word."""
+    greedy word, on an index of its own rule, or of a near-periodic word, on
+    one index for each mode and x32 rule; ``dense`` is the dense run table
+    of the same word."""
     dense = oracle.DenseRunTable()
     if kind == "near-periodic":
-        idx = LceIndex()
+        indexes = [LceIndex(*options) for options, _ in MODE_RULES + X32_RULES]
         for v in _near_periodic(random.Random("kept/near-periodic"), 3_000):
-            for query, _ in MODE_QUERIES + X32_QUERIES:
-                query(idx)
-            check(idx, dense)
-            idx.append(v)
+            for idx in indexes:
+                idx.blocked()
+                check(idx, dense)
+                idx.append(v)
             dense.append(v)
         return
     state = GreedyState(*GREEDY_KINDS[kind])
@@ -708,9 +716,8 @@ def _after_each_query(kind, check):
 
 
 def _assert_kept_ascending(idx, dense):
-    for rule in idx._rules.values():
-        periods = [P for P, _ in rule._kept]
-        assert all(a < b for a, b in zip(periods, periods[1:])), (len(idx), periods)
+    periods = [P for P, _ in idx._kept]
+    assert all(a < b for a, b in zip(periods, periods[1:])), (len(idx), periods)
 
 
 @pytest.mark.parametrize("kind", ["w32", "x32", "5/4 exact", "near-periodic"])
@@ -726,23 +733,22 @@ def _assert_kept_exactly_the_periods_that_can_block(idx, dense):
     # need(P) - run(P) < due - n, i.e. q * (run(P) + due - n - 1) >= X with
     # X = (p - q) * P - q (+1 when strict), as need(P) is the least r with
     # q * r >= X.  Every band period's run comes from the dense table
-    # (LceIndex.run on each would take millions of calls), the kept
-    # periods' from LceIndex.run as well
-    n = len(idx)
-    for (p, q, strict, _, _), rule in idx._rules.items():
-        kept = dict(rule._kept)
-        for band in rule._bands:
-            periods = np.arange(band.periods.start, min(band.periods.stop, n + 1), band.periods.step)
-            reach = dense.runs(periods) + (band.due - n - 1)
-            can_block = q * reach >= (p - q) * periods - q + strict
-            assert set(periods[can_block].tolist()) == {P for P in kept if P in band.periods}, (n, band.periods)
-        for P, at in kept.items():
-            need, run = rule.need(P), idx.run(P)
-            assert run == dense.run(P), (n, P)
-            # P blocks from length at on; _run stops at need(P), so at is
-            # exact only while P does not block yet: n + need(P) - run(P)
-            assert (at <= n) == (run >= need), (n, P, at)
-            assert run >= need or at - n == need - run, (n, P, at)
+    # (detect._run on each would take millions of calls), the kept
+    # periods' from detect._run as well
+    n, (p, q, strict, _, _) = len(idx), idx._args
+    kept = dict(idx._kept)
+    for band in idx._bands:
+        periods = np.arange(band.periods.start, min(band.periods.stop, n + 1), band.periods.step)
+        reach = dense.runs(periods) + (band.due - n - 1)
+        can_block = q * reach >= (p - q) * periods - q + strict
+        assert set(periods[can_block].tolist()) == {P for P in kept if P in band.periods}, (n, band.periods)
+    for P, at in kept.items():
+        need, run = idx.need(P), detect._run(idx._word, n, P, n)
+        assert run == dense.run(P), (n, P)
+        # P blocks from length at on; _run stops at need(P), so at is
+        # exact only while P does not block yet: n + need(P) - run(P)
+        assert (at <= n) == (run >= need), (n, P, at)
+        assert run >= need or at - n == need - run, (n, P, at)
 
 
 @pytest.mark.parametrize("kind", [*GREEDY_KINDS, "near-periodic"])
@@ -757,16 +763,16 @@ def test_small_window_opens_with_the_word_near_exponent_one():
     state = GreedyState(Exponent(401, 400), THRESHOLD)
     while len(state) < 300:
         _refresh(state)
-        (rule,) = state._idx._rules.values()
-        n, S, ones = len(state), rule._size, rule._ones
-        for m, at in rule._masks.values():
+        idx = state._idx
+        n, S, ones = len(state), idx._size, idx._ones
+        for m, at in idx._masks.values():
             assert (m << (n - at) & ones) >> (n + 1) == 0, n
-        for k in range(1, rule._runs.bit_length() // S + 1):
-            assert (rule._runs >> (k * S) & ones) >> (n - k + 1) == 0, n
+        for k in range(1, idx._runs.bit_length() // S + 1):
+            assert (idx._runs >> (k * S) & ones) >> (n - k + 1) == 0, n
         state.step()
 
 
-# (name, options of LceIndex.blocked, S, the largest period below S, its need K)
+# (name, options of LceIndex, S, the largest period below S, its need K)
 REPLAYED_RULES = [
     ("3/2 threshold", (3, 2), 64, 63, 31),
     ("3/2 exact", (3, 2, False, 2, 2), 64, 62, 30),
@@ -782,7 +788,7 @@ REPLAYED_RULES = [
 @pytest.mark.parametrize("kind", ["periodic", "near-periodic"])
 @pytest.mark.parametrize("options,S,top,need", [r[1:] for r in REPLAYED_RULES], ids=[r[0] for r in REPLAYED_RULES])
 def test_first_query_on_a_word_replays_enough_letters(options, S, top, need, kind):
-    # a rule first asked at length n rebuilds its bits from the last
+    # an index built at length n rebuilds its bits from the last
     # top + need(top) letters; at every length up to S + K + 2 the first
     # query of a fresh index equals the dense table's, and so does the
     # one-letter scan of each letter among the last S positions.  The periodic
@@ -796,36 +802,35 @@ def test_first_query_on_a_word_replays_enough_letters(options, S, top, need, kin
         word = _near_periodic(rng, size)
     dense = oracle.DenseRunTable()
     for n in range(size + 1):
-        idx = LceIndex(word[:n])
+        idx = LceIndex(*options, letters=word[:n])
         blocked = dense.blocked(*options)
-        assert idx.blocked(*options) == blocked, n
-        (rule,) = idx._rules.values()
+        assert idx.blocked() == blocked, n
         for c in {*word[max(0, n - S) : n], 4096}:
-            assert _scan_put_back(rule, idx._word, c) == blocked.get(c), (n, c)
+            assert _scan_put_back(idx, c) == blocked.get(c), (n, c)
         if n < size:
             dense.append(word[n])
-    assert rule._size == S
+    assert idx._size == S
 
 
 def test_blocked_rejects_rules_it_cannot_track():
     # need(P) is 0 for every P when p <= q, so no small-window bound exists;
-    # a first period or a step below 1 names no periods
-    idx = LceIndex([0, 1, 0])
+    # a first period or a step below 1 names no periods: the index refuses
+    # such a rule when it is built, with or without letters
     for p, q, options in [(2, 2, {}), (1, 2, {}), (3, 0, {}), (3, 2, {"first": 0}), (3, 2, {"step": 0})]:
         with pytest.raises(ValueError):
-            idx.blocked(p, q, **options)
+            LceIndex(p, q, **options, letters=[0, 1, 0])
     with pytest.raises(ValueError):
-        LceIndex().blocked(2, 2)
-    assert idx.blocked(3, 2) == {0: 1, 1: 2}
+        LceIndex(2, 2)
+    assert LceIndex(3, 2, letters=[0, 1, 0]).blocked() == {0: 1, 1: 2}
 
 
 def test_blocked_strict_rule_is_keyed_and_built_alike():
-    # a rule is cached under strict as given and built from bool(strict)
-    assert LceIndex([0, 1, 2, 0]).blocked(3, 2, strict=2) == {0: 1, 1: 3}
+    # the rule is built from bool(strict), whatever strict is given as
+    assert LceIndex(3, 2, strict=2, letters=[0, 1, 2, 0]).blocked() == {0: 1, 1: 3}
 
 
 # the greedy step: threshold_hit / exact_hit append the least letter that
-# the rule's blocked map leaves out, read as the lowest clear bit of one int
+# the index's blocked map leaves out, read as the lowest clear bit of one int
 
 def _dense_least(dense, exponent, mode):
     first, step = mode.periods(exponent.q)
@@ -840,11 +845,10 @@ def test_greedy_step_appends_the_dense_tables_least_free_letter(exponent, mode):
     # along 2,000 letters of the greedy word that the step itself builds;
     # from three need-0 periods on (4/3, 5/4, 101/100 threshold) the step
     # keeps their letters in a window that each step follows
-    idx, dense = LceIndex(), oracle.DenseRunTable()
-    step = mode.query()
+    idx, dense = _mode_index(exponent, mode), oracle.DenseRunTable()
     for n in range(2_000):
         letter = _dense_least(dense, exponent, mode)
-        assert step(idx, exponent.p, exponent.q) == letter, n
+        assert _hit(idx, mode) == letter, n
         dense.append(letter)
     assert idx.to_list() == generate(exponent, mode, 2_000)
 
@@ -853,18 +857,18 @@ def test_greedy_step_equals_the_dense_table_near_exponent_one():
     # 4097/4096: S = 8192, the 4,096 need-0 periods block the letters of
     # the last 4,096 positions, and from 4,098 letters on period 4,097 one
     # more, so the word takes the letters 0..4,097
-    exponent, idx, dense = Exponent(4097, 4096), LceIndex(), oracle.DenseRunTable()
+    exponent, idx, dense = Exponent(4097, 4096), LceIndex(4097, 4096), oracle.DenseRunTable()
     for n in range(4_300):
         letter = dense.least_free(exponent.p, exponent.q)
-        assert idx.threshold_hit(exponent.p, exponent.q) == letter, n
+        assert idx.threshold_hit() == letter, n
         dense.append(letter)
     assert max(idx.to_list()) == 4_097
 
 
 @pytest.mark.parametrize("kind", ["random", "near-periodic"])
 def test_greedy_step_on_a_word_first_asked_at_each_length(kind):
-    # LceIndex(w[:k]) has no rule until the step builds one from the last
-    # letters, so the need-0 window is read from the word, not followed
+    # an index built on w[:k] replays only its last letters, so the need-0
+    # window is read from the word, not followed
     rng = random.Random(f"step/{kind}")
     word = [rng.randrange(3) for _ in range(1_500)] if kind == "random" else _near_periodic(rng, 1_500)
     dense = oracle.DenseRunTable()
@@ -873,44 +877,41 @@ def test_greedy_step_on_a_word_first_asked_at_each_length(kind):
         if k in lengths:
             for exponent, mode in STEP_RULES:
                 letter = _dense_least(dense, exponent, mode)
-                assert mode.query()(LceIndex(word[:k]), exponent.p, exponent.q) == letter, (k, exponent, mode)
+                assert _hit(_mode_index(exponent, mode, word[:k]), mode) == letter, (k, exponent, mode)
         if k < 1_500:
             dense.append(word[k])
 
 
 def test_greedy_steps_mixed_with_other_appends_on_one_index():
-    # one index, four ways to append: plain appends and overlap scans of one
-    # to four letters, which step each letter and push it to the other
-    # rules, leave the greedy rules' windows stale, so the next greedy step
-    # reads them again; every rule follows every append
+    # one index per greedy rule, three ways to append: plain appends and
+    # scans of one to four letters leave the step's need-0 window stale, so
+    # the next greedy step reads it again
     rng = random.Random("step/mixed")
-    idx, dense, word = LceIndex(), oracle.DenseRunTable(), []
-    rules = [(Exponent(101, 100), THRESHOLD), (Exponent(4, 3), THRESHOLD), (E32, THRESHOLD), (E32, EXACT)]
-    for i in range(3_000):
-        kind = rng.randrange(4)
-        if kind == 0:
-            letter = rng.randrange(4)
-            idx.append(letter)
-        elif kind == 1:
-            period = None
-            letters = [rng.randrange(4) for _ in range(rng.randint(1, 4))]
-            for letter in letters:
-                period = dense.blocked(2, 1, strict=True).get(letter)
-                if period is not None:
-                    break
-                dense.append(letter)
-                word.append(letter)
-            assert idx.extend_unless_blocked(letters, 2, 1, strict=True) == period, i
-            continue
-        else:
-            exponent, mode = rng.choice(rules)
-            letter = _dense_least(dense, exponent, mode)
-            assert letter == _least_missing(_mode_blocked(dense, exponent, mode)), i
-            assert mode.query()(idx, exponent.p, exponent.q) == letter, i
-        dense.append(letter)
-        word.append(letter)
-    assert idx.to_list() == word
-    assert len(idx._rules) == len(rules) + 1
+    for exponent, mode in [(Exponent(101, 100), THRESHOLD), (Exponent(4, 3), THRESHOLD), (E32, THRESHOLD), (E32, EXACT)]:
+        idx, dense, word = _mode_index(exponent, mode), oracle.DenseRunTable(), []
+        for i in range(1_000):
+            kind = rng.randrange(3)
+            if kind == 0:
+                letter = rng.randrange(4)
+                idx.append(letter)
+            elif kind == 1:
+                period = None
+                letters = [rng.randrange(4) for _ in range(rng.randint(1, 4))]
+                for letter in letters:
+                    period = _mode_blocked(dense, exponent, mode).get(letter)
+                    if period is not None:
+                        break
+                    dense.append(letter)
+                    word.append(letter)
+                assert idx.scan(letters) == period, (exponent, mode, i)
+                continue
+            else:
+                letter = _dense_least(dense, exponent, mode)
+                assert letter == _least_missing(_mode_blocked(dense, exponent, mode)), (exponent, mode, i)
+                assert _hit(idx, mode) == letter, (exponent, mode, i)
+            dense.append(letter)
+            word.append(letter)
+        assert idx.to_list() == word
 
 
 def test_greedy_step_after_letters_near_the_width():
@@ -921,13 +922,13 @@ def test_greedy_step_after_letters_near_the_width():
     top = (1 << 31) - 1
     word = [top, top - 1, 0, top, top - 1, 1, top, 2]
     for exponent, mode in [(E32, THRESHOLD), (E32, EXACT), (Exponent(4, 3), THRESHOLD), (Exponent(101, 100), THRESHOLD)]:
-        idx, dense = LceIndex(word), oracle.DenseRunTable()
+        idx, dense = _mode_index(exponent, mode, word), oracle.DenseRunTable()
         for v in word:
             dense.append(v)
         tracemalloc.start()
         for n in range(150):
             letter = _dense_least(dense, exponent, mode)
-            assert mode.query()(idx, exponent.p, exponent.q) == letter, (exponent, mode, n)
+            assert _hit(idx, mode) == letter, (exponent, mode, n)
             dense.append(letter)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
@@ -938,11 +939,10 @@ def test_greedy_step_reads_the_map_when_every_letter_below_S_is_blocked():
     # periods below S block at most S - 1 letters, so only kept periods can
     # block every letter below S; kept by hand here, each blocking from
     # length 0 on, they block the letters 0..136 of range(200) at 3/2
-    idx = LceIndex(range(200))
-    idx.blocked(3, 2)
-    (rule,) = idx._rules.values()
-    rule._kept, rule._due = [(P, 0) for P in range(64, 201)], 10**9
-    blocked = idx.blocked(3, 2)
-    assert rule._size == 64 and set(range(137)) <= set(blocked)
-    assert idx.threshold_hit(3, 2) == _least_missing(blocked) == 137
+    idx = LceIndex(3, 2, letters=range(200))
+    idx.blocked()
+    idx._kept, idx._due = [(P, 0) for P in range(64, 201)], 10**9
+    blocked = idx.blocked()
+    assert idx._size == 64 and set(range(137)) <= set(blocked)
+    assert idx.threshold_hit() == _least_missing(blocked) == 137
     assert idx.to_list() == [*range(200), 137]

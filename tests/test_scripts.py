@@ -75,15 +75,42 @@ def _bench():
 
 
 def test_bench_rows_at_their_smallest_size():
-    # each row of scripts/bench.py times a clean verdict at its smallest
-    # size beside the reference loop, and scales it as perfbench does; the
-    # slope needs two sizes, and reads 1 on times linear in them
+    # each row of scripts/bench.py times its call at its smallest size
+    # (10^4 letters, 3*10^3 near exponent 1) beside the reference loop, and
+    # scales it as perfbench does; the slope needs two sizes, and reads 1 on
+    # times linear in them
     bench = _bench()
     for name, (_, sizes) in bench.ROWS.items():
-        result = bench.row(name, sizes[:1], repeats=1)
-        assert result["sizes"] == [sizes[0]] == [10_000], name
+        n = sizes[0]
+        result = bench.row(name, [n], repeats=1)
+        assert result["sizes"] == [n] and n in (3_000, 10_000), name
         raw, ref, scaled = result["raw_seconds"][0], result["reference_s"][0], result["seconds"][0]
         assert raw > 0 and ref > 0 and result["slope"] is None, name
         assert scaled == pytest.approx(raw * bench._perfbench().REFERENCE_S / ref), name
-        assert result["us_per_letter"][0] == pytest.approx(scaled / 10_000 * 1e6), name
+        assert result["us_per_letter"][0] == pytest.approx(scaled / n * 1e6), name
     assert bench.slope([10, 1_000], [0.5, 50.0]) == pytest.approx(1.0)
+
+
+def test_bench_revision_is_dirty_only_when_the_sources_changed(tmp_path):
+    # a BENCH file written into the checkout, or any other change outside
+    # the sources, leaves the revision clean; a changed source marks it
+    bench = _bench()
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "module.py").write_text("x = 1\n")
+    (tmp_path / "README.md").write_text("readme\n")
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com", *args],
+                       cwd=tmp_path, check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "seed")
+    clean = bench.revision(src)
+    assert clean and not clean.endswith("-dirty")
+    (tmp_path / "README.md").write_text("changed\n")
+    (tmp_path / "BENCH_label.json").write_text("{}\n")
+    assert bench.revision(src) == clean
+    (src / "module.py").write_text("x = 2\n")
+    assert bench.revision(src) == clean + "-dirty"
