@@ -3,13 +3,14 @@
 
     python scripts/bench.py --label NAME [--out DIR]
 
-Standard library only.  Each row times one call, ``REPEATS`` calls at each
-size, and fits the slope of log time against log size (1 means linear in
-the letters):
+Standard library only.  Each row times one call at each size, as many
+times as it takes to time ``LETTERS`` letters in all and never fewer than
+``REPEATS``, and fits the slope of log time against log size (1 means
+linear in the letters):
 
 * ``GreedyState(...).extend_to(n)`` for w32 (3/2, threshold) and x32
-  (3/2, exact) at 10^4, 3*10^4 and 10^5 letters, and for 401/400
-  threshold at 3*10^3 and 10^4;
+  (3/2, exact) at 10^4, 3*10^4 and 10^5 letters, and for 401/400 and
+  101/100 threshold at 3*10^3 and 10^4;
 * ``contains_forbidden`` on w32 and on x32 at 10^4, 3*10^4, 10^5 and 10^6
   letters, each a clean verdict;
 * ``check_x_squares`` and ``check_x_overlapfree`` on x32 at 10^4 and 10^5.
@@ -18,8 +19,9 @@ The scanned words are built before the clock starts.  The speed of a shared
 machine drifts within a run and swings between runs, so every timed call
 sits between two calls of perfbench's reference loop for ``scan``, and is
 scaled as perfbench scales a job: to a machine where that loop takes
-``REFERENCE_S``.  A row keeps, at each size, the median raw seconds, the
-median reference time next to them and the median scaled seconds; its
+``REFERENCE_S``.  A row keeps, at each size, the number of calls, the
+median raw seconds, the median reference time next to them and the
+median scaled seconds; its
 microseconds per letter and slope are read from the scaled ones, so two
 files compare through them.  The environment block holds the Python
 version, the CPU count and the git revision of the measured ``lexleast``
@@ -55,6 +57,9 @@ GREEDY_SIZES = (10_000, 30_000, 100_000)
 NEAR_ONE_SIZES = (3_000, 10_000)
 SCAN_SIZES = (10_000, 30_000, 100_000, 1_000_000)
 CHECK_SIZES = (10_000, 100_000)
+# the letters timed at each size: 20 calls at 10^4 letters, where one call
+# of about 30 ms is too short to resolve 10% over 3 calls
+LETTERS = 200_000
 REPEATS = 3
 
 
@@ -99,6 +104,7 @@ ROWS: dict[str, tuple[Callable[[int], Callable[[], bool]], Sequence[int]]] = {
     "greedy w32 threshold": (_greedy(E32, AvoidanceMode.THRESHOLD), GREEDY_SIZES),
     "greedy x32 exact": (_greedy(E32, AvoidanceMode.EXACT), GREEDY_SIZES),
     "greedy 401/400 threshold": (_greedy(Exponent(401, 400), AvoidanceMode.THRESHOLD), NEAR_ONE_SIZES),
+    "greedy 101/100 threshold": (_greedy(Exponent(101, 100), AvoidanceMode.THRESHOLD), NEAR_ONE_SIZES),
     "contains_forbidden w32 threshold": (_scan(w32_prefix, AvoidanceMode.THRESHOLD), SCAN_SIZES),
     "contains_forbidden x32 exact": (_scan(x32_prefix, AvoidanceMode.EXACT), SCAN_SIZES),
     "check_x_squares": (_check(check_x_squares), CHECK_SIZES),
@@ -115,19 +121,27 @@ def slope(sizes: Sequence[int], seconds: Sequence[float]) -> float | None:
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
 
 
-def row(name: str, sizes: Sequence[int], repeats: int = REPEATS) -> dict:
-    """``repeats`` timed calls of row ``name`` at each size, each between two
-    calls of the reference loop.  Per size: the median raw seconds, the
-    median reference seconds (mean of the loop just before and just after a
-    call) and the median scaled seconds; microseconds per letter and the
-    fitted slope come from the scaled seconds."""
+def calls_at(n: int) -> int:
+    """The timed calls at n letters: enough to time ``LETTERS`` letters,
+    and never fewer than ``REPEATS``."""
+    return max(REPEATS, -(-LETTERS // n))
+
+
+def row(name: str, sizes: Sequence[int], repeats: int | None = None) -> dict:
+    """Timed calls of row ``name`` at each size, ``repeats`` of them or
+    ``calls_at(n)``, each between two calls of the reference loop.  Per
+    size: the median raw seconds, the median reference seconds (mean of the
+    loop just before and just after a call) and the median scaled seconds;
+    microseconds per letter and the fitted slope come from the scaled
+    seconds."""
     prepare, _ = ROWS[name]
     perfbench = _perfbench()
     reference, scaled = perfbench.REFERENCES["scan"], perfbench.scaled
+    calls = [repeats or calls_at(n) for n in sizes]
     raw, references, seconds = [], [], []
-    for n in sizes:
+    for n, k in zip(sizes, calls):
         call, times, refs = prepare(n), [], []
-        for _ in range(repeats):
+        for _ in range(k):
             before = reference()
             t0 = time.perf_counter()
             clean = call()
@@ -141,6 +155,7 @@ def row(name: str, sizes: Sequence[int], repeats: int = REPEATS) -> dict:
     return {
         "row": name,
         "sizes": list(sizes),
+        "calls": calls,
         "raw_seconds": raw,
         "reference_s": references,
         "seconds": seconds,
@@ -192,14 +207,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         rows.append(row(name, sizes))
         print(f"{name}: " + ", ".join(f"{us:.2f}" for us in rows[-1]["us_per_letter"]) + " us/letter", file=sys.stderr)
     report = {
-        "schema": "bench/2",
+        "schema": "bench/3",
         "label": args.label,
         "environment": {
             "python": platform.python_version(),
             "implementation": platform.python_implementation(),
             "cpu_count": os.cpu_count(),
             "git_revision": revision(),
-            "repeats": REPEATS,
+            "letters_per_size": LETTERS,
+            "min_repeats": REPEATS,
             "scaled_to_reference_s": _perfbench().REFERENCE_S,
         },
         "rows": rows,

@@ -14,6 +14,7 @@ only by the code that reads or writes it.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 import time
@@ -68,25 +69,18 @@ def _nonnegative(text: str) -> int:
 
 
 def parse_letters_text(text: str) -> list[int]:
-    """Parse a word from text: whitespace or comma separated naturals, or a
-    JSON array of naturals.  This accepts everything ``generate`` emits."""
-    text = text.strip()
-    if not text:
-        return []
-    if text.startswith("["):
-        import json
-
-        return check_letters(json.loads(text))
-    return check_letters([int(tok) for tok in text.replace(",", " ").split()])
+    """The word in ``text``, read as ``read_letters`` reads it, checked."""
+    return check_letters(list(read_letters(io.StringIO(text))))
 
 
 CHUNK = 8192
 
 
 def read_letters(handle: TextIO) -> Iterator[int]:
-    """The word in ``handle``, as ``parse_letters_text`` reads it, read
-    ``CHUNK`` characters at a time.  Text letters are streamed as ints and
-    left to the caller to check; a JSON array, known by its first non-space
+    """The word in ``handle``: whitespace or comma separated naturals, or a
+    JSON array of naturals, as ``generate`` emits it, read ``CHUNK``
+    characters at a time.  Text letters are streamed as ints and left to
+    the caller to check; a JSON array, known by its first non-space
     character, is read whole and checked by ``check_letters``."""
     chunks = iter(lambda: handle.read(CHUNK), "")
     for chunk in chunks:

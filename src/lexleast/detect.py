@@ -12,10 +12,8 @@ When the prefix before position n is clean, a new forbidden factor can only
 end at n, so every question here is one query: which letters at position n
 would complete a forbidden factor?  For each candidate period P, every
 compared letter but the last is already committed, and the last pits the
-letter at n against ``word[n - P]``.  One pass over the periods therefore
-yields every blocked letter with its smallest period (``LceIndex.blocked``,
-for the tests and a fallback of greedy's step).  Greedy, and the minimality
-check that runs it, needs only the least letter missing from it: its step
+letter at n against ``word[n - P]``.  Greedy, and the minimality check
+that runs it, needs only the least letter that no period blocks: its step
 (``LceIndex.threshold_hit``, also named ``exact_hit``) ORs the blocked
 letters into one int and appends the letter of its lowest clear bit.
 Callers that know their letters (``contains_forbidden``, ``forbidden_suffix``
@@ -61,11 +59,14 @@ runs that can still reach their need.
   same ``M * REP`` then serves the append.  The
   bits at length n rest on the last T + need(T) letters only, T the largest
   period kept in bits, so an index built on a long word replays those.
-* Greedy's step sets a bit for each blocked letter below S (the map is
-  read only if all are: periods below S block at most S - 1 letters).  The
-  need-0 periods 1..Z of threshold mode block the last Z positions'
-  letters, kept from Z = 3 on along the step's appends (the mask dict tells
-  when ``word[n - Z]`` leaves) and read again after any other append.
+* Greedy's step sets a bit for each blocked letter below
+  lim = S + (the number of kept periods): the periods below S block at
+  most S - 1 letters and each kept period one more, so a letter below lim
+  is free.  The need-0 periods 1..Z of threshold mode block the last Z
+  positions' letters, whose bits below S are kept from Z = 3 on along the
+  step's appends (the mask dict tells when ``word[n - Z]`` leaves) and read
+  again after any other append; the window's letters from S to lim are
+  read from the word only when every letter below S is blocked.
 * A band [S * 2**i, S * 2**(i+1)) opens with its lowest period and is kept
   sparsely; the first one also takes the periods below S left out of the
   bits.  Let nu be that period's need, L = max(1, nu // 2) and
@@ -164,7 +165,10 @@ class LceIndex:
     slots of the module docstring, above it the (P, at) pairs of the bands'
     kept periods, in ascending P, ``at`` being the length from which P
     blocks.  P can block only when P + need(P) <= n, so the rule names no
-    upper bound.
+    upper bound.  At most S - 1 periods below S and the kept ones block a
+    letter each, so the least free letter, which greedy's step appends, is
+    below S + len(kept): about S along the greedy words, whose kept periods
+    stay at or below log2 n.
 
     Letters are natural numbers below 2**31, kept in a list.  Given
     ``letters``, the index checks each and replays only the last ones that
@@ -326,13 +330,15 @@ class LceIndex:
     def threshold_hit(self) -> int:
         """Greedy's step: append the least letter that no period blocks at
         length n, the lowest clear bit of one int of the blocked letters
-        below S, and return it.  Its append is followed with its own mask,
-        as ``scan`` does."""
+        below ``lim``, and return it.  Its append is followed with its own
+        mask, as ``scan`` does."""
         word = self._word
         n = len(word)
         if n >= self._due:
             self._refresh(n)
-        S, Z = self._size, self._window
+        S, Z, kept = self._size, self._window, self._kept
+        # the periods below S and the kept ones block at most lim - 1 letters
+        lim = S + len(kept)
         if Z:
             if self._wat != n:
                 # another path appended since: read the window again
@@ -344,28 +350,29 @@ class LceIndex:
                 if P > n:
                     break
                 v = word[n - P]
-                if v < S:
+                if v < lim:
                     free |= 1 << v
         hits = self._runs & self._needmask
         while hits:
             low = hits & -hits
             v = word[n - ((low.bit_length() - 1) & (S - 1))]
-            if v < S:
+            if v < lim:
                 free |= 1 << v
             hits ^= low
-        for P, at in self._kept:
+        for P, at in kept:
             if at <= n:
                 v = word[n - P]
-                if v < S:
+                if v < lim:
                     free |= 1 << v
         letter = (~free & (free + 1)).bit_length() - 1
-        if letter == S:
-            # every letter below S is blocked: the rest are read from the map
-            found = self.blocked()
-            while letter in found:
-                letter += 1
+        if letter >= S and Z:
+            # the window holds only the letters below S: add the others
+            for v in word[max(0, n - Z) :]:
+                if v < lim:
+                    free |= 1 << v
+            letter = (~free & (free + 1)).bit_length() - 1
         # follow the append as ``_push`` does, without the call
-        masks, kept = self._masks, self._kept
+        masks = self._masks
         last = masks.get(letter)
         if last is None:
             masks[letter] = [2, n + 1]
@@ -396,30 +403,6 @@ class LceIndex:
     # the same step for an index built on the multiples of q; perfbench's
     # tracer wraps each name, and greedy calls the one of its mode
     exact_hit = threshold_hit
-
-    def blocked(self) -> dict[int, int]:
-        """Letters at the next position that would complete a factor of the
-        rule's exponent, each with its smallest period."""
-        word = self._word
-        n = len(word)
-        if n >= self._due:
-            self._refresh(n)
-        found: dict[int, int] = {}
-        for P in self._zero:
-            if P > n:
-                break
-            found.setdefault(word[n - P], P)
-        # need(P) grows with P, so the bits come out in ascending P
-        hits, below = self._runs & self._needmask, self._size - 1
-        while hits:
-            low = hits & -hits
-            P = (low.bit_length() - 1) & below
-            found.setdefault(word[n - P], P)
-            hits ^= low
-        for P, at in self._kept:
-            if at <= n:
-                found.setdefault(word[n - P], P)
-        return found
 
     def _refresh(self, n: int) -> None:
         """Open every band whose lowest period can block at length n
@@ -536,10 +519,10 @@ def contains_forbidden(
 ) -> Occurrence | None:
     """First forbidden factor in end-position order over the whole word.
 
-    One pass over any iterable, one scan of an index of its own, with no
-    blocked map: the scan stops at the first position that completes a
-    forbidden factor, but every letter, those after it too, is checked to
-    be a natural number below 2**31.
+    One pass over any iterable, one scan of an index of its own: the scan
+    stops at the first position that completes a forbidden factor, but
+    every letter, those after it too, is checked to be a natural number
+    below 2**31.
     """
     first, step = mode.periods(exponent.q)
     idx, letters = LceIndex(exponent.p, exponent.q, first=first, step=step), iter(word)

@@ -4,7 +4,9 @@ Everything here trades speed for obviousness: periods are established by
 direct letter loops, exponent comparisons by cross-multiplication, and
 enumeration is exhaustive.  ``DenseRunTable`` sits between: the run of
 every period, updated on each append, O(n) per letter.  The production
-code must agree with these on every input they can both handle.
+code must agree with these on every input they can both handle;
+``scan_map`` reads an ``LceIndex`` by one-letter scans, each put back, to
+compare it with the dense table's map.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from lexleast.checks import CheckReport, Violation
-from lexleast.detect import AvoidanceMode
+from lexleast.detect import AvoidanceMode, LceIndex
 from lexleast.words import Exponent, Occurrence
 
 Word = Sequence[int]
@@ -88,9 +90,11 @@ class DenseRunTable:
     backwards is one contiguous slice.  It answers ``blocked`` by comparing
     every run with its need at once, so it can check the production
     detector after every letter of words far too long for the direct loops
-    above.  Its ``blocked(p, q, strict, first, step)`` answers as
-    ``LceIndex(p, q, strict, first, step).blocked()`` does, and
-    ``least_free`` names the letter that greedy's step appends.
+    above.  Its ``blocked(p, q, strict, first, step)`` maps each letter
+    that would complete a factor of the rule to its smallest period, the
+    period that a one-letter scan of ``LceIndex(p, q, strict, first, step)``
+    names for it (``scan_map``), and ``least_free`` names the letter that
+    greedy's step appends.
     """
 
     def __init__(self) -> None:
@@ -129,7 +133,7 @@ class DenseRunTable:
         self._n = n + 1
 
     def blocked(self, p: int, q: int, strict: bool = False, first: int = 1, step: int = 1) -> dict[int, int]:
-        """``LceIndex.blocked`` of the rule: P blocks ``word[n - P]``
+        """Each blocked letter with its smallest period: P blocks ``word[n - P]``
         when q * run(P) >= (p - q) * P - q (+1 when ``strict``), for every
         P in first, first + step, ... up to n."""
         ps = np.arange(first, self._n + 1, step, dtype=np.int64)
@@ -149,6 +153,55 @@ class DenseRunTable:
         seen = np.zeros(len(letters) + 1, dtype=bool)
         seen[letters[letters <= len(letters)]] = True
         return int(np.argmin(seen))
+
+
+def refresh(idx: LceIndex) -> None:
+    """Refresh ``idx`` when due, as its next query would."""
+    n = len(idx)
+    if n >= idx._due:
+        idx._refresh(n)
+
+
+def scan_put_back(idx: LceIndex, letter: int) -> int | None:
+    """``idx.scan((letter,))``, with the index then put back as it was.
+    Refreshed first when due, the index's scan refreshes nothing; a clean
+    letter is appended, changes its mask in place or adds it, drops the
+    mask of the letter leaving the window, and sets the runs and the kept
+    list."""
+    refresh(idx)
+    word, masks = idx._word, idx._masks
+    n = len(word)
+    gone = word[n + 1 - idx._size] if n + 1 >= idx._size else None
+    own, old = masks.get(letter), masks.get(gone)
+    saved, runs, kept = own and own[:], idx._runs, idx._kept
+    period = idx.scan((letter,))
+    if period is None:
+        assert word.pop() == letter
+        if own:
+            own[:] = saved
+        else:
+            del masks[letter]
+        if old is not None:
+            masks[gone] = old
+        idx._runs, idx._kept = runs, kept
+    return period
+
+
+def scan_map(idx: LceIndex, blocked: dict[int, int]) -> dict[int, int]:
+    """The letters at which a one-letter scan of ``idx`` stops, each with
+    the period it names, over every letter that ``idx`` or the map
+    ``blocked`` could name: the last S letters, ``word[n - P]`` for each
+    kept P and the map's letters, and one letter above them all, which has
+    no mask, as an unseen letter has none.  The index is refreshed first
+    when due and put back after each scan, so the result equals
+    ``blocked`` exactly when every scan names the map's period."""
+    refresh(idx)
+    word = idx._word
+    n = len(word)
+    letters = {*word[max(0, n - idx._size) :], *(word[n - P] for P, _ in idx._kept), *blocked}
+    letters.add(max(letters, default=-1) + 1)
+    scans = {c: scan_put_back(idx, c) for c in sorted(letters)}
+    return {c: period for c, period in scans.items() if period is not None}
 
 
 def dense_greedy(exponent: Exponent, mode: AvoidanceMode, length: int) -> list[int]:

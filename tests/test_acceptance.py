@@ -135,8 +135,9 @@ def test_criterion_09_x32_structure():
 
 
 def _tracked_witness(idx, mode, letter):
-    """The E32 witness that appending ``letter`` to ``idx`` would complete."""
-    period = idx.blocked().get(letter)
+    """The E32 witness that appending ``letter`` to ``idx`` would complete,
+    named by a one-letter scan of ``idx``, which is then put back."""
+    period = oracle.scan_put_back(idx, letter)
     return None if period is None else detect._occurrence(idx.to_list(), E32, mode, period)
 
 

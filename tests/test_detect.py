@@ -48,10 +48,12 @@ def _hit(idx, mode):
     return (idx.threshold_hit if mode is THRESHOLD else idx.exact_hit)()
 
 
-def _refresh(state):
-    """Refresh the index of a greedy state, as its next step would, by
-    asking its blocked map."""
-    return state._idx.blocked()
+def _dense(word):
+    """The dense run table of ``word``."""
+    dense = oracle.DenseRunTable()
+    for v in word:
+        dense.append(v)
+    return dense
 
 
 def _least_missing(blocked):
@@ -197,14 +199,14 @@ def test_indexed_equals_direct_on_random_words():
     st.sampled_from([THRESHOLD, EXACT]),
 )
 def test_blocked_letters_match_naive_oracle(word, exponent, mode):
-    # the query names every letter whose appending completes a forbidden
-    # suffix, with the oracle's smallest period
+    # a one-letter scan stops at every letter whose appending completes a
+    # forbidden suffix, with the oracle's smallest period, and at no other
     expected = {}
     for m in range(max(word, default=-1) + 2):
         occ = oracle.naive_forbidden_suffix(word + [m], exponent, mode)
         if occ is not None:
             expected[m] = occ.period
-    assert _mode_index(exponent, mode, word).blocked() == expected
+    assert oracle.scan_map(_mode_index(exponent, mode, word), expected) == expected
 
 
 @given(
@@ -215,8 +217,8 @@ def test_blocked_letters_match_naive_oracle(word, exponent, mode):
 def test_run_table_follows_append_pop_walks(steps, exponent, mode):
     # a letter appends and None pops, on an index of the mode's rule and on
     # one of the overlap rule: after every step each run equals the direct
-    # backward scan, the mode index's query matches the oracle, and so does
-    # that of a fresh index built on the word
+    # backward scan, the mode index's one-letter scans match the oracle, and
+    # so do those of a fresh index built on the word
     idx, overlaps = _mode_index(exponent, mode), LceIndex(2, 1, strict=True)
     word = []
     for step in steps:
@@ -225,9 +227,9 @@ def test_run_table_follows_append_pop_walks(steps, exponent, mode):
                 assert idx.pop() == overlaps.pop() == word.pop()
         else:
             # appended to the overlap index by its one-letter scan, which
-            # must name its map's smallest period; a blocked letter is then
-            # appended plainly
-            overlap = overlaps.blocked().get(step)
+            # must name the dense table's smallest period; a blocked letter
+            # is then appended plainly
+            overlap = _dense(word).blocked(2, 1, strict=True).get(step)
             assert overlaps.scan((step,)) == overlap
             if overlap is not None:
                 overlaps.append(step)
@@ -242,7 +244,8 @@ def test_run_table_follows_append_pop_walks(steps, exponent, mode):
             occ = oracle.naive_forbidden_suffix(word + [m], exponent, mode)
             if occ is not None:
                 expected[m] = occ.period
-        assert idx.blocked() == _mode_index(exponent, mode, word).blocked() == expected
+        fresh = _mode_index(exponent, mode, word)
+        assert oracle.scan_map(idx, expected) == oracle.scan_map(fresh, expected) == expected
 
 
 @given(words, st.sampled_from([THRESHOLD, EXACT]))
@@ -301,8 +304,9 @@ def test_exact_32_reduces_to_balanced_xyx():
 
 
 def _tracked_witness(idx, mode, letter):
-    """The E32 witness that appending ``letter`` to ``idx`` would complete."""
-    period = idx.blocked().get(letter)
+    """The E32 witness that appending ``letter`` to ``idx`` would complete,
+    named by a one-letter scan of ``idx``, which is then put back."""
+    period = oracle.scan_put_back(idx, letter)
     return None if period is None else detect._occurrence(idx.to_list(), E32, mode, period)
 
 
@@ -374,44 +378,19 @@ def _tracked_state(idx):
     return idx._masks, idx._runs, idx._kept, idx._due, idx._open
 
 
-def _scan_put_back(idx, letter):
-    """``idx.scan((letter,))``, with the index then put back as it was.
-    Asked right after ``blocked`` at the same length, a scan refreshes
-    nothing; a clean letter is appended, changes its mask in place or adds
-    it, drops the mask of the letter leaving the window, and sets the runs
-    and the kept list."""
-    word, masks = idx._word, idx._masks
-    n = len(word)
-    gone = word[n + 1 - idx._size] if n + 1 >= idx._size else None
-    own, old = masks.get(letter), masks.get(gone)
-    saved, runs, kept = own and own[:], idx._runs, idx._kept
-    period = idx.scan((letter,))
-    if period is None:
-        assert word.pop() == letter
-        if own:
-            own[:] = saved
-        else:
-            del masks[letter]
-        if old is not None:
-            masks[gone] = old
-        idx._runs, idx._kept = runs, kept
-    return period
-
-
 def _follow_dense(word, rules, seed, quiet=0):
     """Append ``word`` letter by letter to one ``LceIndex`` per rule, each
     built at the ``quiet``-th letter (or the first) on the letters so far,
     and to the dense run table; after every append from then on, each
-    index's whole blocked map must equal the dense table's for its rule,
-    and the run of a few seeded periods the dense table's.  Each index's
-    one-letter scan must then name, for every letter among the last S
-    positions and one that never occurs, the period that its map names for
-    it.  A twin of each index, built with it and advanced by one-letter
-    scans (and by ``append`` after a hit), must hold the masks, runs, kept
-    list, next refresh and next band opening of the index that ``append``
-    advances."""
+    index's one-letter scans must name the period of the dense table's
+    blocked map for its rule, for every letter that either could name
+    (``oracle.scan_map``), and the run of a few seeded periods must be the
+    dense table's.  A twin of each index, built with it and advanced by
+    one-letter scans (and by ``append`` after a hit), must hold the masks,
+    runs, kept list, next refresh and next band opening of the index that
+    ``append`` advances."""
     rng = random.Random(seed)
-    dense, letters, absent = oracle.DenseRunTable(), [], max(word, default=0) + 1
+    dense, letters = oracle.DenseRunTable(), []
     indexes, twins = [], []
     for v in word:
         for twin in twins:
@@ -429,10 +408,8 @@ def _follow_dense(word, rules, seed, quiet=0):
             twins = [LceIndex(*options, letters=letters) for options, _ in rules]
         for (options, name), idx, twin in zip(rules, indexes, twins):
             assert _tracked_state(twin) == _tracked_state(idx), (name, n)
-            blocked = idx.blocked()
-            assert blocked == dense.blocked(*options), (name, n)
-            for c in {*letters[-idx._size :], absent}:
-                assert _scan_put_back(idx, c) == blocked.get(c), (name, n, c)
+            blocked = dense.blocked(*options)
+            assert oracle.scan_map(idx, blocked) == blocked, (name, n)
         for period in rng.sample(range(1, n + 1), min(n, 3)):
             assert detect._run(letters, n, period, n) == dense.run(period), (period, n)
 
@@ -510,7 +487,8 @@ def test_extend_stops_where_the_dense_table_blocks(options, greedy, kind):
     # first such letter with that period, and at every later one once the
     # blocked letter is appended, fed whole, in chunks of 1, 7 and 4,097
     # letters, or fed whole past 2,000 letters given to the index when it
-    # is built, of which it replays only the last
+    # is built, of which it replays only the last; that index's one-letter
+    # scans then name the dense map's periods
     word = _scan_word(kind, greedy, random.Random(f"extend/{options}/{kind}"))
     dense, expected = oracle.DenseRunTable(), []
     for i, v in enumerate(word):
@@ -524,7 +502,8 @@ def test_extend_stops_where_the_dense_table_blocks(options, greedy, kind):
         assert _extend_stops(LceIndex(*options), word, size) == expected, size
     idx = LceIndex(*options, letters=word[:2_000])
     assert _extend_stops(idx, word, len(word)) == [(i, P) for i, P in expected if i >= 2_000]
-    assert idx.blocked() == dense.blocked(*options)
+    blocked = dense.blocked(*options)
+    assert oracle.scan_map(idx, blocked) == blocked
 
 
 @pytest.mark.parametrize("kind", ["random", "near-periodic"])
@@ -608,8 +587,8 @@ def test_large_exponent_keeps_no_run_slots():
     # in bits, and the cost of an index does not grow with its needs
     exponent = Exponent(1000, 1)
     assert generate(exponent, THRESHOLD, 500) == [0] * 500
-    idx = _mode_index(exponent, EXACT, [0] * 500)
-    assert idx.blocked() == {}
+    idx, blocked = _mode_index(exponent, EXACT, [0] * 500), _dense([0] * 500).blocked(*_mode_options(exponent, EXACT))
+    assert oracle.scan_map(idx, blocked) == blocked == {}
     assert idx._runs == idx._needmask == 0
 
 
@@ -635,10 +614,11 @@ def test_blocked_maps_equal_dense_table_over_a_wide_alphabet():
 @pytest.mark.parametrize("mode", [THRESHOLD, EXACT], ids=["threshold", "exact"])
 def test_letter_masks_stay_within_the_window(mode):
     # a scan of 10**4 distinct letters keeps at most S letter masks: a
-    # letter's mask goes when its last occurrence leaves the window
+    # letter's mask goes when its last occurrence leaves the window; only
+    # the last two letters can be blocked
     idx = _mode_index(E32, mode)
     for v in range(10_000):
-        assert set(idx.blocked()) <= {v - 1, v - 2}
+        assert set(oracle.scan_map(idx, {})) <= {v - 1, v - 2}
         idx.append(v)
         assert len(idx._masks) <= idx._size, v
     # so does one scan loop over them, which drops the masks itself
@@ -666,7 +646,7 @@ def test_tracked_periods_stay_logarithmic_along_greedy(exponent, mode):
     # (when a refresh may just have filled them), stay at or below log2 n
     state = GreedyState(exponent, mode)
     while len(state) < 20_000:
-        _refresh(state)
+        oracle.refresh(state._idx)
         kept = len(state._idx._kept)
         assert kept <= math.log2(max(len(state), 1)), (len(state), kept)
         state.step()
@@ -679,7 +659,7 @@ def test_kept_periods_average_at_most_one_and_a_half_per_query_along_greedy(expo
     state = GreedyState(exponent, mode)
     kept = 0
     while len(state) < 20_000:
-        _refresh(state)
+        oracle.refresh(state._idx)
         kept += len(state._idx._kept)
         state.step()
     assert kept / 20_000 <= 1.5
@@ -703,14 +683,14 @@ def _after_each_query(kind, check):
         indexes = [LceIndex(*options) for options, _ in MODE_RULES + X32_RULES]
         for v in _near_periodic(random.Random("kept/near-periodic"), 3_000):
             for idx in indexes:
-                idx.blocked()
+                oracle.refresh(idx)
                 check(idx, dense)
                 idx.append(v)
             dense.append(v)
         return
     state = GreedyState(*GREEDY_KINDS[kind])
     while len(state) < 3_000:
-        _refresh(state)
+        oracle.refresh(state._idx)
         check(state._idx, dense)
         dense.append(state.step())
 
@@ -762,7 +742,7 @@ def test_small_window_opens_with_the_word_near_exponent_one():
     # a period above n - k, as run(P) <= n - P
     state = GreedyState(Exponent(401, 400), THRESHOLD)
     while len(state) < 300:
-        _refresh(state)
+        oracle.refresh(state._idx)
         idx = state._idx
         n, S, ones = len(state), idx._size, idx._ones
         for m, at in idx._masks.values():
@@ -789,9 +769,9 @@ REPLAYED_RULES = [
 @pytest.mark.parametrize("options,S,top,need", [r[1:] for r in REPLAYED_RULES], ids=[r[0] for r in REPLAYED_RULES])
 def test_first_query_on_a_word_replays_enough_letters(options, S, top, need, kind):
     # an index built at length n rebuilds its bits from the last
-    # top + need(top) letters; at every length up to S + K + 2 the first
-    # query of a fresh index equals the dense table's, and so does the
-    # one-letter scan of each letter among the last S positions.  The periodic
+    # top + need(top) letters; at every length up to S + K + 2 the
+    # one-letter scans of a fresh index, the first of them its first query,
+    # name the periods of the dense table's blocked map.  The periodic
     # word repeats ``top`` distinct letters, so run(top) reaches its need
     # and top is the smallest period blocking its letter.
     rng = random.Random(f"replay/{top}/{kind}")
@@ -804,9 +784,7 @@ def test_first_query_on_a_word_replays_enough_letters(options, S, top, need, kin
     for n in range(size + 1):
         idx = LceIndex(*options, letters=word[:n])
         blocked = dense.blocked(*options)
-        assert idx.blocked() == blocked, n
-        for c in {*word[max(0, n - S) : n], 4096}:
-            assert _scan_put_back(idx, c) == blocked.get(c), (n, c)
+        assert oracle.scan_map(idx, blocked) == blocked, n
         if n < size:
             dense.append(word[n])
     assert idx._size == S
@@ -821,16 +799,18 @@ def test_blocked_rejects_rules_it_cannot_track():
             LceIndex(p, q, **options, letters=[0, 1, 0])
     with pytest.raises(ValueError):
         LceIndex(2, 2)
-    assert LceIndex(3, 2, letters=[0, 1, 0]).blocked() == {0: 1, 1: 2}
+    blocked = _dense([0, 1, 0]).blocked(3, 2)
+    assert oracle.scan_map(LceIndex(3, 2, letters=[0, 1, 0]), blocked) == blocked == {0: 1, 1: 2}
 
 
 def test_blocked_strict_rule_is_keyed_and_built_alike():
     # the rule is built from bool(strict), whatever strict is given as
-    assert LceIndex(3, 2, strict=2, letters=[0, 1, 2, 0]).blocked() == {0: 1, 1: 3}
+    blocked = _dense([0, 1, 2, 0]).blocked(3, 2, strict=True)
+    assert oracle.scan_map(LceIndex(3, 2, strict=2, letters=[0, 1, 2, 0]), blocked) == blocked == {0: 1, 1: 3}
 
 
 # the greedy step: threshold_hit / exact_hit append the least letter that
-# the index's blocked map leaves out, read as the lowest clear bit of one int
+# no period blocks, read as the lowest clear bit of one int
 
 def _dense_least(dense, exponent, mode):
     first, step = mode.periods(exponent.q)
@@ -935,14 +915,34 @@ def test_greedy_step_after_letters_near_the_width():
         assert peak < 1 << 20, (exponent, mode, peak)
 
 
-def test_greedy_step_reads_the_map_when_every_letter_below_S_is_blocked():
+def _with_kept_periods(idx, periods):
+    """``idx``, refreshed, with ``periods`` kept by hand, each blocking from
+    length 0 on, and no refresh due."""
+    oracle.refresh(idx)
+    idx._kept, idx._due = [(P, 0) for P in periods], 10**9
+    return idx
+
+
+def test_greedy_step_when_every_letter_below_S_is_blocked():
     # periods below S block at most S - 1 letters, so only kept periods can
-    # block every letter below S; kept by hand here, each blocking from
-    # length 0 on, they block the letters 0..136 of range(200) at 3/2
-    idx = LceIndex(3, 2, letters=range(200))
-    idx.blocked()
-    idx._kept, idx._due = [(P, 0) for P in range(64, 201)], 10**9
-    blocked = idx.blocked()
-    assert idx._size == 64 and set(range(137)) <= set(blocked)
-    assert idx.threshold_hit() == _least_missing(blocked) == 137
+    # block every letter below S; kept by hand here, they block the letters
+    # 0..136 of range(200) at 3/2, and the need-0 periods 1 and 2 the last
+    # two: the step's int reaches past S = 64 to the least letter left free
+    idx = _with_kept_periods(LceIndex(3, 2, letters=range(200)), range(64, 201))
+    scans = oracle.scan_map(idx, {})
+    assert idx._size == 64 and scans == {**{v: 200 - v for v in range(137)}, 198: 2, 199: 1}
+    assert idx.threshold_hit() == _least_missing(scans) == 137
     assert idx.to_list() == [*range(200), 137]
+
+
+def test_greedy_step_reads_the_window_past_S_when_every_letter_below_S_is_blocked():
+    # at 4/3 the need-0 periods 1..3 block the last three letters, which the
+    # step's window keeps only below S = 64; with the letters 0..136 blocked
+    # by kept periods, the step must read 137..139 from the word, or it
+    # would append 137
+    idx = _with_kept_periods(LceIndex(4, 3, letters=[*range(197), 137, 138, 139]), range(64, 201))
+    scans = oracle.scan_map(idx, {})
+    assert (idx._size, idx._window) == (64, 3)
+    assert scans == {**{v: 200 - v for v in range(137)}, 137: 3, 138: 2, 139: 1}
+    assert idx.threshold_hit() == _least_missing(scans) == 140
+    assert idx.to_list() == [*range(197), 137, 138, 139, 140]

@@ -78,12 +78,15 @@ def test_bench_rows_at_their_smallest_size():
     # each row of scripts/bench.py times its call at its smallest size
     # (10^4 letters, 3*10^3 near exponent 1) beside the reference loop, and
     # scales it as perfbench does; the slope needs two sizes, and reads 1 on
-    # times linear in them
+    # times linear in them.  A full run times at least LETTERS letters at
+    # each size, in at least REPEATS calls
     bench = _bench()
     for name, (_, sizes) in bench.ROWS.items():
         n = sizes[0]
         result = bench.row(name, [n], repeats=1)
-        assert result["sizes"] == [n] and n in (3_000, 10_000), name
+        assert result["sizes"] == [n] and result["calls"] == [1] and n in (3_000, 10_000), name
+        for size in sizes:
+            assert bench.calls_at(size) >= bench.REPEATS and bench.calls_at(size) * size >= bench.LETTERS, (name, size)
         raw, ref, scaled = result["raw_seconds"][0], result["reference_s"][0], result["seconds"][0]
         assert raw > 0 and ref > 0 and result["slope"] is None, name
         assert scaled == pytest.approx(raw * bench._perfbench().REFERENCE_S / ref), name
