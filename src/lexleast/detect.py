@@ -165,10 +165,8 @@ class LceIndex:
     slots of the module docstring, above it the (P, at) pairs of the bands'
     kept periods, in ascending P, ``at`` being the length from which P
     blocks.  P can block only when P + need(P) <= n, so the rule names no
-    upper bound.  At most S - 1 periods below S and the kept ones block a
-    letter each, so the least free letter, which greedy's step appends, is
-    below S + len(kept): about S along the greedy words, whose kept periods
-    stay at or below log2 n.
+    upper bound.  The least free letter, which greedy's step appends, is
+    below S + len(kept), as each period blocks at most one letter.
 
     Letters are natural numbers below 2**31, kept in a list.  Given
     ``letters``, the index checks each and replays only the last ones that
