@@ -41,11 +41,13 @@ runs that can still reach their need.
   twice S, 2S * need(2S) bits, fit in 2048: 64 at 3/2) the run of every
   period with need(P) <= 4S (every period, up to exponent 5) is kept in
   bits, in the Shift-And style of Baeza-Yates and Gonnet.  For each letter
-  c among the last S - 1 positions, a mask holds the periods P < S with
-  ``word[n - P] == c``.  It is stored as of the length at which c was last appended and
-  shifted when next read, so an append touches only the new letter's mask,
-  and it goes once c's last occurrence leaves the window, so an index holds
-  at most S masks whatever the alphabet.  One int ``runs`` holds in its S-bit
+  c, a mask holds the periods P < S with ``word[n - P] == c``.  It is
+  stored as of the length at which c was last appended and shifted when next
+  read, so an append touches only the new letter's mask.  Once c last
+  occurred S or more positions back the shift leaves 0 (the mask is stale);
+  a new letter that finds 2S masks drops the stale ones, at most once per S
+  new letters, so an index holds at most 2S masks, fewer than S of them
+  live, whatever the alphabet.  One int ``runs`` holds in its S-bit
   slot k, for k = 1..K (K the largest need kept in bits), the periods with
   run(P) >= k.  Appending a letter with mask M lengthens exactly the runs of
   the periods in M, so ``runs = ((runs | ONES) << S) & (M * REP)``: ONES
@@ -69,7 +71,7 @@ runs that can still reach their need.
   read from the word only when every letter below S is blocked.
 * A band [S * 2**i, S * 2**(i+1)) opens with its lowest period and is kept
   sparsely; the first one also takes the periods below S left out of the
-  bits.  Let nu be that period's need, L = max(1, nu // 2) and
+  bits.  Let nu be that period's need, L = max(1, 2 * nu // 3) and
   F = nu - L + 1.  Every L letters a refresh keeps the band's periods with
   slack need(P) - run(P) < L, i.e. whose run reaches the keep threshold
   need(P) - L + 1 (F at the lowest period, at least F above it), in one
@@ -79,9 +81,10 @@ runs that can still reach their need.
   the band's periods top, top - step, ..., first (top the largest at most
   n - F), and ``index`` walks the candidates on it in one pass, up to a
   copy of the letter put after its end; in exact mode they are only the
-  multiples of q.  Each is checked once, on the last letter, then by a
-  slice comparison of its keep threshold's length, and only those that
-  pass have their run measured up to need(P).  A kept period is stored as
+  multiples of q.  Each is checked on its last letter, then on the last F
+  letters (every keep threshold reaches F), then on the rest of its keep
+  threshold, and only those that pass have their run measured up to
+  need(P).  A kept period is stored as
   (P, at), ``at`` = n + need(P) - run(P) being the length from which it
   blocks; the kept periods form one list ascending in P, and a refresh
   replaces the band's slice of it.
@@ -91,10 +94,10 @@ runs that can still reach their need.
 
 No period is missed, on any word.  Below S, slot k holds P exactly when
 run(P) >= k: the new slot 1 is M, the new slot k + 1 is the old slot k
-within M, and M is exact, as a letter whose mask went has not occurred since
-among the last S - 1 positions.  Every need there is at most K, so P blocks
-exactly when it sits in slot need(P).  In a band (any range of periods whose
-lowest need nu is at least 1), a query at length m comes fewer than L
+within M, and M is exact, as a stale or dropped mask is that of a letter
+absent from the last S - 1 positions.  Every need there is at most K, so P
+blocks exactly when it sits in slot need(P).  In a band (any range of
+periods of lowest need nu >= 1), a query at length m comes fewer than L
 letters after the band's last refresh at r, as a query at or past r + L
 refreshes it first, however many letters came since the last query.  A run
 grows by at most one letter per append, so a period that blocks at m had an
@@ -102,8 +105,8 @@ unbroken run of more than need(P) - L at r: the refresh kept it, no append
 dropped it, and its ``at``, unchanged while the run grows, is exact while
 above the length.  A period not kept had slack L or more at r and reaches
 at most need(P) - L + m - r < need(P); a dropped one restarts from 0 and
-reaches at most L - 2 < nu.  So after a query a band period P <= n is
-kept exactly when need(P) - run(P) < due - n.
+reaches at most L - 2 < nu.  (Any 1 <= L <= nu would do.)  So after a
+query a band period P <= n is kept exactly when need(P) - run(P) < due - n.
 Along the greedy words few periods pass a refresh: the tests hold the
 periods kept above S at or below log2 n up to 2 * 10**4 letters of w32, x32
 and the ruler word, and about one per query on average for w32 and x32.
@@ -144,16 +147,17 @@ def _checked(letter: int) -> int:
 
 class _Band:
     """The ``periods`` of one band, whose lowest need is ``nu``: refreshed
-    every ``every`` letters (next at length ``due``), keeping the periods
-    with slack need(P) - run(P) < ``every``, i.e. whose runs reach the keep
-    threshold need(P) - every + 1, which is ``floor`` at the lowest period
-    and at least ``floor`` at every other."""
+    every ``every`` = max(1, 2 * nu // 3) letters (next at length ``due``),
+    keeping the periods with slack need(P) - run(P) < ``every``, i.e. whose
+    runs reach the keep threshold need(P) - every + 1: ``floor`` at the
+    lowest period and at least ``floor`` at every other, so a candidate is
+    compared on the last ``floor`` letters before the rest of its own."""
 
     __slots__ = ("periods", "every", "floor", "due")
 
     def __init__(self, periods: range, nu: int, due: int) -> None:
         self.periods = periods
-        self.every = max(1, nu // 2)
+        self.every = max(1, 2 * nu // 3)
         self.floor = nu - self.every + 1
         self.due = due
 
@@ -253,24 +257,27 @@ class LceIndex:
         S, masks, word = self._size, self._masks, self._word
         last = masks.get(letter)
         if last is None:
-            masks[letter] = [2, n + 1]
+            self._add(n, letter)
             self._runs = 0
         else:
             # the periods P < S with word[n - P] == letter
             mask = last[0] << (n - last[1]) & self._ones
             last[0], last[1] = mask << 1 | 2, n + 1
             self._runs = ((self._runs | self._ones) << S) & mask * self._rep
-        # forget the letter that leaves the window unless it occurs again
-        # (a replay starts with the letters before it unknown)
-        if n >= S - 1:
-            old = word[n + 1 - S]
-            if masks.get(old, (0, 0))[1] == n + 2 - S:
-                del masks[old]
         kept = self._kept
         for P, _ in kept:
             if word[n - P] != letter:
                 self._kept = [e for e in kept if word[n - e[0]] == letter]
                 break
+
+    def _add(self, n: int, letter: int) -> None:
+        """Give ``letter``, which has no mask, its mask at position n, first
+        dropping the stale masks (``at <= n + 1 - S``) if 2S are held."""
+        masks, S = self._masks, self._size
+        if len(masks) >= 2 * S:
+            for v in [v for v, last in masks.items() if last[1] <= n + 1 - S]:
+                del masks[v]
+        masks[letter] = [2, n + 1]
 
     def scan(self, letters: Iterable[int]) -> int | None:
         """Append ``letters`` in turn, each followed as ``append`` does, up to
@@ -308,15 +315,11 @@ class LceIndex:
                     elif at <= n:
                         return P
                 if last is None:
-                    masks[v] = [2, n + 1]
+                    self._add(n, v)
                     runs = 0
                 else:
                     last[0], last[1] = mask << 1 | 2, n + 1
                     runs = ((runs | ONES) << S) & rep
-                if n >= S - 1:
-                    old = word[n + 1 - S]
-                    if get(old, (0, 0))[1] == n + 2 - S:
-                        del masks[old]
                 if broken:
                     kept = [e for e in kept if word[n - e[0]] == v]
                 append(v)
@@ -373,16 +376,12 @@ class LceIndex:
         masks = self._masks
         last = masks.get(letter)
         if last is None:
-            masks[letter] = [2, n + 1]
+            self._add(n, letter)
             self._runs = 0
         else:
             mask = last[0] << (n - last[1]) & self._ones
             last[0], last[1] = mask << 1 | 2, n + 1
             self._runs = ((self._runs | self._ones) << S) & mask * self._rep
-        if n >= S - 1:
-            old = word[n + 1 - S]
-            if masks.get(old, (0, 0))[1] == n + 2 - S:
-                del masks[old]
         for P, _ in kept:
             if word[n - P] != letter:
                 self._kept = [e for e in kept if word[n - e[0]] == letter]
@@ -451,12 +450,13 @@ class LceIndex:
         while i < stop:
             P = top - i * step
             i = near.index(letter, i + 1)
-            # most candidates fail at the last letter (need(P) >= nu >= 1 here)
-            if word[n - 1 - P] != final:
+            # most fail at the last letter (need(P) >= nu >= 1 here), most
+            # others within the last ``floor``, where every keep threshold reaches
+            if word[n - 1 - P] != final or word[n - floor - P : n - P] != tail:
                 continue
             need = -(-(a * P + b) // q)
             keep = need - every + 1
-            if keep <= n - P and word[n - keep - P : n - P] == word[n - keep :]:
+            if keep <= n - P and word[n - keep - P : n - floor - P] == word[n - keep : n - floor]:
                 found.append((P, n + need - _run(word, n, P, need, keep)))
         found.reverse()
         return found

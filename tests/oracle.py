@@ -165,26 +165,35 @@ def refresh(idx: LceIndex) -> None:
 def scan_put_back(idx: LceIndex, letter: int) -> int | None:
     """``idx.scan((letter,))``, with the index then put back as it was.
     Refreshed first when due, the index's scan refreshes nothing; a clean
-    letter is appended, changes its mask in place or adds it, drops the
-    mask of the letter leaving the window, and sets the runs and the kept
+    letter is appended, changes its mask in place or adds it (a new letter
+    at 2S masks first drops the stale ones), and sets the runs and the kept
     list."""
     refresh(idx)
     word, masks = idx._word, idx._masks
-    n = len(word)
-    gone = word[n + 1 - idx._size] if n + 1 >= idx._size else None
-    own, old = masks.get(letter), masks.get(gone)
-    saved, runs, kept = own and own[:], idx._runs, idx._kept
+    own = masks.get(letter)
+    saved, runs, kept = own[:] if own else dict(masks), idx._runs, idx._kept
     period = idx.scan((letter,))
     if period is None:
         assert word.pop() == letter
         if own:
             own[:] = saved
         else:
-            del masks[letter]
-        if old is not None:
-            masks[gone] = old
+            masks.clear()
+            masks.update(saved)
         idx._runs, idx._kept = runs, kept
     return period
+
+
+def check_masks(idx: LceIndex, built: int = 0) -> None:
+    """The letter masks of ``idx`` at length n: the live ones (``at > n + 1
+    - S``; a stale mask reads 0) are exactly those of the letters among the
+    last S - 1 positions, and at most 2S masks are held.  For an index
+    built on ``built`` letters, which replayed only as many as its bits
+    rest on, the letters before that need no mask."""
+    n, S = len(idx), idx._size
+    live = {v for v, (_, at) in idx._masks.items() if at > n + 1 - S}
+    assert set(idx._word[max(built, n + 1 - S) :]) <= live <= set(idx._word[max(0, n + 1 - S) :]), n
+    assert len(idx._masks) <= 2 * S, n
 
 
 def scan_map(idx: LceIndex, blocked: dict[int, int]) -> dict[int, int]:

@@ -406,7 +406,9 @@ def _follow_dense(word, rules, seed, quiet=0):
         if not indexes:
             indexes = [LceIndex(*options, letters=letters) for options, _ in rules]
             twins = [LceIndex(*options, letters=letters) for options, _ in rules]
+            built = n
         for (options, name), idx, twin in zip(rules, indexes, twins):
+            oracle.check_masks(idx, built)
             assert _tracked_state(twin) == _tracked_state(idx), (name, n)
             blocked = dense.blocked(*options)
             assert oracle.scan_map(idx, blocked) == blocked, (name, n)
@@ -538,7 +540,7 @@ def test_blocked_maps_equal_dense_table_near_exponent_one(kind):
 @pytest.mark.parametrize("exponent,mode", [(Exponent(5, 4), EXACT), (Exponent(101, 100), THRESHOLD)], ids=["5/4 exact", "101/100"])
 def test_blocked_maps_equal_dense_table_past_a_wide_window(exponent, mode):
     # S = 64 at 5/4 exact: the first band (periods 4t from 64, need 15) is
-    # refreshed every 7 letters, and the bands open up to the one from 1024.
+    # refreshed every 10 letters, and the bands open up to the one from 1024.
     # S = 256 at 101/100: the first band has need 2 and L = 1, and the
     # bands open up to the one from 2048.  Their greedy words are followed
     # by test_blocked_maps_equal_dense_table_along_greedy_words
@@ -613,29 +615,55 @@ def test_blocked_maps_equal_dense_table_over_a_wide_alphabet():
 
 @pytest.mark.parametrize("mode", [THRESHOLD, EXACT], ids=["threshold", "exact"])
 def test_letter_masks_stay_within_the_window(mode):
-    # a scan of 10**4 distinct letters keeps at most S letter masks: a
-    # letter's mask goes when its last occurrence leaves the window; only
-    # the last two letters can be blocked
+    # along 10**4 distinct letters the live masks are exactly those of the
+    # last S - 1 letters, and at most 2S masks are held: a mask whose letter
+    # left the window reads 0 until a purge drops it; only the last two
+    # letters can be blocked
     idx = _mode_index(E32, mode)
     for v in range(10_000):
         assert set(oracle.scan_map(idx, {})) <= {v - 1, v - 2}
         idx.append(v)
-        assert len(idx._masks) <= idx._size, v
-    # so does one scan loop over them, which drops the masks itself
+        oracle.check_masks(idx)
+    # so does one scan loop over them, which adds and drops the masks itself
     idx = _mode_index(E32, mode)
     assert idx.scan(range(10_000)) is None
-    assert len(idx._masks) <= idx._size
+    oracle.check_masks(idx)
 
 
 @pytest.mark.parametrize("mode", [THRESHOLD, EXACT], ids=["threshold", "exact"])
 def test_letter_masks_stay_within_the_window_along_greedy_steps(mode):
     # distinct letters appended between greedy steps: half of them leave the
-    # window at a step, which must drop their masks as an append does
+    # window at a step, whose new letters must purge as an append does
     idx = _mode_index(E32, mode)
     for v in range(5_000):
         idx.append(10_000 + v)
         _hit(idx, mode)
-        assert len(idx._masks) <= idx._size, v
+        oracle.check_masks(idx)
+
+
+@pytest.mark.parametrize("mode", [THRESHOLD, EXACT], ids=["threshold", "exact"])
+def test_stale_masks_are_purged_at_most_once_per_S_new_letters(mode):
+    # 10**4 distinct letters, scanned, with a greedy step after every 50th:
+    # a new letter that finds 2S masks drops the stale ones, leaving the
+    # masks of the last S letters, its own included; so after the new
+    # letter that purges, S more come before the next purge
+    idx = _mode_index(E32, mode)
+    S, new, purges = idx._size, 0, []
+    for v in range(10_000):
+        for greedy in (False, True)[: 1 + (v % 50 == 49)]:
+            held = set(idx._masks)
+            if greedy:
+                _hit(idx, mode)
+            else:
+                assert idx.scan((10_000 + v,)) is None
+            if held - idx._masks.keys():
+                assert len(held) == 2 * S, len(idx)
+                assert idx._masks.keys() == set(idx._word[-S:]), len(idx)
+                purges.append(new)
+            new += idx._word[-1] not in held
+            oracle.check_masks(idx)
+    assert all(b - a > S for a, b in zip(purges, purges[1:])), purges
+    assert len(purges) >= new // (2 * S), (len(purges), new)
 
 
 @pytest.mark.parametrize(

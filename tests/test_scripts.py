@@ -76,22 +76,35 @@ def _bench():
 
 def test_bench_rows_at_their_smallest_size():
     # each row of scripts/bench.py times its call at its smallest size
-    # (10^4 letters, 3*10^3 near exponent 1) beside the reference loop, and
-    # scales it as perfbench does; the slope needs two sizes, and reads 1 on
-    # times linear in them.  A full run times at least LETTERS letters at
-    # each size, in at least REPEATS calls
+    # (10^4 letters, 3*10^3 near exponent 1), in a worker process importing
+    # this checkout's src, beside the reference loop, and scales it as
+    # perfbench does; the slope needs two sizes, and reads 1 on times
+    # linear in them.  A full run times at least LETTERS letters at each
+    # size, in at least REPEATS calls
     bench = _bench()
-    for name, (_, sizes) in bench.ROWS.items():
-        n = sizes[0]
-        result = bench.row(name, [n], repeats=1)
+    plan = [(name, sizes[:1]) for name, (_, sizes) in bench.ROWS.items()]
+    (rows,) = bench.measure([ROOT / "src"], plan, repeats=1)
+    assert [result["row"] for result in rows] == list(bench.ROWS)
+    for (name, (n,)), result in zip(plan, rows):
         assert result["sizes"] == [n] and result["calls"] == [1] and n in (3_000, 10_000), name
-        for size in sizes:
+        for size in bench.ROWS[name][1]:
             assert bench.calls_at(size) >= bench.REPEATS and bench.calls_at(size) * size >= bench.LETTERS, (name, size)
         raw, ref, scaled = result["raw_seconds"][0], result["reference_s"][0], result["seconds"][0]
         assert raw > 0 and ref > 0 and result["slope"] is None, name
         assert scaled == pytest.approx(raw * bench._perfbench().REFERENCE_S / ref), name
         assert result["us_per_letter"][0] == pytest.approx(scaled / n * 1e6), name
     assert bench.slope([10, 1_000], [0.5, 50.0]) == pytest.approx(1.0)
+
+
+def test_bench_times_two_trees_call_by_call(tmp_path):
+    # one worker per tree, each timing every call of the run; a worker
+    # whose lexleast does not come from its tree is refused
+    bench = _bench()
+    first, second = bench.measure([ROOT / "src", ROOT / "src"], [("greedy w32 threshold", [3_000, 10_000])], repeats=2)
+    for rows in (first, second):
+        assert [(r["row"], r["sizes"], r["calls"]) for r in rows] == [("greedy w32 threshold", [3_000, 10_000], [2, 2])]
+    with pytest.raises(RuntimeError, match="imported lexleast from"):
+        bench.Worker(tmp_path)
 
 
 def test_bench_revision_is_dirty_only_when_the_sources_changed(tmp_path):
