@@ -428,8 +428,9 @@ class LceIndex:
     def _survivors(self, n: int, band: _Band) -> list[tuple[int, int]]:
         """(P, at) in ascending P for the band's periods whose run reaches
         the keep threshold need(P) - every + 1: the candidates come from
-        one strided slice, each is checked on its last letter, then by one
-        slice comparison, and only those that pass have their run measured."""
+        one strided slice, each is checked on its last letter, on the last
+        ``floor`` letters and on the rest of its threshold, and only those
+        that pass have their run measured."""
         word, floor, every, step, a, b, q = self._word, band.floor, band.every, self._step, self._a, self._b, self._q
         # a run of ``floor`` letters needs P <= n - floor; the lowest period
         # always meets it, as it opened with P + need(P) <= n and floor <= need(P)
@@ -450,8 +451,7 @@ class LceIndex:
         while i < stop:
             P = top - i * step
             i = near.index(letter, i + 1)
-            # most fail at the last letter (need(P) >= nu >= 1 here), most
-            # others within the last ``floor``, where every keep threshold reaches
+            # most fail at the last letter (need(P) >= nu >= 1 here) or within ``floor``
             if word[n - 1 - P] != final or word[n - floor - P : n - P] != tail:
                 continue
             need = -(-(a * P + b) // q)
