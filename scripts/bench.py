@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Time greedy and the scan path at several sizes and write ``BENCH_<label>.json``.
+"""Time greedy, the scan path and ``generate`` at several sizes and write
+``BENCH_<label>.json``.
 
     python scripts/bench.py --label NAME [--parent SRC] [--out DIR]
 
-Standard library only.  The calls run in one worker process per source
-tree: this checkout's ``src`` and, given ``--parent``, the ``src`` of
-another checkout (the parent commit's, say), which is written to
+Standard library only, and run from any checkout: only the workers import
+``lexleast``.  The calls run in one worker process per source tree: this
+checkout's ``src`` and, given ``--parent``, the ``src`` of another checkout
+(the parent commit's, say), which is written to
 ``BENCH_<label>-parent.json``.  The workers take turns call by call, the
 order alternating from one call to the next, so both files of a run see the
 same machine.  Each row times one call at each size, as many times as it
@@ -21,7 +23,10 @@ letters):
   letters, on the greedy words of 5/4 exact and 4/3 threshold at 10^4 and
   3*10^4, and on those of 401/400 and 101/100 threshold at 3*10^3 and
   10^4, each a clean verdict;
-* ``check_x_squares`` and ``check_x_overlapfree`` on x32 at 10^4 and 10^5.
+* ``check_x_squares`` and ``check_x_overlapfree`` on x32 at 10^4 and 10^5;
+* ``lexleast generate --method closed|morphism`` at 3/2 threshold, in
+  ``lines``, ``csv`` and ``json``, at 10^4, 10^5 and 10^6 letters, written
+  to the null device.
 
 The scanned words are built before the clock starts.  The speed of a shared
 machine drifts within a run and swings between runs, so every timed call
@@ -52,34 +57,39 @@ import time
 from pathlib import Path
 from typing import Callable, Sequence
 
-import lexleast
-from lexleast.checks import CheckReport, check_x_overlapfree, check_x_squares
-from lexleast.detect import AvoidanceMode, contains_forbidden
-from lexleast.formulas import w32_prefix, x32_prefix
-from lexleast.greedy import GreedyState, generate
-from lexleast.words import Exponent
-
 ROOT = Path(__file__).resolve().parent.parent
-E32 = Exponent(3, 2)
-THRESHOLD, EXACT = AvoidanceMode.THRESHOLD, AvoidanceMode.EXACT
 GREEDY_SIZES = (10_000, 30_000, 100_000)
 MID_SIZES = (10_000, 30_000)
 NEAR_ONE_SIZES = (3_000, 10_000)
 SCAN_SIZES = (10_000, 30_000, 100_000, 1_000_000)
 CHECK_SIZES = (10_000, 100_000)
+GENERATE_SIZES = (10_000, 100_000, 1_000_000)
 # the letters timed at each size: 20 calls at 10^4 letters, where one call
 # of about 30 ms is too short to resolve 10% over 3 calls
 LETTERS = 200_000
 REPEATS = 3
 
+# The rows import ``lexleast`` only when a worker prepares a call.
 
-def _greedy(exponent: Exponent, mode: AvoidanceMode) -> Callable[[int], Callable[[], bool]]:
+
+def _rule(exponent: str, mode: str) -> tuple:
+    """(Exponent, AvoidanceMode) of a row's rule, as written on the command line."""
+    from lexleast import AvoidanceMode, Exponent
+
+    return Exponent.parse(exponent), AvoidanceMode(mode)
+
+
+def _greedy(exponent: str, mode: str) -> Callable[[int], Callable[[], bool]]:
     """A greedy row: the timed call builds the word of n letters from
     scratch, and is True once it holds them."""
 
     def prepare(n: int) -> Callable[[], bool]:
+        from lexleast.greedy import GreedyState
+
+        rule = _rule(exponent, mode)
+
         def call() -> bool:
-            state = GreedyState(exponent, mode)
+            state = GreedyState(*rule)
             state.extend_to(n)
             return len(state) == n
 
@@ -88,51 +98,76 @@ def _greedy(exponent: Exponent, mode: AvoidanceMode) -> Callable[[int], Callable
     return prepare
 
 
-def _scan(
-    make: Callable[[int], list[int]], mode: AvoidanceMode, exponent: Exponent = E32
-) -> Callable[[int], Callable[[], bool]]:
-    """A ``contains_forbidden`` row: the word of n letters is built first,
-    and the timed call is True on a clean verdict."""
+def _scan(exponent: str, mode: str, word: str | None = None) -> Callable[[int], Callable[[], bool]]:
+    """A ``contains_forbidden`` row: the word of n letters, ``word``'s prefix
+    from ``lexleast.formulas`` or else the rule's greedy word, is built
+    first, and the timed call is True on a clean verdict."""
 
     def prepare(n: int) -> Callable[[], bool]:
-        word = make(n)
-        return lambda: contains_forbidden(word, exponent, mode) is None
+        from lexleast import formulas
+        from lexleast.detect import contains_forbidden
+        from lexleast.greedy import generate
+
+        rule = _rule(exponent, mode)
+        letters = getattr(formulas, word)(n) if word else generate(*rule, n)
+        return lambda: contains_forbidden(letters, *rule) is None
 
     return prepare
 
 
-def _scan_greedy(exponent: Exponent, mode: AvoidanceMode) -> Callable[[int], Callable[[], bool]]:
-    """A ``contains_forbidden`` row on the greedy word of its rule."""
-    return _scan(lambda n: generate(exponent, mode, n), mode, exponent)
-
-
-def _check(check: Callable[..., CheckReport]) -> Callable[[int], Callable[[], bool]]:
+def _check(check: str) -> Callable[[int], Callable[[], bool]]:
     """An x32 structure check's row, on an explicit x32 word built first."""
 
     def prepare(n: int) -> Callable[[], bool]:
+        from lexleast import checks
+        from lexleast.formulas import x32_prefix
+
         word = x32_prefix(n)
-        return lambda: check(n, source=word).passed
+        return lambda: getattr(checks, check)(n, source=word).passed
 
     return prepare
 
 
-E54, E43, E401, E101 = Exponent(5, 4), Exponent(4, 3), Exponent(401, 400), Exponent(101, 100)
+def _generate(method: str, fmt: str) -> Callable[[int], Callable[[], bool]]:
+    """A ``generate`` row at 3/2 threshold: the timed call runs the command
+    for n letters, written to the null device (the worker's stdout carries
+    its replies), and is True when it exits 0."""
+
+    def prepare(n: int) -> Callable[[], bool]:
+        from lexleast.cli import main
+
+        argv = ["generate", "--method", method, "--format", fmt, "--length", str(n)]
+
+        def call() -> bool:
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                return main(argv) == 0
+
+        return call
+
+    return prepare
+
+
 # row name -> (the timed call at each size, the sizes)
 ROWS: dict[str, tuple[Callable[[int], Callable[[], bool]], Sequence[int]]] = {
-    "greedy w32 threshold": (_greedy(E32, THRESHOLD), GREEDY_SIZES),
-    "greedy x32 exact": (_greedy(E32, EXACT), GREEDY_SIZES),
-    "greedy 5/4 exact": (_greedy(E54, EXACT), MID_SIZES),
-    "greedy 4/3 threshold": (_greedy(E43, THRESHOLD), MID_SIZES),
-    "greedy 401/400 threshold": (_greedy(E401, THRESHOLD), NEAR_ONE_SIZES),
-    "greedy 101/100 threshold": (_greedy(E101, THRESHOLD), NEAR_ONE_SIZES),
-    "contains_forbidden w32 threshold": (_scan(w32_prefix, THRESHOLD), SCAN_SIZES),
-    "contains_forbidden x32 exact": (_scan(x32_prefix, EXACT), SCAN_SIZES),
-    "contains_forbidden 5/4 exact": (_scan_greedy(E54, EXACT), MID_SIZES),
-    "contains_forbidden 4/3 threshold": (_scan_greedy(E43, THRESHOLD), MID_SIZES),
-    "contains_forbidden 401/400 threshold": (_scan_greedy(E401, THRESHOLD), NEAR_ONE_SIZES),
-    "contains_forbidden 101/100 threshold": (_scan_greedy(E101, THRESHOLD), NEAR_ONE_SIZES),
-    "check_x_squares": (_check(check_x_squares), CHECK_SIZES),
-    "check_x_overlapfree": (_check(check_x_overlapfree), CHECK_SIZES),
+    "greedy w32 threshold": (_greedy("3/2", "threshold"), GREEDY_SIZES),
+    "greedy x32 exact": (_greedy("3/2", "exact"), GREEDY_SIZES),
+    "greedy 5/4 exact": (_greedy("5/4", "exact"), MID_SIZES),
+    "greedy 4/3 threshold": (_greedy("4/3", "threshold"), MID_SIZES),
+    "greedy 401/400 threshold": (_greedy("401/400", "threshold"), NEAR_ONE_SIZES),
+    "greedy 101/100 threshold": (_greedy("101/100", "threshold"), NEAR_ONE_SIZES),
+    "contains_forbidden w32 threshold": (_scan("3/2", "threshold", "w32_prefix"), SCAN_SIZES),
+    "contains_forbidden x32 exact": (_scan("3/2", "exact", "x32_prefix"), SCAN_SIZES),
+    "contains_forbidden 5/4 exact": (_scan("5/4", "exact"), MID_SIZES),
+    "contains_forbidden 4/3 threshold": (_scan("4/3", "threshold"), MID_SIZES),
+    "contains_forbidden 401/400 threshold": (_scan("401/400", "threshold"), NEAR_ONE_SIZES),
+    "contains_forbidden 101/100 threshold": (_scan("101/100", "threshold"), NEAR_ONE_SIZES),
+    "check_x_squares": (_check("check_x_squares"), CHECK_SIZES),
+    "check_x_overlapfree": (_check("check_x_overlapfree"), CHECK_SIZES),
+    **{
+        f"generate {method} {fmt}": (_generate(method, fmt), GENERATE_SIZES)
+        for method in ("closed", "morphism")
+        for fmt in ("lines", "csv", "json")
+    },
 }
 
 
@@ -211,6 +246,8 @@ def serve() -> None:
     """The worker's loop: report where ``lexleast`` came from, then for each
     request line ``[row, n]`` time one call between two reference loops and
     write ``[seconds, reference seconds, check passed]``."""
+    import lexleast
+
     reference = _perfbench().REFERENCES["scan"]
     print(json.dumps(lexleast.__file__), flush=True)
     prepared: dict[tuple[str, int], Callable[[], bool]] = {}
@@ -267,7 +304,7 @@ def _perfbench():
     return module
 
 
-def revision(sources: Path = Path(lexleast.__file__).parent.parent) -> str | None:
+def revision(sources: Path) -> str | None:
     """``git describe --always`` of the checkout holding ``sources`` (the
     measured package's ``src``), with ``-dirty`` only when a file under
     ``sources`` differs from it: a BENCH file written elsewhere in the

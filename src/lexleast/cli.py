@@ -8,7 +8,7 @@ imports ``lexleast.checks``, so the other commands start without it.
 Exit codes are uniform: 0 means pass or clean, 1 means a violation or
 forbidden factor was found, 2 means a usage or parse error.  Standard
 output is fully deterministic; timings go to stderr.  ``json`` is imported
-only by the code that reads or writes it.
+only to read JSON input or print a JSON report.
 """
 
 from __future__ import annotations
@@ -69,19 +69,18 @@ def _nonnegative(text: str) -> int:
 
 
 def parse_letters_text(text: str) -> list[int]:
-    """The word in ``text``, read as ``read_letters`` reads it, checked."""
-    return check_letters(list(read_letters(io.StringIO(text))))
+    """The word in ``text``, read as ``read_letters`` reads it."""
+    return list(read_letters(io.StringIO(text)))
 
 
 CHUNK = 8192
 
 
 def read_letters(handle: TextIO) -> Iterator[int]:
-    """The word in ``handle``: whitespace or comma separated naturals, or a
-    JSON array of naturals, as ``generate`` emits it, read ``CHUNK``
-    characters at a time.  Text letters are streamed as ints and left to
-    the caller to check; a JSON array, known by its first non-space
-    character, is read whole and checked by ``check_letters``."""
+    """The word in ``handle``, read ``CHUNK`` characters at a time: naturals
+    split by whitespace or commas, each ASCII digits alone (``int`` would
+    also take ``1_0``, ``+1`` and other scripts' digits), streamed as ints,
+    or a JSON array, known by its first non-space character, read whole."""
     chunks = iter(lambda: handle.read(CHUNK), "")
     for chunk in chunks:
         chunk = chunk.lstrip()
@@ -99,39 +98,38 @@ def read_letters(handle: TextIO) -> Iterator[int]:
         tokens = (carry + chunk).replace(",", " ").split()
         # a token that runs to the end of the chunk may go on in the next
         carry = "" if chunk[-1] == "," or chunk[-1].isspace() else tokens.pop()
+        digits = "".join(tokens)
+        if tokens and not (digits.isascii() and digits.isdigit()):
+            bad = next(t for t in tokens if not (t.isascii() and t.isdigit()))
+            raise ValueError(f"not a natural number: {bad!r}")
         yield from map(int, tokens)
-        chunk = next(chunks, "")
-    if carry:
-        yield int(carry)
+        # past the last chunk, a space ends the token carried from it
+        chunk = next(chunks, " " if carry else "")
 
 
-# the ``lines`` and ``csv`` text of letters 0-63, which hold every letter of the
-# closed-form words far past 10^6 letters; larger letters are formatted as they come
-_LINES = tuple(f"{v}\n" for v in range(64))
-_CELLS = tuple(f"{v}," for v in range(64))
+# the text of letters 0-63, which hold every letter of the closed-form words
+# far past 10^6 letters; larger letters are formatted as they come
+_CELLS = tuple(str(v) for v in range(64))
+_LINES = tuple(f"{v}\n" for v in _CELLS)
+# each cell format's opening text, separator and closing text
+_FRAMES = {"csv": ("", ",", "\n"), "json": ("[", ", ", "]\n")}
 
 
 def _emit(out: TextIO, letters: Iterable[int], fmt: str) -> None:
-    """Write the natural numbers ``letters`` to ``out`` in ``fmt``.  Under
-    ``lines`` each letter is one ``write`` call; ``csv`` writes 4,096
-    letters at a time."""
-    if fmt == "json":
-        import json
-
-        json.dump([int(v) for v in letters], out)
-        out.write("\n")
-        return
+    """Write the natural numbers ``letters`` to ``out`` in ``fmt``: under
+    ``lines`` one ``write`` per letter, else 4,096 cells per ``write``."""
     write = out.write
     if fmt == "lines":
         for v in letters:
             write(_LINES[v] if v < 64 else f"{v}\n")
         return
-    letters, sep = iter(letters), ""
-    while cells := [_CELLS[v] if v < 64 else f"{v}," for v in islice(letters, 4096)]:
-        # each cell ends with a comma, the block's last too
-        write(sep + "".join(cells)[:-1])
-        sep = ","
-    write("\n")
+    opening, sep, closing = _FRAMES[fmt]
+    letters, lead = iter(letters), ""
+    write(opening)
+    while cells := [_CELLS[v] if v < 64 else str(v) for v in islice(letters, 4096)]:
+        write(lead + sep.join(cells))
+        lead = sep
+    write(closing)
 
 
 # the ``by_blocks`` settings (term, size, cycle) of each closed form

@@ -142,6 +142,42 @@ def test_generate_csv_is_every_letter_joined_by_commas(capsys, route, prefix, le
         assert out == ",".join(map(str, prefix(n))) + "\n", n
 
 
+@pytest.mark.parametrize("route,prefix,lengths", CSV_ROUTES, ids=[" ".join(r[0]) for r in CSV_ROUTES])
+def test_generate_json_is_the_csv_cells_in_a_json_frame(capsys, route, prefix, lengths):
+    # json is csv's loop in another frame: "[", the cells joined by ", ", "]"
+    for n in lengths:
+        code, out, _ = run_cli(capsys, "generate", *route, "--length", str(n), "--format", "json")
+        assert code == 0
+        assert out == json.dumps(prefix(n)) + "\n", n
+
+
+class Discard:
+    """Stands in for stdout and keeps nothing of what is written."""
+
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize("method", ["closed", "morphism"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_generate_peak_does_not_grow_with_the_length(method, fmt):
+    # csv and json stream 4,096 letters at a time: ten times the letters
+    # allocate no more at their peak (about 68 KB at 10^4 letters; json
+    # built the whole list before, 0.8 MB at 10^5 letters)
+    def peak(n):
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(Discard()):
+                assert main(["generate", "--method", method, "--format", fmt, "--length", str(n)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1_000)  # warm up: imports, the parser, the tables
+    small, large = peak(10_000), peak(100_000)
+    assert large - small < 8_192, (small, large)
+
+
 def test_emit_lines_matches_formatting_each_letter():
     letters = [0, 63, 64, 65, 400, 2**31 - 1]
     out = io.StringIO()
@@ -296,8 +332,31 @@ def test_scan_streams_its_input_across_chunk_boundaries(capsys, monkeypatch, tmp
     assert run_cli(capsys, "scan", "-")[:2] == expected
 
 
+# tokens that int() reads but that are not ASCII digits alone
+NOT_DIGITS = ["1_0", "+1", "\u0660", "\u0661\u0660"]
+
+
+@pytest.mark.parametrize("token", NOT_DIGITS + ["-1", "0x1", "1.0"])
+def test_scan_reads_only_ascii_digits(capsys, monkeypatch, token):
+    # each is a usage error that names the token, wherever it stands
+    for text in (token, f"0 {token} 1", f"1,0,{token},0"):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, err = run_cli(capsys, "scan")
+        assert (code, out) == (2, ""), text
+        assert err == f"error: not a natural number: {token!r}\n", text
+
+
+def test_scan_of_an_underscored_token_exits_2_without_a_traceback():
+    # int() reads 1_0 as 10, which made "1_0 0 1_0" a forbidden word
+    proc = subprocess.run(
+        [sys.executable, "-m", "lexleast", "scan"], input="1_0 0 1_0", capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: not a natural number: '1_0'\n"
+
+
 @pytest.mark.parametrize("chunk", [1, 3, 8192])
-@pytest.mark.parametrize("bad", ["x", "-1", "2.5", "1e3"])
+@pytest.mark.parametrize("bad", ["x", "-1", "2.5", "1e3", *NOT_DIGITS])
 def test_scan_bad_token_after_a_violation_is_a_usage_error(capsys, monkeypatch, chunk, bad):
     # the scan stops at the first violation but reads and checks every
     # letter after it, so a bad one is still a usage error, not exit 1
@@ -454,7 +513,8 @@ def test_package_runs_without_numpy():
 def test_commands_load_only_the_code_they_run(tmp_path):
     # generate, scan and term start without the checks and without
     # dataclasses (which pulls in inspect); verify imports the checks; json
-    # is loaded only to read or write JSON
+    # is loaded only to read JSON or print a JSON report, not by generate's
+    # json output, which is framed text
     word = tmp_path / "word.txt"
     word.write_text("0 1 0\n")
     script = f"""
@@ -473,7 +533,7 @@ for argv in (
     main(argv)
 loaded("json", "lexleast.checks", "dataclasses", "inspect")
 main(["generate", "--length", "20", "--method", "closed", "--format", "json"])
-loaded("lexleast.checks", "dataclasses", "inspect")
+loaded("json", "lexleast.checks", "dataclasses", "inspect")
 main(["verify", "cross", "--length", "20"])
 print("lexleast.checks" in sys.modules, file=sys.__stdout__)
 """

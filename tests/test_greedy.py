@@ -9,6 +9,7 @@ from lexleast.words import Exponent
 
 import golden
 import oracle
+import sweep
 
 E32 = Exponent(3, 2)
 E21 = Exponent(2, 1)
@@ -88,6 +89,17 @@ def test_greedy_words_match_the_dense_table_digests(exponent, mode):
     # route; these digests come from oracle.dense_greedy
     word = generate(Exponent.parse(exponent), AvoidanceMode(mode), golden.GREEDY_LENGTH)
     assert oracle.word_sha256(word) == golden.GREEDY_SHA256[exponent, mode]
+
+
+@pytest.mark.parametrize(
+    "exponent,below,mode", sweep.rules(8), ids=[f"{e}-{m.value}" for e, _, m in sweep.rules(8)]
+)
+def test_exponent_sweep_greedy_equals_dense_oracle(exponent, below, mode):
+    # every p/q with q <= 8 and 1 < p/q <= 3 (44 exponents), in both modes:
+    # S, the need-0 window, the strides and the first band's small periods
+    # all change with p/q.  The word is then scanned under the next smaller
+    # exponent, whose verdict the dense table and the naive witness check
+    sweep.check(exponent, below, mode, 2_000)
 
 
 @pytest.mark.parametrize("mode,closed", [(THRESHOLD, w32_prefix), (EXACT, x32_prefix)])

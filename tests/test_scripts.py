@@ -107,6 +107,35 @@ def test_bench_times_two_trees_call_by_call(tmp_path):
         bench.Worker(tmp_path)
 
 
+def test_bench_runs_where_lexleast_cannot_be_imported():
+    # only the workers import lexleast, each from its tree's src: the
+    # script loads, shows its help and times a row in an interpreter that
+    # cannot import the package, as in a checkout without it installed
+    script = f"""
+import runpy, sys
+class NoLexleast:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "lexleast":
+            raise ModuleNotFoundError(name)
+sys.meta_path.insert(0, NoLexleast())
+try:
+    import lexleast
+except ModuleNotFoundError:
+    print("blocked")
+bench = runpy.run_path({str(ROOT / "scripts" / "bench.py")!r})
+(rows,) = bench["measure"]([bench["ROOT"] / "src"], [("generate closed json", [10_000])], repeats=1)
+print(rows[0]["row"], rows[0]["calls"])
+sys.argv = ["bench.py", "--help"]
+runpy.run_path({str(ROOT / "scripts" / "bench.py")!r}, run_name="__main__")
+"""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=ROOT, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == ["blocked", "generate closed json [1]"]
+    assert lines[2].startswith("usage: bench.py")
+
+
 def test_bench_revision_is_dirty_only_when_the_sources_changed(tmp_path):
     # a BENCH file written into the checkout, or any other change outside
     # the sources, leaves the revision clean; a changed source marks it
