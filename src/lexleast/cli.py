@@ -109,10 +109,10 @@ def read_letters(handle: TextIO) -> Iterator[int]:
 
 # the text of letters 0-63, which hold every letter of the closed-form words
 # far past 10^6 letters; larger letters are formatted as they come
-_CELLS = tuple(str(v) for v in range(64))
-_LINES = tuple(f"{v}\n" for v in _CELLS)
-# each cell format's opening text, separator and closing text
+_LINES = tuple(f"{v}\n" for v in range(64))
+# each cell format's opening text, separator and closing text, and its cells
 _FRAMES = {"csv": ("", ",", "\n"), "json": ("[", ", ", "]\n")}
+_CELLS = {fmt: tuple(f"{v}{sep}" for v in range(64)) for fmt, (_, sep, _) in _FRAMES.items()}
 
 
 def _emit(out: TextIO, letters: Iterable[int], fmt: str) -> None:
@@ -124,10 +124,11 @@ def _emit(out: TextIO, letters: Iterable[int], fmt: str) -> None:
             write(_LINES[v] if v < 64 else f"{v}\n")
         return
     opening, sep, closing = _FRAMES[fmt]
-    letters, lead = iter(letters), ""
+    table, letters, lead = _CELLS[fmt], iter(letters), ""
     write(opening)
-    while cells := [_CELLS[v] if v < 64 else str(v) for v in islice(letters, 4096)]:
-        write(lead + sep.join(cells))
+    while cells := [table[v] if v < 64 else f"{v}{sep}" for v in islice(letters, 4096)]:
+        # each cell ends with the separator, the block's last too
+        write(lead + "".join(cells)[: -len(sep)])
         lead = sep
     write(closing)
 
