@@ -14,6 +14,7 @@ only to read JSON input or print a JSON report.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import os
 import sys
@@ -95,11 +96,12 @@ def read_letters(handle: TextIO) -> Iterator[int]:
         return
     carry = ""
     while chunk:
-        tokens = (carry + chunk).replace(",", " ").split()
+        text = carry + chunk
+        tokens = text.replace(",", " ").split()
         # a token that runs to the end of the chunk may go on in the next
         carry = "" if chunk[-1] == "," or chunk[-1].isspace() else tokens.pop()
-        digits = "".join(tokens)
-        if tokens and not (digits.isascii() and digits.isdigit()):
+        # an ASCII text's isascii() is read off its header: only other spaces test each token
+        if not (all(map(str.isdigit, tokens)) and (text.isascii() or all(map(str.isascii, tokens)))):
             bad = next(t for t in tokens if not (t.isascii() and t.isdigit()))
             raise ValueError(f"not a natural number: {bad!r}")
         yield from map(int, tokens)
@@ -187,11 +189,8 @@ def cmd_term(args: argparse.Namespace) -> int:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     try:
-        if args.path == "-":
-            occ = contains_forbidden(read_letters(sys.stdin), args.exponent, args.mode)
-        else:
-            with open(args.path, "r", encoding="utf-8") as handle:
-                occ = contains_forbidden(read_letters(handle), args.exponent, args.mode)
+        with contextlib.nullcontext(sys.stdin) if args.path == "-" else open(args.path, encoding="utf-8") as handle:
+            occ = contains_forbidden(read_letters(handle), args.exponent, args.mode)
     except (OSError, ValueError, OverflowError, RecursionError) as exc:
         # RecursionError: JSON nested deeper than the decoder can follow
         print(f"error: {exc}", file=sys.stderr)

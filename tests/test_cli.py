@@ -346,6 +346,14 @@ def test_scan_reads_only_ascii_digits(capsys, monkeypatch, token):
         assert err == f"error: not a natural number: {token!r}\n", text
 
 
+def test_scan_splits_letters_on_spaces_of_any_script(capsys, monkeypatch):
+    # a no-break or ideographic space parts letters as an ASCII space does
+    for text, expected in (("0\u00a01\u30002\n", (0, "clean\n")),
+                           ("0\u00a01\u30000 1\u00a00", (1, "forbidden start=0 period=2 length=3\n"))):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert run_cli(capsys, "scan")[:2] == expected
+
+
 def test_scan_of_an_underscored_token_exits_2_without_a_traceback():
     # int() reads 1_0 as 10, which made "1_0 0 1_0" a forbidden word
     proc = subprocess.run(
