@@ -3,6 +3,7 @@
 ``BENCH_<label>.json``.
 
     python scripts/bench.py --label NAME [--parent SRC] [--out DIR]
+    python scripts/bench.py --compare PARENT.json CHANGE.json
 
 Standard library only, and run from any checkout: only the workers import
 ``lexleast``.  The calls run in one worker process per source tree: this
@@ -11,12 +12,12 @@ checkout's ``src`` and, given ``--parent``, the ``src`` of another checkout
 ``BENCH_<label>-parent.json``.  The workers take turns call by call, the
 order alternating from one call to the next, so both files of a run see the
 same machine.  Each row times one call at each size, as many times as it
-takes to time ``LETTERS`` letters in all and never fewer than ``REPEATS``,
-and fits the slope of log time against log size (1 means linear in the
-letters):
+takes to time ``LETTERS`` letters in all, never fewer than ``REPEATS``
+times and never for less than ``SECONDS`` in all in each tree, and fits the
+slope of log time against log size (1 means linear in the letters):
 
 * ``GreedyState(...).extend_to(n)`` for w32 (3/2, threshold) and x32
-  (3/2, exact) at 10^4, 3*10^4 and 10^5 letters, for 5/4 exact and 4/3
+  (3/2, exact) at 10^4, 3*10^4, 10^5 and 10^6 letters, for 5/4 exact and 4/3
   threshold at 10^4 and 3*10^4, and for 401/400 and 101/100 threshold at
   3*10^3 and 10^4;
 * ``contains_forbidden`` on w32 and on x32 at 10^4, 3*10^4, 10^5 and 10^6
@@ -25,17 +26,21 @@ letters):
   10^4, each a clean verdict;
 * ``check_x_squares`` and ``check_x_overlapfree`` on x32 at 10^4 and 10^5;
 * ``lexleast generate --method closed|morphism`` at 3/2 threshold, in
-  ``lines``, ``csv`` and ``json``, at 10^4, 10^5 and 10^6 letters, written
-  to the null device.
+  ``lines``, ``csv`` and ``json``, at 10^4, 10^5 and 10^6 letters, and
+  ``--method greedy`` at 10^4 and 10^5, written to the null device.
 
 The scanned words are built before the clock starts.  The speed of a shared
 machine drifts within a run and swings between runs, so every timed call
 sits between two calls of perfbench's reference loop for ``scan``, and is
 scaled as perfbench scales a job: to a machine where that loop takes
 ``REFERENCE_S``.  A row keeps, at each size, the number of calls, the
-median raw seconds, the median reference time next to them and the
-median scaled seconds; its microseconds per letter and slope are read from
-the scaled ones, so two files compare through them.  The environment block
+median raw seconds, the median reference time next to them, the median
+scaled seconds and their spread (interquartile range over median); its
+microseconds per letter and slope are read from the scaled ones, so two
+files compare through them.  ``--compare PARENT CHANGE`` prints, for each
+row of two such files, the ratio CHANGE/PARENT of the microseconds per
+letter at each size, called slower or faster only beyond the larger of the
+two spreads, and the change of the slope.  The environment block
 holds the Python version, the CPU count, the git revision of the measured
 ``lexleast`` sources and that of the tree timed beside them, if any.
 """
@@ -58,16 +63,20 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 ROOT = Path(__file__).resolve().parent.parent
-GREEDY_SIZES = (10_000, 30_000, 100_000)
+GREEDY_SIZES = (10_000, 30_000, 100_000, 1_000_000)
 MID_SIZES = (10_000, 30_000)
 NEAR_ONE_SIZES = (3_000, 10_000)
 SCAN_SIZES = (10_000, 30_000, 100_000, 1_000_000)
 CHECK_SIZES = (10_000, 100_000)
 GENERATE_SIZES = (10_000, 100_000, 1_000_000)
+GREEDY_GENERATE_SIZES = (10_000, 100_000)
 # the letters timed at each size: 20 calls at 10^4 letters, where one call
 # of about 30 ms is too short to resolve 10% over 3 calls
 LETTERS = 200_000
-REPEATS = 3
+# and, at the large sizes, at least 5 calls and 2 s of them in each tree:
+# 3 calls of 0.1-0.3 s at 10^5 letters read 1.26 on unchanged code
+REPEATS = 5
+SECONDS = 2.0
 
 # The rows import ``lexleast`` only when a worker prepares a call.
 
@@ -168,6 +177,7 @@ ROWS: dict[str, tuple[Callable[[int], Callable[[], bool]], Sequence[int]]] = {
         for method in ("closed", "morphism")
         for fmt in ("lines", "csv", "json")
     },
+    **{f"generate greedy {fmt}": (_generate("greedy", fmt), GREEDY_GENERATE_SIZES) for fmt in ("lines", "csv", "json")},
 }
 
 
@@ -186,6 +196,21 @@ def calls_at(n: int) -> int:
     return max(REPEATS, -(-LETTERS // n))
 
 
+def more_calls(n: int, calls: int, seconds: Sequence[float]) -> bool:
+    """Whether to time another call at n letters after ``calls`` calls,
+    which took ``seconds`` in all in each tree: until ``calls_at(n)``
+    calls and ``SECONDS`` in every tree."""
+    return calls < calls_at(n) or min(seconds) < SECONDS
+
+
+def spread(values: Sequence[float]) -> float:
+    """Interquartile range over median; 0 below two values."""
+    if len(values) < 2:
+        return 0.0
+    low, _, high = statistics.quantiles(values, n=4, method="inclusive")
+    return (high - low) / statistics.median(values)
+
+
 def summary(name: str, sizes: Sequence[int], samples: Sequence[Sequence[tuple[float, float]]]) -> dict:
     """Row ``name`` of a file, from the (raw seconds, reference seconds) of
     each timed call at each size.  Per size: the median raw seconds, the
@@ -193,7 +218,8 @@ def summary(name: str, sizes: Sequence[int], samples: Sequence[Sequence[tuple[fl
     call) and the median scaled seconds; microseconds per letter and the
     fitted slope come from the scaled seconds."""
     scaled = _perfbench().scaled
-    seconds = [statistics.median(scaled(t, r) for t, r in calls) for calls in samples]
+    scaled_calls = [[scaled(t, r) for t, r in calls] for calls in samples]
+    seconds = [statistics.median(calls) for calls in scaled_calls]
     return {
         "row": name,
         "sizes": list(sizes),
@@ -201,6 +227,7 @@ def summary(name: str, sizes: Sequence[int], samples: Sequence[Sequence[tuple[fl
         "raw_seconds": [statistics.median(t for t, _ in calls) for calls in samples],
         "reference_s": [statistics.median(r for _, r in calls) for calls in samples],
         "seconds": seconds,
+        "spread": [spread(calls) for calls in scaled_calls],
         "us_per_letter": [s / n * 1e6 for n, s in zip(sizes, seconds)],
         "slope": slope(sizes, seconds),
     }
@@ -268,9 +295,9 @@ def measure(
     sources: Sequence[Path], plan: Sequence[tuple[str, Sequence[int]]], repeats: int | None = None
 ) -> list[list[dict]]:
     """The rows of ``plan`` (row name, sizes), timed in one worker per tree
-    of ``sources``, ``repeats`` calls at each size or ``calls_at(n)``: the
-    workers time each call in turn, the first one first at even calls and
-    last at odd ones.  Returns the rows of each tree."""
+    of ``sources``, ``repeats`` calls at each size or as ``more_calls``
+    asks: the workers time each call in turn, the first one first at even
+    calls and last at odd ones.  Returns the rows of each tree."""
     with contextlib.ExitStack() as stack:
         workers = []
         for src in sources:
@@ -280,9 +307,11 @@ def measure(
         for name, sizes in plan:
             samples = [[[] for _ in sizes] for _ in workers]
             for j, n in enumerate(sizes):
-                for k in range(repeats or calls_at(n)):
+                k = 0
+                while k < repeats if repeats else more_calls(n, k, [sum(t for t, _ in tree[j]) for tree in samples]):
                     for i in range(len(workers))[:: -1 if k % 2 else 1]:
                         samples[i][j].append(workers[i].time(name, n))
+                    k += 1
             for rows, tree in zip(results, samples):
                 rows.append(summary(name, sizes, tree))
         return results
@@ -321,15 +350,56 @@ def revision(sources: Path) -> str | None:
     return commit + "-dirty" * bool(changed) if commit else None
 
 
+def compare(parent: dict, change: dict) -> list[str]:
+    """The lines of ``--compare``: per row and size the microseconds per
+    letter of both files and their ratio CHANGE/PARENT, called slower or
+    faster only when it is off 1 by more than the larger spread of the two
+    (``~`` within it, ``-`` in a file without spreads), then the slopes and
+    their change.  A row of one file alone is named as such."""
+    rows = {row["row"]: row for row in parent["rows"]}
+    lines = [f"{'row':<38} {'size':>9} {'parent':>8} {'change':>8} {'ratio':>6} {'spread':>6}  verdict"]
+    for new in change["rows"]:
+        old = rows.pop(new["row"], None)
+        if old is None:
+            lines.append(f"{new['row']:<38} only in {change['label']}")
+            continue
+        at = dict(zip(old["sizes"], range(len(old["sizes"]))))
+        for j, n in enumerate(new["sizes"]):
+            if n not in at:
+                continue
+            i = at[n]
+            a, b = old["us_per_letter"][i], new["us_per_letter"][j]
+            ratio = b / a
+            if "spread" in old and "spread" in new:
+                width = max(old["spread"][i], new["spread"][j])
+                verdict = "slower" if ratio > 1 + width else "faster" if ratio < 1 - width else "~"
+                lines.append(f"{new['row']:<38} {n:>9} {a:>8.3f} {b:>8.3f} {ratio:>6.3f} {width:>6.3f}  {verdict}")
+            else:
+                lines.append(f"{new['row']:<38} {n:>9} {a:>8.3f} {b:>8.3f} {ratio:>6.3f} {'-':>6}  -")
+        if old["slope"] is not None and new["slope"] is not None:
+            change_of_slope = new["slope"] - old["slope"]
+            lines.append(
+                f"{new['row']:<38} {'slope':>9} {old['slope']:>8.3f} {new['slope']:>8.3f} {change_of_slope:>+6.3f}"
+            )
+    lines += [f"{row:<38} only in {parent['label']}" for row in rows]
+    return lines
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--label", help="the file is BENCH_<label>.json")
     parser.add_argument("--parent", type=Path, help="the src of a second checkout, timed beside this one")
     parser.add_argument("--out", type=Path, default=ROOT, help="directory of the file (default: the repository)")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("PARENT", "CHANGE"),
+                        help="print CHANGE/PARENT per row and size of two BENCH files, and run nothing")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
         serve()
+        return 0
+    if args.compare:
+        parent, change = (json.loads(path.read_text()) for path in args.compare)
+        print("\n".join(compare(parent, change)))
         return 0
     if not args.label:
         parser.error("--label is required")
@@ -341,7 +411,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"{label} {entry['row']}: " + ", ".join(f"{us:.2f}" for us in entry["us_per_letter"]) + " us/letter",
                   file=sys.stderr)
         report = {
-            "schema": "bench/4",
+            "schema": "bench/5",
             "label": label,
             "environment": {
                 "python": platform.python_version(),
@@ -351,6 +421,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "timed_beside": [rev for j, rev in enumerate(revisions) if j != i],
                 "letters_per_size": LETTERS,
                 "min_repeats": REPEATS,
+                "min_seconds": SECONDS,
                 "scaled_to_reference_s": _perfbench().REFERENCE_S,
             },
             "rows": rows,

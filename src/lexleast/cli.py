@@ -20,7 +20,7 @@ import os
 import sys
 import time
 from functools import cache
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator, TextIO
 
 from .detect import AvoidanceMode, contains_forbidden
@@ -37,7 +37,7 @@ from .formulas import (
     ruler_term,
     w32_term,
 )
-from .greedy import GreedyState
+from .greedy import chunks
 from .morphic import w32_stream, x32_stream
 from .words import Exponent, check_letters
 
@@ -150,7 +150,7 @@ _MORPHIC = {
 
 def cmd_generate(args: argparse.Namespace) -> int:
     if args.method == "greedy":
-        stream = iter(GreedyState(args.exponent, args.mode).step, None)
+        stream = chain.from_iterable(chunks(args.exponent, args.mode, args.length))
     else:
         table, what = (_CLOSED, "closed form") if args.method == "closed" else (_MORPHIC, "morphic generator")
         entry = table.get((args.exponent.p, args.exponent.q, args.mode))

@@ -13,13 +13,15 @@ end at n, so every question here is one query: which letters at position n
 would complete a forbidden factor?  For each candidate period P, every
 compared letter but the last is already committed, and the last pits the
 letter at n against ``word[n - P]``.  Greedy, and the minimality check
-that runs it, needs only the least letter that no period blocks: its step
-(``LceIndex.threshold_hit``, also named ``exact_hit``) ORs the blocked
-letters into one int and appends the letter of its lowest clear bit.
-Callers that know their letters (``contains_forbidden``, ``forbidden_suffix``
-and the x32 structure checks) make one ``LceIndex.scan`` call, one loop
-that appends each letter up to the first that a period blocks, read with
-its smallest period from that letter's own mask.
+that runs it, needs only the least letter that no period blocks: its loop
+(``LceIndex.threshold_hit(count)``, also named ``exact_hit``) appends
+``count`` letters in one call, with the index's state in locals, and for
+each ORs the blocked letters into one int and appends the letter of its
+lowest clear bit.  Callers that know their letters (``contains_forbidden``,
+``forbidden_suffix`` and the x32 structure checks) make one
+``LceIndex.scan`` call, one loop that appends each letter up to the first
+that a period blocks, read with its smallest period from that letter's
+own mask.
 
 Let run(P) be the length of the longest suffix of the word with period P.
 Every query asks one need rule: P blocks ``word[n - P]`` when
@@ -61,14 +63,15 @@ runs that can still reach their need.
   same ``M * REP`` then serves the append.  The
   bits at length n rest on the last T + need(T) letters only, T the largest
   period kept in bits, so an index built on a long word replays those.
-* Greedy's step sets a bit for each blocked letter below
+* Each step of greedy's loop sets a bit for each blocked letter below
   lim = S + (the number of kept periods): the periods below S block at
   most S - 1 letters and each kept period one more, so a letter below lim
   is free.  The need-0 periods 1..Z of threshold mode block the last Z
   positions' letters, whose bits below S are kept from Z = 3 on along the
-  step's appends (the mask dict tells when ``word[n - Z]`` leaves) and read
-  again after any other append; the window's letters from S to lim are
-  read from the word only when every letter below S is blocked.
+  loop's appends (the mask dict tells when ``word[n - Z]`` leaves) and read
+  again when a call starts after any other append; the window's letters
+  from S to lim are read from the word only when every letter below S is
+  blocked.
 * A band [S * 2**i, S * 2**(i+1)) opens with its lowest period and is kept
   sparsely; the first one also takes the periods below S left out of the
   bits.  Let nu be that period's need, L = max(1, 2 * nu // 3) and
@@ -169,7 +172,7 @@ class LceIndex:
     slots of the module docstring, above it the (P, at) pairs of the bands'
     kept periods, in ascending P, ``at`` being the length from which P
     blocks.  P can block only when P + need(P) <= n, so the rule names no
-    upper bound.  The least free letter, which greedy's step appends, is
+    upper bound.  The least free letter, which greedy's loop appends, is
     below S + len(kept), as each period blocks at most one letter.
 
     Letters are natural numbers below 2**31, kept in a list.  Given
@@ -231,8 +234,9 @@ class LceIndex:
     def __len__(self) -> int:
         return len(self._word)
 
-    def to_list(self) -> list[int]:
-        return list(self._word)
+    def to_list(self, start: int = 0) -> list[int]:
+        """The letters from position ``start`` on, as a new list."""
+        return self._word[start:]
 
     def need(self, period: int) -> int:
         """Least run with which ``period`` blocks a letter."""
@@ -328,77 +332,84 @@ class LceIndex:
         finally:
             self._runs, self._kept = runs, kept
 
-    def threshold_hit(self) -> int:
-        """Greedy's step: append the least letter that no period blocks at
-        length n, the lowest clear bit of one int of the blocked letters
-        below ``lim``, and return it.  Its append is followed with its own
-        mask, as ``scan`` does."""
-        word = self._word
-        n = len(word)
-        if n >= self._due:
-            self._refresh(n)
-        S, Z, kept = self._size, self._window, self._kept
-        # the periods below S and the kept ones block at most lim - 1 letters
-        lim = S + len(kept)
-        if Z:
-            if self._wat != n:
-                # another path appended since: read the window again
-                self._win = sum(1 << v for v in set(word[max(0, n - Z) :]) if v < S)
-            free = win = self._win
-        else:
-            free = 0
-            for P in self._zero:
-                if P > n:
-                    break
-                v = word[n - P]
-                if v < lim:
-                    free |= 1 << v
-        hits = self._runs & self._needmask
-        while hits:
-            low = hits & -hits
-            v = word[n - ((low.bit_length() - 1) & (S - 1))]
-            if v < lim:
-                free |= 1 << v
-            hits ^= low
-        for P, at in kept:
-            if at <= n:
-                v = word[n - P]
-                if v < lim:
-                    free |= 1 << v
-        letter = (~free & (free + 1)).bit_length() - 1
-        if letter >= S and Z:
-            # the window holds only the letters below S: add the others
-            for v in word[max(0, n - Z) :]:
-                if v < lim:
-                    free |= 1 << v
-            letter = (~free & (free + 1)).bit_length() - 1
-        # follow the append as ``_push`` does, without the call
-        masks = self._masks
-        last = masks.get(letter)
-        if last is None:
-            self._add(n, letter)
-            self._runs = 0
-        else:
-            mask = last[0] << (n - last[1]) & self._ones
-            last[0], last[1] = mask << 1 | 2, n + 1
-            self._runs = ((self._runs | self._ones) << S) & mask * self._rep
-        for P, _ in kept:
-            if word[n - P] != letter:
-                self._kept = [e for e in kept if word[n - e[0]] == letter]
-                break
-        if Z:
-            win |= 1 << letter if letter < S else 0
-            # word[n - Z] leaves the window unless it occurs again after it
-            if n >= Z:
-                old = word[n - Z]
-                if old < S and masks.get(old, (0, 0))[1] <= n + 1 - Z:
-                    win ^= 1 << old
-            self._win, self._wat = win, n + 1
-        word.append(letter)
-        return letter
+    def threshold_hit(self, count: int = 1) -> int | None:
+        """Greedy's loop: ``count`` times, append the least letter that no
+        period blocks at length n, the lowest clear bit of one int of the
+        blocked letters below ``lim``; return the last (None if none).
+        Each append is followed with its own mask, as ``scan`` does, and
+        the state is kept in locals meanwhile."""
+        S, ONES, REP, NEEDMASK, ZERO, Z = self._size, self._ones, self._rep, self._needmask, self._zero, self._window
+        word, masks, runs, kept, due = self._word, self._masks, self._runs, self._kept, self._due
+        start, append, get = len(word), word.append, masks.get
+        win, wat, letter = self._win, self._wat, None
+        if Z and wat != start:
+            # another path appended since: read the window again
+            win, wat = sum(1 << v for v in set(word[max(0, start - Z) :]) if v < S), start
+        try:
+            for n in range(start, start + count):
+                if n >= due:
+                    self._kept = kept
+                    self._refresh(n)
+                    kept, due = self._kept, self._due
+                # the periods below S and the kept ones block at most lim - 1 letters
+                lim = S + len(kept)
+                if Z:
+                    free = win
+                else:
+                    free = 0
+                    for P in ZERO:
+                        if P > n:
+                            break
+                        v = word[n - P]
+                        if v < lim:
+                            free |= 1 << v
+                hits = runs & NEEDMASK
+                while hits:
+                    low = hits & -hits
+                    v = word[n - ((low.bit_length() - 1) & (S - 1))]
+                    if v < lim:
+                        free |= 1 << v
+                    hits ^= low
+                for P, at in kept:
+                    if at <= n:
+                        v = word[n - P]
+                        if v < lim:
+                            free |= 1 << v
+                letter = (~free & (free + 1)).bit_length() - 1
+                if letter >= S and Z:
+                    # the window holds only the letters below S: add the others
+                    for v in word[max(0, n - Z) :]:
+                        if v < lim:
+                            free |= 1 << v
+                    letter = (~free & (free + 1)).bit_length() - 1
+                # follow the append as ``_push`` does, without the call
+                last = get(letter)
+                if last is None:
+                    self._add(n, letter)
+                    runs = 0
+                else:
+                    mask = last[0] << (n - last[1]) & ONES
+                    last[0], last[1] = mask << 1 | 2, n + 1
+                    runs = ((runs | ONES) << S) & mask * REP
+                for P, _ in kept:
+                    if word[n - P] != letter:
+                        kept = [e for e in kept if word[n - e[0]] == letter]
+                        break
+                if Z:
+                    win |= 1 << letter if letter < S else 0
+                    # word[n - Z] leaves the window unless it occurs again after it
+                    if n >= Z:
+                        old = word[n - Z]
+                        if old < S and get(old, (0, 0))[1] <= n + 1 - Z:
+                            win ^= 1 << old
+                    wat = n + 1
+                append(letter)
+            return letter
+        finally:
+            self._runs, self._kept, self._win, self._wat = runs, kept, win, wat
 
-    # the same step for an index built on the multiples of q; perfbench's
-    # tracer wraps each name, and greedy calls the one of its mode
+    # the same loop for an index built on the multiples of q: perfbench's
+    # tracer wraps each name by the mode greedy calls it for
     exact_hit = threshold_hit
 
     def _refresh(self, n: int) -> None:

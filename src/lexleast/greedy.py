@@ -1,18 +1,23 @@
 """Greedy construction of lexicographically least power-avoiding words.
 
 Extend the word one position at a time with the smallest letter that does
-not complete a forbidden repetition.  A step is one call of the index's
-step (``LceIndex.threshold_hit``, or ``exact_hit`` in exact mode): it sets
-a bit for every blocked letter at the next position, appends the lowest
-clear one and returns it.  No backtracking is ever needed: a blocked
-letter repeats an earlier letter of the word, so some letter up to
-``max letter + 1`` is always free.
+not complete a forbidden repetition.  The steps of one extension are one
+counted call of the index's loop (``LceIndex.threshold_hit``, or
+``exact_hit`` in exact mode): for each letter it sets a bit for every
+blocked letter at the next position and appends the lowest clear one.  No
+backtracking is ever needed: a blocked letter repeats an earlier letter of
+the word, so some letter up to ``max letter + 1`` is always free.
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .detect import AvoidanceMode, LceIndex
 from .words import Exponent
+
+# the letters of one ``chunks`` list, built in one call of the loop
+CHUNK = 4_096
 
 
 class GreedyState:
@@ -33,13 +38,25 @@ class GreedyState:
         return self._idx.to_list()
 
     def step(self) -> int:
-        """Append the least letter that completes no forbidden suffix; return it."""
+        """Append the least letter that completes no forbidden suffix; return
+        it.  One call of the loop per letter: ``extend`` builds many at once."""
         return self._hit()
 
+    def extend(self, count: int) -> list[int]:
+        """Append ``count`` letters in one call of the loop; return them."""
+        start = len(self._idx)
+        self._hit(count)
+        return self._idx.to_list(start)
+
     def extend_to(self, length: int) -> None:
-        step = self.step
-        for _ in range(length - len(self)):
-            step()
+        self._hit(length - len(self))
+
+
+def chunks(exponent: Exponent, mode: AvoidanceMode, length: int) -> Iterator[list[int]]:
+    """The greedy word's first ``length`` letters in lists of ``CHUNK``
+    (the last one only as long as is left), each built as it is read."""
+    state = GreedyState(exponent, mode)
+    return (state.extend(min(CHUNK, length - k)) for k in range(0, length, CHUNK))
 
 
 def generate(exponent: Exponent, mode: AvoidanceMode, length: int) -> list[int]:

@@ -59,4 +59,6 @@ GREEDY_SHA256 = {
     ("3/1", "threshold"): "7949041014fe470955533160296de8de98008ebd0a03a0e7aa30ae9231ead5c6",
     ("3/1", "exact"): "7949041014fe470955533160296de8de98008ebd0a03a0e7aa30ae9231ead5c6",
     ("101/100", "threshold"): "983dc6340db461d18f7bff0e985e0998a1bc91f502b8ff46bb12ee91eea433a4",
+    # the only word here on greedy's widest need-0 window (Z = 400)
+    ("401/400", "threshold"): "08a9feefdd0356a4e76b4535ca7cb19d0a87657e1fd012f29dc26a824cc4f0ac",
 }

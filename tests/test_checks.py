@@ -23,6 +23,7 @@ from lexleast.checks import (
 )
 from lexleast.detect import AvoidanceMode
 from lexleast.formulas import b_rec, w32_prefix, x32_prefix
+from lexleast.greedy import GreedyState
 from lexleast.words import Exponent
 
 import oracle
@@ -95,9 +96,16 @@ def test_cross_small():
 def test_cross_reports_the_first_tampered_letter(monkeypatch, route):
     # one route of the exact discipline gains 1 at letter 777 of x32
     if route == "greedy":
-        step = checks.GreedyState.step
-        tampered = lambda self: step(self) + (self.mode is EXACT and len(self) == 778)  # noqa: E731
-        monkeypatch.setattr(checks.GreedyState, "step", tampered)
+        # cross reads greedy a chunk at a time, through GreedyState.extend
+        extend = GreedyState.extend
+
+        def tampered(self, count):
+            start, chunk = len(self), extend(self, count)
+            if self.mode is EXACT and start <= 777 < len(self):
+                chunk[777 - start] += 1
+            return chunk
+
+        monkeypatch.setattr(GreedyState, "extend", tampered)
     elif route == "closed":
         monkeypatch.setattr(checks, "f_term", lambda n, f=checks.f_term: f(n) + (n == 777))
     else:

@@ -1,8 +1,11 @@
+import functools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexleast.detect import AvoidanceMode, contains_forbidden, forbidden_suffix
+from lexleast.detect import AvoidanceMode, LceIndex, contains_forbidden, forbidden_suffix
 from lexleast.formulas import w32_prefix, x32_prefix
 from lexleast.greedy import GreedyState, generate
 from lexleast.words import Exponent
@@ -140,3 +143,101 @@ def test_state_bookkeeping():
     assert len(state) == 12
     assert state.word == golden.X32_144[:12]
     assert max(state.word) == 2
+
+
+# the rules of greedy's loop: its bit paths (3/2 in both modes, 2/1), the
+# narrowest need-0 window (Z = 3 at 4/3), a strided one (5/4 exact) and the
+# widest (Z = 400 at 401/400), each over more than two chunks of 4,096
+LOOP_RULES = {
+    "w32": (E32, THRESHOLD),
+    "x32": (E32, EXACT),
+    "2/1": (E21, THRESHOLD),
+    "4/3": (Exponent(4, 3), THRESHOLD),
+    "5/4 exact": (Exponent(5, 4), EXACT),
+    "401/400": (Exponent(401, 400), THRESHOLD),
+}
+LOOP_LENGTH = 8_300
+
+
+@functools.cache
+def _loop_words(kind):
+    """(the word of one step() per letter, the dense oracle's word)."""
+    exponent, mode = LOOP_RULES[kind]
+    state = GreedyState(exponent, mode)
+    for _ in range(LOOP_LENGTH):
+        state.step()
+    return state.word, oracle.dense_greedy(exponent, mode, LOOP_LENGTH)
+
+
+def _splits(kind):
+    """Chunk plans up to LOOP_LENGTH: around the 4,096-letter chunk, and
+    seeded random ones with empty chunks among them."""
+    plans = [[1, 2, 4095, 4096], [4097, 4096], [4096, 1, 1, 4096], [4095, 4095, 1]]
+    rng = random.Random(f"loop/{kind}")
+    for _ in range(2):
+        plan = []
+        while sum(plan) < LOOP_LENGTH:
+            plan.append(rng.choice([0, 1, 2, 3, rng.randrange(700), rng.randrange(5_000)]))
+        plans.append(plan)
+    return plans
+
+
+@pytest.mark.parametrize("kind", LOOP_RULES)
+def test_loop_split_at_any_point_gives_the_stepped_word(kind):
+    # extend_to and extend make one call of the loop for all their letters;
+    # wherever the calls are split, the word is that of one step() per
+    # letter, and the dense oracle's
+    exponent, mode = LOOP_RULES[kind]
+    stepped, dense = _loop_words(kind)
+    assert stepped == dense
+    for plan in _splits(kind):
+        state, target = GreedyState(exponent, mode), 0
+        for count in plan:
+            target = min(target + count, LOOP_LENGTH)
+            state.extend_to(target)
+        state.extend_to(LOOP_LENGTH)
+        assert state.word == dense, plan
+        state, chunks = GreedyState(exponent, mode), []
+        for count in plan:
+            chunks += state.extend(min(count, LOOP_LENGTH - len(state)))
+        chunks += state.extend(LOOP_LENGTH - len(state))
+        assert chunks == state.word == dense, plan
+
+
+@pytest.mark.parametrize("kind", LOOP_RULES)
+def test_loop_between_other_appends_reads_the_state_they_left(kind):
+    # the loop keeps its state in locals and writes it back once: its
+    # need-0 window (win, wat) and kept periods are the ones the next
+    # call reads, be it the loop again, one step(), an append or a scan,
+    # each of which may run a refresh of its own
+    exponent, mode = LOOP_RULES[kind]
+    _, dense = _loop_words(kind)
+    first, step = mode.periods(exponent.q)
+    idx = LceIndex(exponent.p, exponent.q, first=first, step=step)
+    hit = idx.threshold_hit if mode is THRESHOLD else idx.exact_hit
+    rng = random.Random(f"mixed/{kind}")
+    while len(idx) < LOOP_LENGTH:
+        n = len(idx)
+        count = min(rng.choice([1, 2, 5, rng.randrange(400), rng.randrange(4_200)]), LOOP_LENGTH - n)
+        route = rng.randrange(4)
+        if route == 0:
+            assert hit(count) == dense[n + count - 1], n
+        elif route == 1:
+            assert hit() == dense[n], n
+        elif route == 2:
+            for v in dense[n : n + count]:
+                idx.append(v)
+        else:
+            assert idx.scan(dense[n : n + count]) is None, n
+        assert len(idx) == n + (1 if route == 1 else count), n
+    assert idx.to_list() == dense
+
+
+def test_loop_of_no_letters_appends_nothing():
+    for exponent, mode in LOOP_RULES.values():
+        state = GreedyState(exponent, mode)
+        assert state._hit(0) is None and len(state) == 0
+        assert state.extend(0) == [] and state.extend(300) == generate(exponent, mode, 300)
+        assert state._hit(0) is None and state.extend(0) == [] and len(state) == 300
+        state.extend_to(200)
+        assert len(state) == 300

@@ -2,6 +2,7 @@
 and of the row function of ``scripts/bench.py`` in this one."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -94,6 +95,63 @@ def test_bench_rows_at_their_smallest_size():
         assert scaled == pytest.approx(raw * bench._perfbench().REFERENCE_S / ref), name
         assert result["us_per_letter"][0] == pytest.approx(scaled / n * 1e6), name
     assert bench.slope([10, 1_000], [0.5, 50.0]) == pytest.approx(1.0)
+
+
+def test_bench_times_large_sizes_for_a_floor_of_calls_and_seconds():
+    # 3 calls of 0.1-0.3 s at 10^5 letters could not resolve 25%: every size
+    # gets REPEATS calls and SECONDS of them in each tree, small ones LETTERS
+    bench = _bench()
+    assert bench.REPEATS >= 5 and bench.SECONDS >= 2
+    assert bench.more_calls(10**5, bench.REPEATS, [bench.SECONDS, 0.9 * bench.SECONDS])
+    assert not bench.more_calls(10**5, bench.REPEATS, [bench.SECONDS, 3 * bench.SECONDS])
+    assert bench.more_calls(10**6, bench.REPEATS - 1, [100.0])
+    assert bench.more_calls(10**4, bench.LETTERS // 10**4 - 1, [100.0])
+    assert not bench.more_calls(10**4, bench.LETTERS // 10**4, [bench.SECONDS])
+    assert bench.spread([1.0]) == 0 and bench.spread([1.0, 2.0, 3.0, 4.0, 5.0]) == pytest.approx(2 / 3)
+
+
+def _bench_file(label, rows):
+    return {"schema": "bench/5", "label": label, "rows": [
+        {"row": name, "sizes": sizes, "us_per_letter": us, "slope": slope, **({"spread": wide} if wide else {})}
+        for name, sizes, us, slope, wide in rows
+    ]}
+
+
+def test_bench_compare_reads_a_pair(tmp_path, capsys):
+    # change/parent per row and size, slower or faster only past the larger
+    # spread of the two files, and the change of slope
+    parent = _bench_file("x-parent", [
+        ("greedy", [10, 100], [2.0, 2.0], 1.0, [0.05, 0.05]),
+        ("scan", [10, 100], [1.0, 1.0], 1.0, [0.05, 0.02]),
+        ("gone", [10], [1.0], None, [0.0]),
+        ("old", [10, 100], [1.0, 1.0], 1.0, None),
+    ])
+    change = _bench_file("x", [
+        ("greedy", [10, 100], [1.5, 1.98], 1.1, [0.02, 0.04]),
+        ("scan", [10, 100], [1.2, 1.03], 0.95, [0.1, 0.01]),
+        ("new", [10], [1.0], None, [0.0]),
+        ("old", [10, 100], [2.0, 1.0], 0.8, [0.0, 0.0]),
+    ])
+    bench = _bench()
+    lines = [line.split() for line in bench.compare(parent, change)]
+    assert lines[0] == ["row", "size", "parent", "change", "ratio", "spread", "verdict"]
+    assert lines[1:] == [
+        ["greedy", "10", "2.000", "1.500", "0.750", "0.050", "faster"],
+        ["greedy", "100", "2.000", "1.980", "0.990", "0.050", "~"],
+        ["greedy", "slope", "1.000", "1.100", "+0.100"],
+        ["scan", "10", "1.000", "1.200", "1.200", "0.100", "slower"],
+        ["scan", "100", "1.000", "1.030", "1.030", "0.020", "slower"],
+        ["scan", "slope", "1.000", "0.950", "-0.050"],
+        ["new", "only", "in", "x"],
+        ["old", "10", "1.000", "2.000", "2.000", "-", "-"],
+        ["old", "100", "1.000", "1.000", "1.000", "-", "-"],
+        ["old", "slope", "1.000", "0.800", "-0.200"],
+        ["gone", "only", "in", "x-parent"],
+    ]
+    (tmp_path / "a.json").write_text(json.dumps(parent))
+    (tmp_path / "b.json").write_text(json.dumps(change))
+    assert bench.main(["--compare", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 0
+    assert capsys.readouterr().out.splitlines() == bench.compare(parent, change)
 
 
 def test_bench_times_two_trees_call_by_call(tmp_path):

@@ -38,9 +38,16 @@ def test_tracer_installs_over_every_target(monkeypatch):
 @pytest.mark.parametrize("mode", list(AvoidanceMode), ids=lambda mode: mode.value)
 def test_greedy_steps_are_traced_as_detector_queries(monkeypatch, mode):
     # greedy's step calls the traced name of its mode once per letter, so
-    # the benchmark's detect.query counts letters, not just calls > 0
+    # 50 steps are 50 detect.query calls; extend_to makes one call of the
+    # same name for all its letters, and no step
     tracing = _tracing(monkeypatch)
     with tracing.Tracer().installed() as tracer:
-        GreedyState(Exponent(3, 2), mode).extend_to(50)
+        state = GreedyState(Exponent(3, 2), mode)
+        for _ in range(50):
+            state.step()
     assert tracer.calls["detect.query"] == 50
     assert tracer.calls["greedy.step"] == 50
+    with tracing.Tracer().installed() as tracer:
+        GreedyState(Exponent(3, 2), mode).extend_to(50)
+    assert tracer.calls["detect.query"] == 1
+    assert tracer.calls["greedy.step"] == 0
