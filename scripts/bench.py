@@ -13,8 +13,9 @@ checkout's ``src`` and, given ``--parent``, the ``src`` of another checkout
 order alternating from one call to the next, so both files of a run see the
 same machine.  Each row times one call at each size, as many times as it
 takes to time ``LETTERS`` letters in all, never fewer than ``REPEATS``
-times and never for less than ``SECONDS`` in all in each tree, and fits the
-slope of log time against log size (1 means linear in the letters):
+times, and until each tree's worker has spent ``SECONDS`` on the size,
+reference loops included; it fits the slope of log time against log size
+(1 means linear in the letters):
 
 * ``GreedyState(...).extend_to(n)`` for w32 (3/2, threshold) and x32
   (3/2, exact) at 10^4, 3*10^4, 10^5 and 10^6 letters, for 5/4 exact and 4/3
@@ -73,8 +74,8 @@ GREEDY_GENERATE_SIZES = (10_000, 100_000)
 # the letters timed at each size: 20 calls at 10^4 letters, where one call
 # of about 30 ms is too short to resolve 10% over 3 calls
 LETTERS = 200_000
-# and, at the large sizes, at least 5 calls and 2 s of them in each tree:
-# 3 calls of 0.1-0.3 s at 10^5 letters read 1.26 on unchanged code
+# and at least 5 calls and 2 s of each worker's time, its reference loops
+# included: 3 calls of 0.1-0.3 s at 10^5 letters read 1.26 on unchanged code
 REPEATS = 5
 SECONDS = 2.0
 
@@ -177,7 +178,10 @@ ROWS: dict[str, tuple[Callable[[int], Callable[[], bool]], Sequence[int]]] = {
         for method in ("closed", "morphism")
         for fmt in ("lines", "csv", "json")
     },
-    **{f"generate greedy {fmt}": (_generate("greedy", fmt), GREEDY_GENERATE_SIZES) for fmt in ("lines", "csv", "json")},
+    **{
+        f"generate greedy {fmt}": (_generate("greedy", fmt), GREEDY_GENERATE_SIZES)
+        for fmt in ("lines", "csv", "json")
+    },
 }
 
 
@@ -197,10 +201,16 @@ def calls_at(n: int) -> int:
 
 
 def more_calls(n: int, calls: int, seconds: Sequence[float]) -> bool:
-    """Whether to time another call at n letters after ``calls`` calls,
-    which took ``seconds`` in all in each tree: until ``calls_at(n)``
-    calls and ``SECONDS`` in every tree."""
+    """Whether to time another call at n letters after ``calls`` calls, on
+    which each tree's worker spent ``seconds``: until ``calls_at(n)`` calls
+    and ``SECONDS`` in every tree."""
     return calls < calls_at(n) or min(seconds) < SECONDS
+
+
+def spent(calls: Sequence[tuple[float, float]]) -> float:
+    """A worker's seconds on its (raw seconds, reference seconds) calls:
+    each call and the two reference loops around it."""
+    return sum(t + 2 * r for t, r in calls)
 
 
 def spread(values: Sequence[float]) -> float:
@@ -215,8 +225,8 @@ def summary(name: str, sizes: Sequence[int], samples: Sequence[Sequence[tuple[fl
     """Row ``name`` of a file, from the (raw seconds, reference seconds) of
     each timed call at each size.  Per size: the median raw seconds, the
     median reference seconds (mean of the loop just before and just after a
-    call) and the median scaled seconds; microseconds per letter and the
-    fitted slope come from the scaled seconds."""
+    call), the median scaled seconds and their ``spread``; microseconds per
+    letter and the fitted slope come from the scaled seconds."""
     scaled = _perfbench().scaled
     scaled_calls = [[scaled(t, r) for t, r in calls] for calls in samples]
     seconds = [statistics.median(calls) for calls in scaled_calls]
@@ -308,7 +318,7 @@ def measure(
             samples = [[[] for _ in sizes] for _ in workers]
             for j, n in enumerate(sizes):
                 k = 0
-                while k < repeats if repeats else more_calls(n, k, [sum(t for t, _ in tree[j]) for tree in samples]):
+                while k < repeats if repeats else more_calls(n, k, [spent(tree[j]) for tree in samples]):
                     for i in range(len(workers))[:: -1 if k % 2 else 1]:
                         samples[i][j].append(workers[i].time(name, n))
                     k += 1

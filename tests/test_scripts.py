@@ -107,6 +107,9 @@ def test_bench_times_large_sizes_for_a_floor_of_calls_and_seconds():
     assert bench.more_calls(10**6, bench.REPEATS - 1, [100.0])
     assert bench.more_calls(10**4, bench.LETTERS // 10**4 - 1, [100.0])
     assert not bench.more_calls(10**4, bench.LETTERS // 10**4, [bench.SECONDS])
+    # a worker's time counts its reference loops: 2 ms calls beside a
+    # 10 ms loop reach 2 s in 91 calls, not 1,000
+    assert bench.spent([(0.002, 0.01)] * 91) == pytest.approx(2.002)
     assert bench.spread([1.0]) == 0 and bench.spread([1.0, 2.0, 3.0, 4.0, 5.0]) == pytest.approx(2 / 3)
 
 
