@@ -88,6 +88,23 @@ def test_minimality_report_counts_decrements():
         assert report.extras["decrements_verified"] == sum(make(400))
 
 
+@pytest.mark.parametrize("position", [4095, 4096, 4097, 5001])
+@pytest.mark.parametrize("mode,make", [(THRESHOLD, w32_prefix), (EXACT, x32_prefix)], ids=["w32", "x32"])
+def test_minimality_reports_a_change_past_the_first_chunk(mode, make, position):
+    # greedy is compared with the source a chunk of 4,096 letters at a time:
+    # a raised letter is a surviving decrement and a lowered one a source
+    # letter that is blocked, at its position in the word, and the
+    # decrements counted are min(greedy, source) up to and including it
+    word = make(6_000)
+    for delta, kind in ((1, "decrement-survives"), (-1, "source-not-clean")):
+        if word[position] + delta < 0:
+            continue
+        changed = [*word[:position], word[position] + delta, *word[position + 1 :]]
+        report = check_minimality(changed, exponent=E32, mode=mode, length=6_000)
+        assert (report.violation.kind, report.violation.position) == (kind, position)
+        assert report.extras["decrements_verified"] == sum(word[:position]) + min(word[position], changed[position])
+
+
 def test_cross_small():
     assert check_cross(length=300).passed
 
