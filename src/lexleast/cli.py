@@ -60,13 +60,10 @@ def _mode_arg(text: str) -> AvoidanceMode:
 
 
 def _nonnegative(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
-    return value
+    # ASCII digits alone, as scan's letters: int() also reads '1_0', '+1', ' 1' and other scripts' digits
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer in ASCII digits, got {text!r}")
+    return int(text)
 
 
 def parse_letters_text(text: str) -> list[int]:

@@ -67,11 +67,10 @@ runs that can still reach their need.
   lim = S + (the number of kept periods): the periods below S block at
   most S - 1 letters and each kept period one more, so a letter below lim
   is free.  The need-0 periods 1..Z of threshold mode block the last Z
-  positions' letters, whose bits below S are kept from Z = 3 on along the
-  loop's appends (the mask dict tells when ``word[n - Z]`` leaves) and read
-  again when a call starts after any other append; the window's letters
-  from S to lim are read from the word only when every letter below S is
-  blocked.
+  positions' letters.  From Z = 3 on, their bits below S are read from the
+  word when a call of the loop starts and kept along its appends (the mask
+  dict tells when ``word[n - Z]`` leaves); the window's letters from S to
+  lim are read from the word only when every letter below S is blocked.
 * A band [S * 2**i, S * 2**(i+1)) opens with its lowest period and is kept
   sparsely; the first one also takes the periods below S left out of the
   bits.  Let nu be that period's need, L = max(1, 2 * nu // 3) and
@@ -94,6 +93,9 @@ runs that can still reach their need.
   Between refreshes, an append grows a kept period's run when the new
   letter repeats ``word[n - P]``, which leaves ``at`` as it is, and drops
   the period otherwise, so the list is rebuilt only when a run breaks.
+  ``scan`` and the loop hold the kept list in a local and write it back
+  when they return: ``_refresh(n, kept)`` edits the list it is given in
+  place and returns the length at which the next refresh is due.
 
 No period is missed, on any word.  Below S, slot k holds P exactly when
 run(P) >= k: the new slot 1 is M, the new slot k + 1 is the old slot k
@@ -182,8 +184,7 @@ class LceIndex:
     """
 
     __slots__ = ("_word", "_args", "_a", "_b", "_q", "_step", "_size", "_zero", "_ones", "_rep", "_needmask",
-                 "_masks", "_runs", "_lo", "_first", "_open", "_bands", "_kept", "_due", "_zerobits",
-                 "_window", "_win", "_wat")
+                 "_masks", "_runs", "_lo", "_first", "_open", "_bands", "_kept", "_due", "_zerobits", "_window")
 
     def __init__(
         self, p: int, q: int, strict: bool = False, first: int = 1, step: int = 1, letters: Iterable[int] = ()
@@ -206,10 +207,9 @@ class LceIndex:
         # the periods of need 0, which block word[n - P] as soon as P <= n
         self._zero = small[: sum(self.need(P) == 0 for P in small)]
         self._zerobits = sum(1 << P for P in self._zero)
-        # from Z = 3 on (two are read faster than kept) greedy's step keeps the letters
-        # of threshold mode's need-0 periods 1..Z in ``_win``, current at length ``_wat``
+        # from Z = 3 on (two are read faster than kept) greedy's loop keeps the
+        # letters below S of threshold mode's need-0 periods 1..Z in one int
         self._window = len(self._zero) if first == step == 1 and len(self._zero) > 2 else 0
-        self._win, self._wat = 0, -1
         top = small[-1] if small else 0
         self._size, self._ones = S, (1 << S) - 1
         self._rep = sum(1 << (k * S) for k in range(1, self.need(top) + 1))
@@ -226,10 +226,12 @@ class LceIndex:
         # the length at which the next band opens or one is refreshed
         self._due = 0
         self._word = word = [_checked(v) for v in letters]
-        # the bits at n rest on the last top + need(top) letters alone
-        n = len(word)
-        for i in range(max(0, n - top - self.need(top)), n):
-            self._push(i, word[i])
+        # the bits at n rest on the last top + need(top) letters alone: replay those
+        cut = max(0, len(word) - top - self.need(top))
+        tail = word[cut:]
+        del word[cut:]
+        for v in tail:
+            self.append(v)
 
     def __len__(self) -> int:
         return len(self._word)
@@ -243,22 +245,8 @@ class LceIndex:
         return max(0, -(-(self._a * period + self._b) // self._q))
 
     def append(self, letter: int) -> None:
-        letter = _checked(letter)
-        self._push(len(self._word), letter)
-        self._word.append(letter)
-
-    def pop(self) -> int:
-        """Remove and return the last letter.  The index is built again on
-        the rest, which checks each letter and replays the last ones."""
-        if not self._word:
-            raise IndexError("pop from empty index")
-        *rest, letter = self._word
-        self.__init__(*self._args, rest)
-        return letter
-
-    def _push(self, n: int, letter: int) -> None:
-        """Follow the append of ``letter`` at position n, before it is made."""
-        S, masks, word = self._size, self._masks, self._word
+        letter, S, masks, word = _checked(letter), self._size, self._masks, self._word
+        n = len(word)
         last = masks.get(letter)
         if last is None:
             self._add(n, letter)
@@ -273,6 +261,16 @@ class LceIndex:
             if word[n - P] != letter:
                 self._kept = [e for e in kept if word[n - e[0]] == letter]
                 break
+        word.append(letter)
+
+    def pop(self) -> int:
+        """Remove and return the last letter.  The index is built again on
+        the rest, which checks each letter and replays the last ones."""
+        if not self._word:
+            raise IndexError("pop from empty index")
+        *rest, letter = self._word
+        self.__init__(*self._args, rest)
+        return letter
 
     def _add(self, n: int, letter: int) -> None:
         """Give ``letter``, which has no mask, its mask at position n, first
@@ -296,9 +294,7 @@ class LceIndex:
                 if not (type(v) is int and 0 <= v < 1 << 31):
                     v = _checked(v)
                 if n >= due:
-                    self._kept = kept
-                    self._refresh(n)
-                    kept, due = self._kept, self._due
+                    due = self._refresh(n, kept)
                 last = get(v)
                 if last is not None:
                     # the periods P < S with word[n - P] == v: those of need 0
@@ -341,16 +337,13 @@ class LceIndex:
         S, ONES, REP, NEEDMASK, ZERO, Z = self._size, self._ones, self._rep, self._needmask, self._zero, self._window
         word, masks, runs, kept, due = self._word, self._masks, self._runs, self._kept, self._due
         start, append, get = len(word), word.append, masks.get
-        win, wat, letter = self._win, self._wat, None
-        if Z and wat != start:
-            # another path appended since: read the window again
-            win, wat = sum(1 << v for v in set(word[max(0, start - Z) :]) if v < S), start
+        letter = None
+        if Z:
+            win = sum(1 << v for v in set(word[max(0, start - Z) :]) if v < S)
         try:
             for n in range(start, start + count):
                 if n >= due:
-                    self._kept = kept
-                    self._refresh(n)
-                    kept, due = self._kept, self._due
+                    due = self._refresh(n, kept)
                 # the periods below S and the kept ones block at most lim - 1 letters
                 lim = S + len(kept)
                 if Z:
@@ -382,7 +375,7 @@ class LceIndex:
                         if v < lim:
                             free |= 1 << v
                     letter = (~free & (free + 1)).bit_length() - 1
-                # follow the append as ``_push`` does, without the call
+                # follow the append as ``append`` does, without the call
                 last = get(letter)
                 if last is None:
                     self._add(n, letter)
@@ -402,19 +395,19 @@ class LceIndex:
                         old = word[n - Z]
                         if old < S and get(old, (0, 0))[1] <= n + 1 - Z:
                             win ^= 1 << old
-                    wat = n + 1
                 append(letter)
             return letter
         finally:
-            self._runs, self._kept, self._win, self._wat = runs, kept, win, wat
+            self._runs, self._kept = runs, kept
 
-    # the same loop for an index built on the multiples of q: perfbench's
-    # tracer wraps each name by the mode greedy calls it for
+    # kept only because perfbench's tracer wraps this name too
     exact_hit = threshold_hit
 
-    def _refresh(self, n: int) -> None:
+    def _refresh(self, n: int, kept: list[tuple[int, int]]) -> int:
         """Open every band whose lowest period can block at length n
-        (P + need(P) <= n), then refresh every band that is due."""
+        (P + need(P) <= n), then refresh every band that is due, editing
+        ``kept``, the caller's kept list, in place; set ``_due`` to the
+        length of the next refresh and return it."""
         while self._open <= n:
             P = self._first
             periods = range(P, 2 * self._lo, self._step)
@@ -424,7 +417,7 @@ class LceIndex:
             self._first += len(periods) * self._step
             self._open = self._first + self.need(self._first)
         # each band is one slice of the kept list, ascending in P
-        kept, due = self._kept, self._open
+        due = self._open
         for band in self._bands:
             if band.due <= n:
                 band.due = n + band.every
@@ -435,6 +428,7 @@ class LceIndex:
             if band.due < due:
                 due = band.due
         self._due = due
+        return due
 
     def _survivors(self, n: int, band: _Band) -> list[tuple[int, int]]:
         """(P, at) in ascending P for the band's periods whose run reaches

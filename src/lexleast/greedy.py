@@ -2,11 +2,11 @@
 
 Extend the word one position at a time with the smallest letter that does
 not complete a forbidden repetition.  The steps of one extension are one
-counted call of the index's loop (``LceIndex.threshold_hit``, or
-``exact_hit`` in exact mode): for each letter it sets a bit for every
-blocked letter at the next position and appends the lowest clear one.  No
-backtracking is ever needed: a blocked letter repeats an earlier letter of
-the word, so some letter up to ``max letter + 1`` is always free.
+counted call of the index's loop, ``LceIndex.threshold_hit``, in either
+mode: for each letter it sets a bit for every blocked letter at the next
+position and appends the lowest clear one.  No backtracking is ever needed:
+a blocked letter repeats an earlier letter of the word, so some letter up
+to ``max letter + 1`` is always free.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ class GreedyState:
         self.mode = mode
         first, step = mode.periods(exponent.q)
         self._idx = LceIndex(exponent.p, exponent.q, first=first, step=step)
-        self._hit = self._idx.threshold_hit if mode is AvoidanceMode.THRESHOLD else self._idx.exact_hit
 
     def __len__(self) -> int:
         return len(self._idx)
@@ -40,16 +39,16 @@ class GreedyState:
     def step(self) -> int:
         """Append the least letter that completes no forbidden suffix; return
         it.  One call of the loop per letter: ``extend`` builds many at once."""
-        return self._hit()
+        return self._idx.threshold_hit()
 
     def extend(self, count: int) -> list[int]:
         """Append ``count`` letters in one call of the loop; return them."""
         start = len(self._idx)
-        self._hit(count)
+        self._idx.threshold_hit(count)
         return self._idx.to_list(start)
 
     def extend_to(self, length: int) -> None:
-        self._hit(length - len(self))
+        self._idx.threshold_hit(length - len(self))
 
 
 def chunks(exponent: Exponent, mode: AvoidanceMode, length: int) -> Iterator[list[int]]:

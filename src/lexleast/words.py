@@ -68,14 +68,16 @@ class Exponent(Record):
 
     @classmethod
     def parse(cls, text: str) -> "Exponent":
-        """Parse ``'P/Q'`` with positive integers P and Q, reducing to lowest terms."""
+        """Parse ``'P/Q'`` with positive integers P and Q in ASCII digits,
+        reducing to lowest terms."""
         parts = text.split("/")
         if len(parts) != 2:
             raise ValueError(f"expected 'P/Q', got {text!r}")
-        try:
-            p, q = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"expected integers around '/', got {text!r}") from None
+        for part in parts:
+            # int() also reads '1_5', '+3', ' 3' and other scripts' digits
+            if not (part.isascii() and part.isdigit()):
+                raise ValueError(f"expected ASCII digits around '/', got {part!r} in {text!r}")
+        p, q = int(parts[0]), int(parts[1])
         if p <= 0 or q <= 0:
             raise ValueError(f"expected positive integers, got {text!r}")
         g = gcd(p, q)

@@ -159,7 +159,7 @@ def refresh(idx: LceIndex) -> None:
     """Refresh ``idx`` when due, as its next query would."""
     n = len(idx)
     if n >= idx._due:
-        idx._refresh(n)
+        idx._refresh(n, idx._kept)
 
 
 def scan_put_back(idx: LceIndex, letter: int) -> int | None:

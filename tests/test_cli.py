@@ -199,6 +199,13 @@ def test_generate_usage_errors(capsys):
     assert run_cli(capsys, "generate", "--length", "5", "--method", "closed", "--exponent", "5/3")[0] == 2
     assert run_cli(capsys, "generate", "--length", "5", "--method", "morphism", "--exponent", "2/1")[0] == 2
     assert run_cli(capsys, "generate", "--length", "5", "--mode", "weird")[0] == 2
+    # numbers are ASCII digits alone, as scan's letters: int() would read each of these
+    for exponent, part in (("1_5/2", "1_5"), ("\uff13/2", "\uff13"), ("+3/2", "+3"), (" 3/2", " 3")):
+        code, out, err = run_cli(capsys, "generate", "--exponent", exponent, "--length", "5")
+        assert (code, out) == (2, "") and f"got {part!r} in" in err, exponent
+    for length in ("1_0", "+5", " 5", "5 ", "\uff15"):
+        code, out, err = run_cli(capsys, "generate", "--length", length)
+        assert (code, out) == (2, "") and f"got {length!r}" in err, length
 
 
 def test_term_examples(capsys):
@@ -224,6 +231,9 @@ def test_term_closed_forms(capsys):
 def test_term_usage_errors(capsys):
     assert run_cli(capsys, "term", "--which", "nope", "--index", "1")[0] == 2
     assert run_cli(capsys, "term", "--which", "b", "--index", "-1")[0] == 2
+    for index in ("1_0", "+1", " 1", "\uff11\uff10"):
+        code, out, err = run_cli(capsys, "term", "--which", "b", "--index", index)
+        assert (code, out) == (2, "") and f"got {index!r}" in err, index
 
 
 def test_scan_forbidden(capsys, tmp_path):

@@ -207,9 +207,10 @@ def test_loop_split_at_any_point_gives_the_stepped_word(kind):
 @pytest.mark.parametrize("kind", LOOP_RULES)
 def test_loop_between_other_appends_reads_the_state_they_left(kind):
     # the loop keeps its state in locals and writes it back once: its
-    # need-0 window (win, wat) and kept periods are the ones the next
-    # call reads, be it the loop again, one step(), an append or a scan,
-    # each of which may run a refresh of its own
+    # runs and kept periods are the ones the next call reads, be it the
+    # loop again, one step(), an append or a scan, each of which may run
+    # a refresh of its own, and the loop reads its need-0 window again
+    # from the word at each call's start
     exponent, mode = LOOP_RULES[kind]
     _, dense = _loop_words(kind)
     first, step = mode.periods(exponent.q)
@@ -230,14 +231,19 @@ def test_loop_between_other_appends_reads_the_state_they_left(kind):
         else:
             assert idx.scan(dense[n : n + count]) is None, n
         assert len(idx) == n + (1 if route == 1 else count), n
+        if route != 2 and len(idx) > n:
+            # the loop and the scan leave the next refresh due no earlier than now
+            assert idx._due >= len(idx), n
     assert idx.to_list() == dense
 
 
 def test_loop_of_no_letters_appends_nothing():
     for exponent, mode in LOOP_RULES.values():
         state = GreedyState(exponent, mode)
-        assert state._hit(0) is None and len(state) == 0
+        idx = state._idx
+        assert idx.threshold_hit(0) is None and idx.exact_hit(0) is None and len(state) == 0
         assert state.extend(0) == [] and state.extend(300) == generate(exponent, mode, 300)
-        assert state._hit(0) is None and state.extend(0) == [] and len(state) == 300
+        assert idx.threshold_hit(0) is None and idx.exact_hit(0) is None
+        assert state.extend(0) == [] and len(state) == 300
         state.extend_to(200)
         assert len(state) == 300

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 
 import pytest
 
@@ -22,6 +23,11 @@ def test_exponent_parse():
     assert Exponent.parse("6/4") == Exponent(3, 2)
     for bad in ("1.5", "3", "3/2/1", "a/b", "-3/2", "3/-2", "0/1"):
         with pytest.raises(ValueError):
+            Exponent.parse(bad)
+    # ASCII digits alone, each bad part named: int() would read all of these
+    for bad, part in (("1_5/2", "1_5"), ("\uff13/2", "\uff13"), ("+3/2", "+3"), (" 3/2", " 3"), ("3/2 ", "2 "),
+                      ("3/\u0662", "\u0662")):
+        with pytest.raises(ValueError, match=re.escape(f"got {part!r} in")):
             Exponent.parse(bad)
 
 
