@@ -28,7 +28,9 @@ reference loops included; it fits the slope of log time against log size
 * ``check_x_squares`` and ``check_x_overlapfree`` on x32 at 10^4 and 10^5;
 * ``lexleast generate --method closed|morphism`` at 3/2 threshold, in
   ``lines``, ``csv`` and ``json``, at 10^4, 10^5 and 10^6 letters, and
-  ``--method greedy`` at 10^4 and 10^5, written to the null device.
+  ``--method greedy`` at 10^4 and 10^5, written to the null device; and
+  the other routes of perfbench's ``stream``, in ``lines`` at 10^4 to 10^6
+  letters: ``closed`` and ``morphism`` at 3/2 exact, ``closed`` at 2/1.
 
 The scanned words are built before the clock starts.  The speed of a shared
 machine drifts within a run and swings between runs, so every timed call
@@ -138,15 +140,20 @@ def _check(check: str) -> Callable[[int], Callable[[], bool]]:
     return prepare
 
 
-def _generate(method: str, fmt: str) -> Callable[[int], Callable[[], bool]]:
-    """A ``generate`` row at 3/2 threshold: the timed call runs the command
-    for n letters, written to the null device (the worker's stdout carries
-    its replies), and is True when it exits 0."""
+def _generate(
+    method: str, fmt: str, exponent: str = "3/2", mode: str = "threshold"
+) -> Callable[[int], Callable[[], bool]]:
+    """A ``generate`` row: the timed call runs the command for n letters,
+    written to the null device (the worker's stdout carries its replies),
+    and is True when it exits 0."""
 
     def prepare(n: int) -> Callable[[], bool]:
         from lexleast.cli import main
 
-        argv = ["generate", "--method", method, "--format", fmt, "--length", str(n)]
+        argv = [
+            "generate", "--exponent", exponent, "--mode", mode, "--method", method,
+            "--format", fmt, "--length", str(n),
+        ]
 
         def call() -> bool:
             with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
@@ -182,6 +189,9 @@ ROWS: dict[str, tuple[Callable[[int], Callable[[], bool]], Sequence[int]]] = {
         f"generate greedy {fmt}": (_generate("greedy", fmt), GREEDY_GENERATE_SIZES)
         for fmt in ("lines", "csv", "json")
     },
+    "generate closed lines x32 exact": (_generate("closed", "lines", "3/2", "exact"), GENERATE_SIZES),
+    "generate morphism lines x32 exact": (_generate("morphism", "lines", "3/2", "exact"), GENERATE_SIZES),
+    "generate closed lines 2/1": (_generate("closed", "lines", "2/1"), GENERATE_SIZES),
 }
 
 

@@ -7,17 +7,19 @@ and the letters in the free slots reduce to the helper sequence ``b`` whose
 value is read off the base-6 digits of the index.  All evaluators run in
 O(log n) per term with plain iteration, no call-stack recursion.
 
-``by_blocks`` reads such a word one template block at a time: the letters
-before a block's last one depend only on the block index modulo a short
-cycle, so they are computed once, and only the last letter of each block
-is evaluated.  ``generate --method closed`` and the ``*_prefix`` functions
-stream the words this way, with the settings in ``BLOCKS``, in constant
-memory.
+``by_blocks`` reads such a word a block of six template blocks at a time
+(60 letters of w32, 72 of x32; 64 of the ruler word): the letters before a
+block's last one depend only on the block index modulo a short cycle, so
+they are computed once, and only the last letter of each block is
+evaluated.  Whole blocks are handed to ``itertools.chain``, so the letters
+between two evaluations are passed on in C.  ``generate --method closed``
+and the ``*_prefix`` functions stream the words this way, with the settings
+in ``BLOCKS``, in constant memory.
 """
 
 from __future__ import annotations
 
-from itertools import count, islice
+from itertools import chain, count, islice
 from typing import Callable, Iterator
 
 
@@ -208,24 +210,32 @@ def ell_m(b: int, m: int) -> int:
 def by_blocks(term: Callable[[int], int], size: int, cycle: int) -> Iterator[int]:
     """``term(0), term(1), ...`` read in blocks of ``size`` letters, where
     every letter but a block's last depends only on the block index mod
-    ``cycle``: those are computed once, by ``term`` itself, and only each
-    block's last letter calls ``term``."""
+    ``cycle``: those are computed once, by ``term`` itself, and each block
+    is that list of heads and ``term`` of its last index, chained."""
     last = size - 1
     heads = [[term(size * k + r) for r in range(last)] for k in range(cycle)]
-    for block in count():
-        yield from heads[block % cycle]
-        yield term(size * block + last)
+    return chain.from_iterable(heads[k % cycle] + [term(size * k + last)] for k in count())
 
 
-# (term, size, cycle) for ``by_blocks``: the w32 and x32 templates have
-# periods 10 and 12, with one letter alternating with the block parity; the
-# ruler word's blocks may be any power of two long.  A module-level dict,
-# like the CLI's dispatch tables, so that perfbench's tracer, which rebinds
-# the term functions held in such tables, also sees the prefixes' calls.
+# (term, size, cycle) for ``by_blocks``.  Each size is six template blocks
+# (or 64 ruler letters), the largest for which the heads stay small:
+# * w32, 60 = 10 * 6: letter 60m + 10i + r for r < 9 depends on r and the
+#   parity of 6m + i, which is that of i; for r = 9 it is b(6m + i), and for
+#   i < 5 that depends on i and m mod 2 (only b(6m + 2) reads the parity);
+# * x32, 72 = 12 * 6: residues r < 11 of template block 6m + i depend on
+#   the parity of i alike; residue 11 is 2 or 3 by i mod 3, except for
+#   i = 2, which goes to f(12m + 5) + 2 and so reads _F_HEADS[m & 1], and
+#   i = 5, the last letter;
+# * ruler, 64: letter 64m + r is v2(r + 1) for r + 1 < 64.
+# 10 * 6^k, 12 * 6^k and 2^k letters are valid blocks as well, with the same
+# cycles, but the heads of 360 letters already take about 11 KB.  A
+# module-level dict, like the CLI's dispatch tables, so that perfbench's
+# tracer, which rebinds the term functions held in such tables, also sees
+# the prefixes' calls.
 BLOCKS = {
-    "w32": (w32_term, 10, 2),
-    "x32": (f_term, 12, 2),
-    "ruler": (ruler_term, 4, 1),
+    "w32": (w32_term, 60, 2),
+    "x32": (f_term, 72, 2),
+    "ruler": (ruler_term, 64, 1),
 }
 
 

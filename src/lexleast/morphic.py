@@ -7,12 +7,19 @@ the alternating track 3, 4, 3, 4, ... with barred copies of the helper
 sequence b.  Two codings flatten the fixed point: ``tau_letter`` (5 output
 letters per input letter) yields the threshold word w32 and
 ``upsilon_letter`` (6 per letter) yields the exact-avoidance word x32.
+
+Since x = phi(x), a coding of x is also the coding of phi(x0) phi(x1) ...:
+the streams read the fixed point at a sixth of the rate and code each of
+its letters by the image of phi then the coding, 30 or 36 output letters
+built once per distinct letter of x and chained in C.  A prefix of n
+letters meets O(log n) distinct letters.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import chain, islice
-from typing import Iterator
+from typing import Callable, Iterator
 
 Letter = tuple[int, bool]
 
@@ -60,12 +67,19 @@ def bar_fixed_point() -> Iterator[Letter]:
     yield from chain.from_iterable(map(phi_letter, inner))
 
 
+def _coded(code: Callable[[Letter], tuple[int, ...]]) -> Iterator[int]:
+    """code(x) for the fixed point x, read as code(phi(x0)) code(phi(x1)) ...,
+    each image cached by its letter for this stream alone."""
+    image = cache(lambda y: tuple(chain.from_iterable(map(code, phi_letter(y)))))
+    return chain.from_iterable(map(image, bar_fixed_point()))
+
+
 def w32_stream() -> Iterator[int]:
-    return chain.from_iterable(map(tau_letter, bar_fixed_point()))
+    return _coded(tau_letter)
 
 
 def x32_stream() -> Iterator[int]:
-    return chain.from_iterable(map(upsilon_letter, bar_fixed_point()))
+    return _coded(upsilon_letter)
 
 
 def _prefix(stream: Iterator[int], length: int) -> list[int]:

@@ -74,7 +74,9 @@ CLOSED_ROUTES = (
 @pytest.mark.parametrize("fmt", ["lines", "csv", "json"])
 def test_generate_closed_reads_every_term_across_block_ends(capsys, route, name, fmt):
     term, size, _ = BLOCKS[name]
-    for n in (0, 1, size - 1, size, size + 1):
+    # 2 * size - 1 to 3 * size cross from the block cycle's last block into
+    # its first again (the ruler word's cycle is one block)
+    for n in (0, 1, size - 1, size, size + 1, 2 * size - 1, 2 * size, 2 * size + 1, 3 * size):
         letters = [term(i) for i in range(n)]
         expected = {
             "lines": "".join(f"{v}\n" for v in letters),

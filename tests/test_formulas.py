@@ -233,6 +233,36 @@ def test_by_blocks_reads_every_term(name):
     assert list(islice(by_blocks(term, size, cycle), n)) == list(islice(map(term, count()), n))
 
 
+# each word's template period (1 for the ruler word) and the factor by which
+# a block of ``by_blocks`` may grow with the same cycle: b(6m + i) for i < 5
+# depends on i and the parity of m, and v2(2^k m + r + 1) = v2(r + 1)
+BLOCK_GROWTH = {"w32": (10, 6), "x32": (12, 6), "ruler": (1, 2)}
+
+
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("name", sorted(BLOCKS))
+def test_by_blocks_reads_every_term_at_every_valid_size(name, k):
+    # 10 * 6^k letters of w32, 12 * 6^k of x32 and 2^k of the ruler word,
+    # over at least 2 * cycle + 1 blocks, so that the cycle comes round
+    term, _, cycle = BLOCKS[name]
+    period, factor = BLOCK_GROWTH[name]
+    size = period * factor**k
+    n = max(10**4, (2 * cycle + 1) * size)
+    assert list(islice(by_blocks(term, size, cycle), n)) == list(islice(map(term, count()), n))
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKS))
+def test_by_blocks_differs_at_a_size_that_is_not_valid(name):
+    # twice the template period (3 for the ruler word): the last letter of
+    # the block's first template block is not a head, so the comparison
+    # above has something to catch
+    term, _, cycle = BLOCKS[name]
+    period, _ = BLOCK_GROWTH[name]
+    size = 2 * period if period > 1 else 3
+    n = 10**4
+    assert list(islice(by_blocks(term, size, cycle), n)) != list(islice(map(term, count()), n))
+
+
 def test_by_blocks_runs_in_constant_memory():
     for name, entry in BLOCKS.items():
         tracemalloc.start()

@@ -89,7 +89,9 @@ def test_codings_hit_golden_tables():
 
 
 def test_codings_match_closed_forms():
-    n = 100_000
+    # the streams build 10^6 letters from images of 14 distinct letters of
+    # x (11 at 10^5 letters)
+    n = 10**6
     assert w32_via_morphism(n) == w32_prefix(n)
     assert x32_via_morphism(n) == x32_prefix(n)
 
@@ -108,7 +110,9 @@ def test_streams_run_in_logarithmic_memory():
 
 
 def test_stream_is_incremental():
-    # each stream codes the fixed point one letter at a time
+    # each stream reads the fixed point lazily, one image of phi then the
+    # coding (30 or 36 letters) per letter of it: the first 50 letters of x
+    # code to 250 letters of w32 and 300 of x32
     gen = bar_fixed_point()
     letters = [next(gen) for _ in range(50)]
     assert letters == fixed_prefix(50)
