@@ -253,9 +253,9 @@ def test_by_blocks_reads_every_term_at_every_valid_size(name, k):
 
 @pytest.mark.parametrize("name", sorted(BLOCKS))
 def test_by_blocks_differs_at_a_size_that_is_not_valid(name):
-    # twice the template period (3 for the ruler word): the last letter of
-    # the block's first template block is not a head, so the comparison
-    # above has something to catch
+    # twice the template period (3 letters of the ruler word): a head then
+    # varies beyond the cycle (w32 letter 20m + 9 is b(2m)), so the
+    # comparison above has something to catch
     term, _, cycle = BLOCKS[name]
     period, _ = BLOCK_GROWTH[name]
     size = 2 * period if period > 1 else 3
