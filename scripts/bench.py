@@ -20,11 +20,11 @@ reference loops included; it fits the slope of log time against log size
 * ``GreedyState(...).extend_to(n)`` for w32 (3/2, threshold) and x32
   (3/2, exact) at 10^4, 3*10^4, 10^5 and 10^6 letters, for 5/4 exact and 4/3
   threshold at 10^4 and 3*10^4, and for 401/400 and 101/100 threshold at
-  3*10^3 and 10^4;
+  3*10^3, 10^4 and 3*10^4, so that their slopes span a decade;
 * ``contains_forbidden`` on w32 and on x32 at 10^4, 3*10^4, 10^5 and 10^6
   letters, on the greedy words of 5/4 exact and 4/3 threshold at 10^4 and
-  3*10^4, and on those of 401/400 and 101/100 threshold at 3*10^3 and
-  10^4, each a clean verdict;
+  3*10^4, and on those of 401/400 and 101/100 threshold at 3*10^3, 10^4
+  and 3*10^4, each a clean verdict;
 * ``check_x_squares`` and ``check_x_overlapfree`` on x32 at 10^4 and 10^5;
 * ``lexleast generate --method closed|morphism`` at 3/2 threshold, in
   ``lines``, ``csv`` and ``json``, at 10^4, 10^5 and 10^6 letters, and
@@ -68,7 +68,7 @@ from typing import Callable, Sequence
 ROOT = Path(__file__).resolve().parent.parent
 GREEDY_SIZES = (10_000, 30_000, 100_000, 1_000_000)
 MID_SIZES = (10_000, 30_000)
-NEAR_ONE_SIZES = (3_000, 10_000)
+NEAR_ONE_SIZES = (3_000, 10_000, 30_000)
 SCAN_SIZES = (10_000, 30_000, 100_000, 1_000_000)
 CHECK_SIZES = (10_000, 100_000)
 GENERATE_SIZES = (10_000, 100_000, 1_000_000)

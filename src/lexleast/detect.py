@@ -36,8 +36,8 @@ chosen in one place, ``AvoidanceMode.periods`` (first period and step), so
 a mode that is not an ``AvoidanceMode`` fails at once.
 There are no hashes: every verdict rests on letter comparisons.
 
-``LceIndex`` keeps the letters in a list and, for its one need rule, the
-runs that can still reach their need.
+``LceIndex`` keeps the letters in an ``array("I")``, 4 bytes a letter,
+and, for its one need rule, the runs that can still reach their need.
 
 * Below S (32, doubled until need(S) >= 1, then while the run slots of
   twice S, 2S * need(2S) bits, fit in 2048: 64 at 3/2) the run of every
@@ -77,16 +77,15 @@ runs that can still reach their need.
   F = nu - L + 1.  Every L letters a refresh keeps the band's periods with
   slack need(P) - run(P) < L, i.e. whose run reaches the keep threshold
   need(P) - L + 1 (F at the lowest period, at least F above it), in one
-  pass.  A kept period repeats the largest of the last F letters (the
-  rarest on greedy words), at position ``end``: one strided slice
-  ``word[end - top : end - first + 1 : step]`` holds ``word[end - P]`` for
-  the band's periods top, top - step, ..., first (top the largest at most
-  n - F), and ``index`` walks the candidates on it in one pass, up to a
-  copy of the letter put after its end; in exact mode they are only the
-  multiples of q.  Each is checked on its last letter, then on the last F
-  letters (every keep threshold reaches F), then on the rest of its keep
-  threshold, and only those that pass have their run measured up to
-  need(P).  A kept period is stored as
+  pass.  Every keep threshold reaches F, so a kept period P repeats the
+  last F letters at n - F - P: one ``bytes.find`` of their bytes over
+  those of ``word[n - F - top : n - first]`` (top the band's largest
+  period at most n - F) finds the candidates, P = top - i for a match at
+  the i-th letter.  A match that starts inside a letter (at an offset that
+  is not a multiple of 4) or at a P not congruent to first mod step (in
+  exact mode, not a multiple of q) is skipped.  Each candidate is checked
+  on the rest of its keep threshold, and only those that pass have their
+  run measured up to need(P).  A kept period is stored as
   (P, at), ``at`` = n + need(P) - run(P) being the length from which it
   blocks; the kept periods form one list ascending in P, and a refresh
   replaces the band's slice of it.
@@ -121,6 +120,7 @@ letter costs up to O(n), as a dense run table does.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from enum import Enum
 from operator import index
@@ -155,8 +155,8 @@ class _Band:
     every ``every`` = max(1, 2 * nu // 3) letters (next at length ``due``),
     keeping the periods with slack need(P) - run(P) < ``every``, i.e. whose
     runs reach the keep threshold need(P) - every + 1: ``floor`` at the
-    lowest period and at least ``floor`` at every other, so a candidate is
-    compared on the last ``floor`` letters before the rest of its own."""
+    lowest period and at least ``floor`` at every other, so the candidates
+    are the periods at which the last ``floor`` letters occur again."""
 
     __slots__ = ("periods", "every", "floor", "due")
 
@@ -177,7 +177,8 @@ class LceIndex:
     upper bound.  The least free letter, which greedy's loop appends, is
     below S + len(kept), as each period blocks at most one letter.
 
-    Letters are natural numbers below 2**31, kept in a list.  Given
+    Letters are natural numbers below 2**31, kept in an ``array("I")``
+    (``to_list`` reads them out as a list).  Given
     ``letters``, the index checks each and replays only the last ones that
     the bits rest on; bands open and refresh at queries, and every append
     follows the state.
@@ -225,7 +226,7 @@ class LceIndex:
         self._kept: list[tuple[int, int]] = []
         # the length at which the next band opens or one is refreshed
         self._due = 0
-        self._word = word = [_checked(v) for v in letters]
+        self._word = word = array("I", map(_checked, letters))
         # the bits at n rest on the last top + need(top) letters alone: replay those
         cut = max(0, len(word) - top - self.need(top))
         tail = word[cut:]
@@ -238,7 +239,7 @@ class LceIndex:
 
     def to_list(self, start: int = 0) -> list[int]:
         """The letters from position ``start`` on, as a new list."""
-        return self._word[start:]
+        return memoryview(self._word)[start:].tolist()
 
     def need(self, period: int) -> int:
         """Least run with which ``period`` blocks a letter."""
@@ -432,33 +433,28 @@ class LceIndex:
 
     def _survivors(self, n: int, band: _Band) -> list[tuple[int, int]]:
         """(P, at) in ascending P for the band's periods whose run reaches
-        the keep threshold need(P) - every + 1: the candidates come from
-        one strided slice, each is checked on its last letter, on the last
-        ``floor`` letters and on the rest of its threshold, and only those
-        that pass have their run measured."""
+        the keep threshold need(P) - every + 1: the candidates are the
+        aligned matches of one bytes search for the last ``floor`` letters,
+        each is checked on the rest of its threshold, and only those that
+        pass have their run measured."""
         word, floor, every, step, a, b, q = self._word, band.floor, band.every, self._step, self._a, self._b, self._q
         # a run of ``floor`` letters needs P <= n - floor; the lowest period
         # always meets it, as it opened with P + need(P) <= n and floor <= need(P)
         first = band.periods.start
         top = min(first + (n - floor - first) // step * step, band.periods[-1])
-        # a kept period repeats the largest of the last ``floor`` letters,
-        # the rarest on the words greedy builds: word[end - P] == word[end]
-        tail = word[n - floor :]
-        letter = max(tail)
-        end = n - floor + tail.index(letter)
-        # one strided slice holds word[end - P] for the band's periods up to
-        # top, descending in P: its i-th letter is word[end - top + i * step];
-        # the letter, put in one more slot read with it, ends the walk (no ValueError)
-        near = word[end - top : end - first + step + 1 : step]
-        stop = (top - first) // step + 1
-        near[stop:] = (letter,)
-        found, i, final = [], near.index(letter), word[n - 1]
-        while i < stop:
-            P = top - i * step
-            i = near.index(letter, i + 1)
-            # most fail at the last letter (need(P) >= nu >= 1 here) or within ``floor``
-            if word[n - 1 - P] != final or word[n - floor - P : n - P] != tail:
+        # a kept period P repeats the last ``floor`` letters at n - floor - P,
+        # the letter at byte offset i * size of the band's bytes being
+        # word[n - floor - top + i], so P = top - i; a match that is not at a
+        # letter's start, or not at a period of the band, is no candidate
+        tail, size = word[n - floor :].tobytes(), word.itemsize
+        near = bytes(memoryview(word)[n - floor - top : n - first])
+        found, j = [], near.find(tail)
+        while j >= 0:
+            i, r = divmod(j, size)
+            j = near.find(tail, j + 1)
+            if r or i % step:
                 continue
+            P = top - i
             need = -(-(a * P + b) // q)
             keep = need - every + 1
             if keep <= n - P and word[n - keep - P : n - floor - P] == word[n - keep : n - floor]:
@@ -467,7 +463,7 @@ class LceIndex:
         return found
 
 
-def _run(word: list[int], n: int, period: int, cap: int, known: int = 0) -> int:
+def _run(word: array, n: int, period: int, cap: int, known: int = 0) -> int:
     """run(period) of ``word[:n]``, capped at ``cap``, given that it is at
     least ``known``.  Compares slices, doubling their length while they
     match and halving it on a mismatch."""
@@ -486,7 +482,7 @@ def _run(word: list[int], n: int, period: int, cap: int, known: int = 0) -> int:
     return run
 
 
-def _occurrence(word: list[int], exponent: Exponent, mode: AvoidanceMode, period: int) -> Occurrence:
+def _occurrence(word: array, exponent: Exponent, mode: AvoidanceMode, period: int) -> Occurrence:
     """The forbidden factor, of smallest period ``period``, that appending a letter to ``word`` would complete."""
     n = len(word)
     if mode is AvoidanceMode.THRESHOLD:

@@ -200,15 +200,18 @@ def scan_map(idx: LceIndex, blocked: dict[int, int]) -> dict[int, int]:
     """The letters at which a one-letter scan of ``idx`` stops, each with
     the period it names, over every letter that ``idx`` or the map
     ``blocked`` could name: the last S letters, ``word[n - P]`` for each
-    kept P and the map's letters, and one letter above them all, which has
-    no mask, as an unseen letter has none.  The index is refreshed first
-    when due and put back after each scan, so the result equals
-    ``blocked`` exactly when every scan names the map's period."""
+    kept P and the map's letters, and one letter above them all (if one is
+    below 2**31), which has no mask, as an unseen letter has none.  The
+    index is refreshed first when due and put back after each scan, so the
+    result equals ``blocked`` exactly when every scan names the map's
+    period."""
     refresh(idx)
     word = idx._word
     n = len(word)
     letters = {*word[max(0, n - idx._size) :], *(word[n - P] for P, _ in idx._kept), *blocked}
-    letters.add(max(letters, default=-1) + 1)
+    # no letter is above 2**31 - 1, the widest
+    if (above := max(letters, default=-1) + 1) < 1 << 31:
+        letters.add(above)
     scans = {c: scan_put_back(idx, c) for c in sorted(letters)}
     return {c: period for c, period in scans.items() if period is not None}
 

@@ -1,5 +1,6 @@
 import math
 import random
+from array import array
 
 import numpy as np
 import pytest
@@ -611,6 +612,56 @@ def test_blocked_maps_equal_dense_table_over_a_wide_alphabet():
             word += [word[-back + i % back] for i in range(rng.randint(back // 2, 2 * back))]
         word += [rng.randrange(1000) for _ in range(rng.randint(1, 30))]
     _follow_dense(word[:2_000], MODE_RULES + X32_RULES, seed="wide")
+
+
+# letters whose 4-byte encodings line up across letter boundaries: read 1
+# to 3 bytes into a word of them, the bytes often spell letters of the set
+# again (little-endian, those of 256, 0 hold those of 1 one byte in), so a
+# band's bytes search meets matches that start inside a letter
+ALIGNING = (0, 1, 255, 256, 65536, 1 << 24, 0x01010101, (1 << 31) - 1)
+
+
+def _aligning_word(rng, n, S):
+    """``n`` letters of ALIGNING, with copies planted from 1 to 3 letters on
+    either side of S and of 2S back, each of a third to all of its period;
+    half of them are read 1 to 3 bytes into the letters they copy (bit 31
+    dropped), so a later search meets their bytes inside the letters of
+    the copied ones."""
+    word = []
+    while len(word) < n:
+        back = rng.choice((S, 2 * S)) + rng.choice((-3, -2, -1, 1, 2, 3))
+        if back <= len(word):
+            copy = [word[-back + i % back] for i in range(rng.randint(back // 3, back))]
+            if rng.random() < 0.5:
+                skip = rng.randint(1, 3)
+                copy = [v & 0x7FFFFFFF for v in array("I", array("I", copy).tobytes()[skip:] + bytes(skip))]
+            word += copy
+        word += [rng.choice(ALIGNING) for _ in range(rng.randint(1, 8))]
+    return word[:n]
+
+
+@pytest.mark.parametrize("mode", [THRESHOLD, EXACT], ids=["threshold", "exact"])
+@pytest.mark.parametrize("exponent,S", [(E32, 64), (Exponent(101, 100), 256)], ids=["3/2", "101/100"])
+def test_blocked_maps_equal_dense_table_on_letters_that_align_across_bytes(exponent, S, mode):
+    # a candidate is a period whose last ``floor`` letters' bytes match at a
+    # letter's start: a match one to three bytes into a letter is none
+    assert LceIndex(*_mode_options(exponent, mode))._size == S
+    word = _aligning_word(random.Random(f"aligning/{exponent}/{mode.value}"), 3 * S + 200, S)
+    _follow_dense(word, [_mode_rule(exponent, mode)], seed=f"aligning/{exponent}")
+
+
+@pytest.mark.parametrize("mode", [THRESHOLD, EXACT], ids=["threshold", "exact"])
+@pytest.mark.parametrize("back", [29, 35, 61, 67], ids=str)
+def test_contains_forbidden_equals_factor_scan_on_letters_that_align_across_bytes(back, mode):
+    # 90 letters of the greedy 2/1 word written in ALIGNING, then a copy of
+    # its last ``back`` letters one letter short of a square or completing
+    # one: periods on either side of S = 32 and of 2S
+    exponent = Exponent(2, 1)
+    base = [ALIGNING[v] for v in generate(exponent, THRESHOLD, 90)]
+    for reach in (back - 1, back):
+        word = base + base[-back:][:reach]
+        expected = oracle.contains_forbidden_scan(word, exponent, mode)
+        assert (contains_forbidden(word, exponent, mode) is not None) == expected, reach
 
 
 @pytest.mark.parametrize("mode", [THRESHOLD, EXACT], ids=["threshold", "exact"])

@@ -1,5 +1,6 @@
 import functools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -235,6 +236,25 @@ def test_loop_between_other_appends_reads_the_state_they_left(kind):
             # the loop and the scan leave the next refresh due no earlier than now
             assert idx._due >= len(idx), n
     assert idx.to_list() == dense
+
+
+def test_extending_greedy_grows_by_the_word_alone():
+    # the word is kept at 4 bytes a letter: extending w32 to 2 * 10**4
+    # letters peaks at about 7.1 bytes a letter above the state it started
+    # from (the word's spare room and a refresh's copies), where a list of
+    # the word took 13.6
+    state = GreedyState(E32, THRESHOLD)
+    state.extend(100)  # warm up: the first masks and bands
+    n = 20_000
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        state.extend_to(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.word == w32_prefix(n)
+    assert peak - start <= 10 * n, (peak - start) / n
 
 
 def test_loop_of_no_letters_appends_nothing():
