@@ -19,12 +19,12 @@ reference loops included; it fits the slope of log time against log size
 
 * ``GreedyState(...).extend_to(n)`` for w32 (3/2, threshold) and x32
   (3/2, exact) at 10^4, 3*10^4, 10^5 and 10^6 letters, for 5/4 exact and 4/3
-  threshold at 10^4 and 3*10^4, and for 401/400 and 101/100 threshold at
-  3*10^3, 10^4 and 3*10^4, so that their slopes span a decade;
+  threshold at 10^4 and 3*10^4, and for 401/400 and 101/100, threshold and
+  exact, at 3*10^3, 10^4 and 3*10^4, so that their slopes span a decade;
 * ``contains_forbidden`` on w32 and on x32 at 10^4, 3*10^4, 10^5 and 10^6
   letters, on the greedy words of 5/4 exact and 4/3 threshold at 10^4 and
-  3*10^4, and on those of 401/400 and 101/100 threshold at 3*10^3, 10^4
-  and 3*10^4, each a clean verdict;
+  3*10^4, and on those of 401/400 and 101/100, threshold and exact, at
+  3*10^3, 10^4 and 3*10^4, each a clean verdict;
 * ``check_x_squares`` and ``check_x_overlapfree`` on x32 at 10^4 and 10^5;
 * ``lexleast generate --method closed|morphism`` at 3/2 threshold, in
   ``lines``, ``csv`` and ``json``, at 10^4, 10^5 and 10^6 letters, and
@@ -172,12 +172,16 @@ ROWS: dict[str, tuple[Callable[[int], Callable[[], bool]], Sequence[int]]] = {
     "greedy 4/3 threshold": (_greedy("4/3", "threshold"), MID_SIZES),
     "greedy 401/400 threshold": (_greedy("401/400", "threshold"), NEAR_ONE_SIZES),
     "greedy 101/100 threshold": (_greedy("101/100", "threshold"), NEAR_ONE_SIZES),
+    "greedy 401/400 exact": (_greedy("401/400", "exact"), NEAR_ONE_SIZES),
+    "greedy 101/100 exact": (_greedy("101/100", "exact"), NEAR_ONE_SIZES),
     "contains_forbidden w32 threshold": (_scan("3/2", "threshold", "w32_prefix"), SCAN_SIZES),
     "contains_forbidden x32 exact": (_scan("3/2", "exact", "x32_prefix"), SCAN_SIZES),
     "contains_forbidden 5/4 exact": (_scan("5/4", "exact"), MID_SIZES),
     "contains_forbidden 4/3 threshold": (_scan("4/3", "threshold"), MID_SIZES),
     "contains_forbidden 401/400 threshold": (_scan("401/400", "threshold"), NEAR_ONE_SIZES),
     "contains_forbidden 101/100 threshold": (_scan("101/100", "threshold"), NEAR_ONE_SIZES),
+    "contains_forbidden 401/400 exact": (_scan("401/400", "exact"), NEAR_ONE_SIZES),
+    "contains_forbidden 101/100 exact": (_scan("101/100", "exact"), NEAR_ONE_SIZES),
     "check_x_squares": (_check("check_x_squares"), CHECK_SIZES),
     "check_x_overlapfree": (_check("check_x_overlapfree"), CHECK_SIZES),
     **{

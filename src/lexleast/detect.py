@@ -78,14 +78,17 @@ and, for its one need rule, the runs that can still reach their need.
   slack need(P) - run(P) < L, i.e. whose run reaches the keep threshold
   need(P) - L + 1 (F at the lowest period, at least F above it), in one
   pass.  Every keep threshold reaches F, so a kept period P repeats the
-  last F letters at n - F - P: one ``bytes.find`` of their bytes over
-  those of ``word[n - F - top : n - first]`` (top the band's largest
-  period at most n - F) finds the candidates, P = top - i for a match at
-  the i-th letter.  A match that starts inside a letter (at an offset that
-  is not a multiple of 4) or at a P not congruent to first mod step (in
-  exact mode, not a multiple of q) is skipped.  Each candidate is checked
-  on the rest of its keep threshold, and only those that pass have their
-  run measured up to need(P).  A kept period is stored as
+  last F letters at n - F - P, and so every step-th of them from ``end``:
+  the first of the residue mod step of their largest letter (the rarest
+  on greedy words), n - F itself in threshold mode.  One ``bytes.find`` of
+  those letters' bytes over the bytes of the strided copy
+  ``word[end - top : n - first : step]`` (top the band's largest period at
+  most n - F) finds the candidates, P = top - i * step for a match at the
+  i-th letter, so in exact mode only the band's periods are read; the
+  search goes on at the next letter.  Each candidate is checked on the
+  whole of its keep threshold, which rejects a match that starts inside a
+  letter (at an offset that is not a multiple of 4), and only those that
+  pass have their run measured up to need(P).  A kept period is stored as
   (P, at), ``at`` = n + need(P) - run(P) being the length from which it
   blocks; the kept periods form one list ascending in P, and a refresh
   replaces the band's slice of it.
@@ -433,31 +436,31 @@ class LceIndex:
 
     def _survivors(self, n: int, band: _Band) -> list[tuple[int, int]]:
         """(P, at) in ascending P for the band's periods whose run reaches
-        the keep threshold need(P) - every + 1: the candidates are the
-        aligned matches of one bytes search for the last ``floor`` letters,
-        each is checked on the rest of its threshold, and only those that
-        pass have their run measured."""
+        the keep threshold need(P) - every + 1: the candidates come from
+        one bytes search over a strided copy of the band's stretch, each is
+        checked on its whole threshold, and only those that pass have their
+        run measured."""
         word, floor, every, step, a, b, q = self._word, band.floor, band.every, self._step, self._a, self._b, self._q
         # a run of ``floor`` letters needs P <= n - floor; the lowest period
         # always meets it, as it opened with P + need(P) <= n and floor <= need(P)
         first = band.periods.start
         top = min(first + (n - floor - first) // step * step, band.periods[-1])
-        # a kept period P repeats the last ``floor`` letters at n - floor - P,
-        # the letter at byte offset i * size of the band's bytes being
-        # word[n - floor - top + i], so P = top - i; a match that is not at a
-        # letter's start, or not at a period of the band, is no candidate
-        tail, size = word[n - floor :].tobytes(), word.itemsize
-        near = bytes(memoryview(word)[n - floor - top : n - first])
+        # a kept period P repeats every step-th of the last ``floor`` letters
+        # from ``end``, in the residue of the largest (the rarest on greedy
+        # words); the i-th letter of ``near`` is word[end - P], P = top - i * step.
+        # A match inside a letter, none at its start, fails P's threshold
+        last = word[n - floor :]
+        end = n - floor + last.index(max(last)) % step
+        tail, size = word[end:n:step].tobytes(), word.itemsize
+        near = word[end - top : n - first : step].tobytes()
         found, j = [], near.find(tail)
         while j >= 0:
-            i, r = divmod(j, size)
-            j = near.find(tail, j + 1)
-            if r or i % step:
-                continue
-            P = top - i
+            i = j // size
+            j = near.find(tail, (i + 1) * size)
+            P = top - i * step
             need = -(-(a * P + b) // q)
             keep = need - every + 1
-            if keep <= n - P and word[n - keep - P : n - floor - P] == word[n - keep : n - floor]:
+            if keep <= n - P and word[n - keep - P : n - P] == word[n - keep : n]:
                 found.append((P, n + need - _run(word, n, P, need, keep)))
         found.reverse()
         return found

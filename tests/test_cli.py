@@ -389,7 +389,7 @@ def test_scan_bad_token_after_a_violation_is_a_usage_error(capsys, monkeypatch, 
 
 def test_scan_holds_only_the_scanned_word(capsys, tmp_path):
     # the input is streamed into the scan, which keeps the word it has read
-    # at 4 bytes a letter and nothing of the text: about 9.3 bytes a letter
+    # at 4 bytes a letter and nothing of the text: about 10.5 bytes a letter
     # in all at 2 * 10**4 letters, where a list of the word took 15.9
     n = 20_000
     path = tmp_path / "w32.csv"

@@ -643,25 +643,22 @@ def _aligning_word(rng, n, S):
 @pytest.mark.parametrize("mode", [THRESHOLD, EXACT], ids=["threshold", "exact"])
 @pytest.mark.parametrize("exponent,S", [(E32, 64), (Exponent(101, 100), 256)], ids=["3/2", "101/100"])
 def test_blocked_maps_equal_dense_table_on_letters_that_align_across_bytes(exponent, S, mode):
-    # a candidate is a period whose last ``floor`` letters' bytes match at a
-    # letter's start: a match one to three bytes into a letter is none
+    # a match of the band search one to three bytes into a letter names a
+    # period whose whole keep threshold must then reject it
     assert LceIndex(*_mode_options(exponent, mode))._size == S
     word = _aligning_word(random.Random(f"aligning/{exponent}/{mode.value}"), 3 * S + 200, S)
     _follow_dense(word, [_mode_rule(exponent, mode)], seed=f"aligning/{exponent}")
 
 
 @pytest.mark.parametrize("mode", [THRESHOLD, EXACT], ids=["threshold", "exact"])
-@pytest.mark.parametrize("back", [29, 35, 61, 67], ids=str)
-def test_contains_forbidden_equals_factor_scan_on_letters_that_align_across_bytes(back, mode):
+def test_blocked_maps_equal_dense_table_on_squares_of_letters_that_align_across_bytes(mode):
     # 90 letters of the greedy 2/1 word written in ALIGNING, then a copy of
-    # its last ``back`` letters one letter short of a square or completing
-    # one: periods on either side of S = 32 and of 2S
+    # its last ``back`` letters, which completes a square of period back:
+    # periods on either side of S = 32 and of 2S
     exponent = Exponent(2, 1)
     base = [ALIGNING[v] for v in generate(exponent, THRESHOLD, 90)]
-    for reach in (back - 1, back):
-        word = base + base[-back:][:reach]
-        expected = oracle.contains_forbidden_scan(word, exponent, mode)
-        assert (contains_forbidden(word, exponent, mode) is not None) == expected, reach
+    for back in (29, 35, 61, 67):
+        _follow_dense(base + base[-back:], [_mode_rule(exponent, mode)], seed=f"aligning/squares/{back}")
 
 
 @pytest.mark.parametrize("mode", [THRESHOLD, EXACT], ids=["threshold", "exact"])

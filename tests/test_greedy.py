@@ -240,7 +240,7 @@ def test_loop_between_other_appends_reads_the_state_they_left(kind):
 
 def test_extending_greedy_grows_by_the_word_alone():
     # the word is kept at 4 bytes a letter: extending w32 to 2 * 10**4
-    # letters peaks at about 7.1 bytes a letter above the state it started
+    # letters peaks at about 8.3 bytes a letter above the state it started
     # from (the word's spare room and a refresh's copies), where a list of
     # the word took 13.6
     state = GreedyState(E32, THRESHOLD)
