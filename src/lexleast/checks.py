@@ -101,14 +101,22 @@ SOURCES: dict[str, SourceSpec] = {
 }
 
 
+def _bounds(**bounds: int) -> dict[str, int]:
+    """A check's bounds as its report's params, each checked to be
+    non-negative, so that no check passes over an empty range."""
+    for name, value in bounds.items():
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
+    return bounds
+
+
 def _resolve(
     source: str | Sequence[int],
     exponent: Exponent | None,
     mode: AvoidanceMode | None,
     length: int,
 ) -> tuple[str, list[int], Exponent, AvoidanceMode]:
-    if length < 0:
-        raise ValueError(f"length must be non-negative, got {length}")
+    _bounds(length=length)
     if isinstance(source, str):
         if source not in SOURCES:
             raise ValueError(f"unknown generator id {source!r}; known: {sorted(SOURCES)}")
@@ -193,7 +201,7 @@ def check_cross(length: int = 10_000) -> CheckReport:
     by side, so only greedy's own word is held, with one chunk of it.  The closed form is read by
     ``map(term, count())``, not ``formulas.by_blocks``, so that greedy and
     the morphism check the term function at every index."""
-    params = {"length": length}
+    params = _bounds(length=length)
     violation = None
     routes = (
         ("threshold", THRESHOLD, w32_term, w32_stream),
@@ -231,7 +239,7 @@ def check_ell_claim(n_max: int = 2_000) -> CheckReport:
     to have period 2*ell by direct comparison.  Pairs whose window starts
     before position 0 are counted as skipped.
     """
-    params = {"n_max": n_max}
+    params = _bounds(n_max=n_max)
     word = w32_prefix(10 * n_max + 10)
     violation = None
     skipped = 0
@@ -270,7 +278,7 @@ def check_eq6_intervals(n_max: int = 2_000) -> CheckReport:
     """The b-interval identity behind the decrement witnesses: with L =
     ell/10, the L-1 values of b starting at n+1-3L equal those starting at
     n+1-L, and b(n-2L) = m.  Windows reaching below 0 are skipped."""
-    params = {"n_max": n_max}
+    params = _bounds(n_max=n_max)
     violation = None
     checked = 0
     skipped = 0
@@ -303,7 +311,7 @@ def check_eq6_intervals(n_max: int = 2_000) -> CheckReport:
 
 def check_b_inequality(s_max: int = 300, j_max: int = 300) -> CheckReport:
     """b(d(s)j + c(s)) differs from b(d(s)j + c(s) + 6s) for all s, j in range."""
-    params = {"s_max": s_max, "j_max": j_max}
+    params = _bounds(s_max=s_max, j_max=j_max)
     violation = None
     for s in range(1, s_max + 1):
         cs, ds = c_term(s), d_term(s)
@@ -324,7 +332,7 @@ def check_b_window(n_max: int = 2_000, r_max: int = 200) -> CheckReport:
     exact-mode detector scans the prefix of length n_max + 3*r_max: every
     window in range, and every other window that fits in it too.
     """
-    params = {"n_max": n_max, "r_max": r_max}
+    params = _bounds(n_max=n_max, r_max=r_max)
     occ = contains_forbidden([b_rec(i) for i in range(n_max + 3 * r_max)], E32, EXACT)
     violation = None
     if occ is not None:

@@ -79,8 +79,8 @@ def read_letters(handle: TextIO) -> Iterator[int]:
     split by whitespace or commas, each ASCII digits alone (``int`` would
     also take ``1_0``, ``+1`` and other scripts' digits), streamed as ints,
     or a JSON array, known by its first non-space character, read whole."""
-    chunks = iter(lambda: handle.read(CHUNK), "")
-    for chunk in chunks:
+    pieces = iter(lambda: handle.read(CHUNK), "")
+    for chunk in pieces:
         chunk = chunk.lstrip()
         if chunk:
             break
@@ -89,7 +89,7 @@ def read_letters(handle: TextIO) -> Iterator[int]:
     if chunk[0] == "[":
         import json
 
-        yield from check_letters(json.loads("".join([chunk, *chunks]).strip()))
+        yield from check_letters(json.loads("".join([chunk, *pieces]).strip()))
         return
     carry = ""
     while chunk:
@@ -103,7 +103,7 @@ def read_letters(handle: TextIO) -> Iterator[int]:
             raise ValueError(f"not a natural number: {bad!r}")
         yield from map(int, tokens)
         # past the last chunk, a space ends the token carried from it
-        chunk = next(chunks, " " if carry else "")
+        chunk = next(pieces, " " if carry else "")
 
 
 # the text of letters 0-63, which hold every letter of the closed-form words

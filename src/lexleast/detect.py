@@ -49,20 +49,22 @@ and, for its one need rule, the runs that can still reach their need.
   occurred S or more positions back the shift leaves 0 (the mask is stale);
   a new letter that finds 2S masks drops the stale ones, at most once per S
   new letters, so an index holds at most 2S masks, fewer than S of them
-  live, whatever the alphabet.  One int ``runs`` holds in its S-bit
-  slot k, for k = 1..K (K the largest need kept in bits), the periods with
-  run(P) >= k.  Appending a letter with mask M lengthens exactly the runs of
-  the periods in M, so ``runs = ((runs | ONES) << S) & (M * REP)``: ONES
-  fills slot 0 with every period and REP copies M into each slot.  A query
-  reads ``runs & NEEDMASK``, NEEDMASK holding each period P in slot need(P);
-  need(P) grows with P, so the bits come out in ascending P.  A period of
-  need 0 blocks ``word[n - P]`` once P <= n and is read from the word.  A
-  scanned letter is read from its mask M alone: its need-0 periods are
-  ``M & ZEROBITS`` and its blocking periods in the slots the bits of
-  ``runs & NEEDMASK & M * REP``, the lowest bit giving the smallest; the
-  same ``M * REP`` then serves the append.  The
-  bits at length n rest on the last T + need(T) letters only, T the largest
-  period kept in bits, so an index built on a long word replays those.
+  live, whatever the alphabet.  The S-bit run slot k, for k = 0..K (K the
+  largest need kept in bits), holds the periods with run(P) >= k: slot 0
+  holds every period, ONES, so one int ``runs`` keeps slots 1..K and
+  ``full = runs | ONES`` is all of them.  Appending a letter with mask M
+  lengthens exactly the runs of the periods in M, so
+  ``runs = (full << S) & (M * REP)``, REP copying M into each slot.  One
+  rule says which periods block: P sits in slot need(P) of NEEDMASK, need 0
+  included, and blocks ``word[n - P]`` when it sits there in ``full``.
+  need(P) grows with P, so the bits come out in ascending P.  A scanned
+  letter is read from its mask M alone (which holds only periods P <= n):
+  its blocking periods are the bits of ``full & NEEDMASK & M * REP``, the
+  lowest giving the smallest, and the same ``M * REP`` serves the append.
+  Greedy's loop reads ``runs & NEEDMASK``, slots 1..K, and the need-0
+  periods from the word.  The bits at length n rest on the last
+  T + need(T) letters only, T the largest period kept in bits, so an index
+  built on a long word replays those.
 * Each step of greedy's loop sets a bit for each blocked letter below
   lim = S + (the number of kept periods): the periods below S block at
   most S - 1 letters and each kept period one more, so a letter below lim
@@ -100,13 +102,13 @@ and, for its one need rule, the runs that can still reach their need.
   place and returns the length at which the next refresh is due.
 
 No period is missed, on any word.  Below S, slot k holds P exactly when
-run(P) >= k: the new slot 1 is M, the new slot k + 1 is the old slot k
-within M, and M is exact, as a stale or dropped mask is that of a letter
-absent from the last S - 1 positions.  Every need there is at most K, so P
-blocks exactly when it sits in slot need(P).  In a band (any range of
-periods of lowest need nu >= 1), a query at length m comes fewer than L
-letters after the band's last refresh at r, as a query at or past r + L
-refreshes it first, however many letters came since the last query.  A run
+run(P) >= k: slot 0 holds every period, the new slot 1 is M, the new slot
+k + 1 is the old slot k within M, and M is exact, as a stale or dropped
+mask is that of a letter absent from the last S - 1 positions.  Every need
+there is at most K, so P blocks exactly when it sits in slot need(P),
+need 0 included.  In a band (any range of periods of lowest need
+nu >= 1), a query at length m comes fewer than L letters after the band's
+last refresh at r, as a query at or past r + L refreshes it first, however many letters came since the last query.  A run
 grows by at most one letter per append, so a period that blocks at m had an
 unbroken run of more than need(P) - L at r: the refresh kept it, no append
 dropped it, and its ``at``, unchanged while the run grows, is exact while
@@ -154,12 +156,9 @@ def _checked(letter: int) -> int:
 
 
 class _Band:
-    """The ``periods`` of one band, whose lowest need is ``nu``: refreshed
-    every ``every`` = max(1, 2 * nu // 3) letters (next at length ``due``),
-    keeping the periods with slack need(P) - run(P) < ``every``, i.e. whose
-    runs reach the keep threshold need(P) - every + 1: ``floor`` at the
-    lowest period and at least ``floor`` at every other, so the candidates
-    are the periods at which the last ``floor`` letters occur again."""
+    """One band of the module docstring: its ``periods``, refreshed every
+    ``every`` (L) letters, next at length ``due``, keeping those whose run
+    reaches need(P) - every + 1, at least ``floor`` (F)."""
 
     __slots__ = ("periods", "every", "floor", "due")
 
@@ -173,22 +172,17 @@ class _Band:
 class LceIndex:
     """A word and one need rule tracked along it: exponent p/q (above p/q
     when ``strict``: for q = 1, one more letter of run) over the periods
-    first, first + step, ...  Below S it keeps the letter masks and the run
-    slots of the module docstring, above it the (P, at) pairs of the bands'
-    kept periods, in ascending P, ``at`` being the length from which P
-    blocks.  P can block only when P + need(P) <= n, so the rule names no
-    upper bound.  The least free letter, which greedy's loop appends, is
-    below S + len(kept), as each period blocks at most one letter.
+    first, first + step, ...: the run slots below S and the bands' kept
+    (P, at) pairs of the module docstring.
 
     Letters are natural numbers below 2**31, kept in an ``array("I")``
-    (``to_list`` reads them out as a list).  Given
-    ``letters``, the index checks each and replays only the last ones that
-    the bits rest on; bands open and refresh at queries, and every append
-    follows the state.
+    (``to_list`` reads them out as a list).  Given ``letters``, the index
+    checks each and replays only the last ones that the bits rest on; bands
+    open and refresh at queries, and every append follows the state.
     """
 
     __slots__ = ("_word", "_args", "_a", "_b", "_q", "_step", "_size", "_zero", "_ones", "_rep", "_needmask",
-                 "_masks", "_runs", "_lo", "_first", "_open", "_bands", "_kept", "_due", "_zerobits", "_window")
+                 "_masks", "_runs", "_lo", "_first", "_open", "_bands", "_kept", "_due", "_window")
 
     def __init__(
         self, p: int, q: int, strict: bool = False, first: int = 1, step: int = 1, letters: Iterable[int] = ()
@@ -210,14 +204,13 @@ class LceIndex:
         small = small[: sum(self.need(P) <= 4 * S for P in small)]
         # the periods of need 0, which block word[n - P] as soon as P <= n
         self._zero = small[: sum(self.need(P) == 0 for P in small)]
-        self._zerobits = sum(1 << P for P in self._zero)
         # from Z = 3 on (two are read faster than kept) greedy's loop keeps the
         # letters below S of threshold mode's need-0 periods 1..Z in one int
         self._window = len(self._zero) if first == step == 1 and len(self._zero) > 2 else 0
         top = small[-1] if small else 0
         self._size, self._ones = S, (1 << S) - 1
-        self._rep = sum(1 << (k * S) for k in range(1, self.need(top) + 1))
-        self._needmask = sum(1 << (self.need(P) * S + P) for P in small[len(self._zero) :])
+        self._rep = sum(1 << (k * S) for k in range(self.need(top) + 1))
+        self._needmask = sum(1 << (self.need(P) * S + P) for P in small)
         # letter -> [periods P < S with word[at - P] == letter, at]
         self._masks: dict[int, list[int]] = {}
         self._runs = 0
@@ -290,7 +283,7 @@ class LceIndex:
         the first that a period blocks: return its smallest period, read
         from its own mask (None once all are in), the state kept in locals
         meanwhile."""
-        S, ONES, REP, ZEROBITS, NEEDMASK = self._size, self._ones, self._rep, self._zerobits, self._needmask
+        S, ONES, REP, NEEDMASK = self._size, self._ones, self._rep, self._needmask
         word, masks, runs, kept, due = self._word, self._masks, self._runs, self._kept, self._due
         n, append, get = len(word), word.append, masks.get
         try:
@@ -301,14 +294,11 @@ class LceIndex:
                     due = self._refresh(n, kept)
                 last = get(v)
                 if last is not None:
-                    # the periods P < S with word[n - P] == v: those of need 0
-                    # first, then the run slots, whose bits come out in ascending P
+                    # the periods P < S with word[n - P] == v, in each run
+                    # slot of ``full``; the bits come out in ascending P
                     mask = last[0] << (n - last[1]) & ONES
-                    hits = mask & ZEROBITS
-                    if hits:
-                        return (hits & -hits).bit_length() - 1
-                    rep = mask * REP
-                    hits = runs & NEEDMASK & rep
+                    full, rep = runs | ONES, mask * REP
+                    hits = full & NEEDMASK & rep
                     if hits:
                         return ((hits & -hits).bit_length() - 1) & (S - 1)
                 # the kept periods, ascending: the first that blocks is the smallest
@@ -323,7 +313,7 @@ class LceIndex:
                     runs = 0
                 else:
                     last[0], last[1] = mask << 1 | 2, n + 1
-                    runs = ((runs | ONES) << S) & rep
+                    runs = (full << S) & rep
                 if broken:
                     kept = [e for e in kept if word[n - e[0]] == v]
                 append(v)
@@ -409,8 +399,10 @@ class LceIndex:
 
     def _refresh(self, n: int, kept: list[tuple[int, int]]) -> int:
         """Open every band whose lowest period can block at length n
-        (P + need(P) <= n), then refresh every band that is due, editing
-        ``kept``, the caller's kept list, in place; set ``_due`` to the
+        (P + need(P) <= n), then refresh every band that is due: the (P, at)
+        of its periods whose run reaches the keep threshold, found by one
+        bytes search and checked on their whole threshold, replace its slice
+        of ``kept``, the caller's kept list, in place.  Set ``_due`` to the
         length of the next refresh and return it."""
         while self._open <= n:
             P = self._first
@@ -420,50 +412,43 @@ class LceIndex:
             self._lo *= 2
             self._first += len(periods) * self._step
             self._open = self._first + self.need(self._first)
+        word, step, a, b, q = self._word, self._step, self._a, self._b, self._q
+        size = word.itemsize
         # each band is one slice of the kept list, ascending in P
         due = self._open
         for band in self._bands:
             if band.due <= n:
-                band.due = n + band.every
-                found = self._survivors(n, band)
+                floor, every, periods = band.floor, band.every, band.periods
+                band.due = n + every
+                # a run of ``floor`` letters needs P <= n - floor; the lowest period
+                # always meets it, as it opened with P + need(P) <= n and floor <= need(P)
+                first = periods.start
+                top = min(first + (n - floor - first) // step * step, periods[-1])
+                # a kept period P repeats every step-th of the last ``floor`` letters
+                # from ``end``, in the residue of the largest (the rarest on greedy
+                # words); the i-th letter of ``near`` is word[end - P], P = top - i * step.
+                # A match inside a letter, none at its start, fails P's threshold
+                last = word[n - floor :]
+                end = n - floor + last.index(max(last)) % step
+                tail = word[end:n:step].tobytes()
+                near = word[end - top : n - first : step].tobytes()
+                found, j = [], near.find(tail)
+                while j >= 0:
+                    i = j // size
+                    j = near.find(tail, (i + 1) * size)
+                    P = top - i * step
+                    need = -(-(a * P + b) // q)
+                    keep = need - every + 1
+                    if keep <= n - P and word[n - keep - P : n - P] == word[n - keep : n]:
+                        found.append((P, n + need - _run(word, n, P, need, keep)))
+                found.reverse()
                 if kept or found:
-                    i = bisect_left(kept, (band.periods.start,))
-                    kept[i : bisect_left(kept, (band.periods.stop,), i)] = found
+                    i = bisect_left(kept, (first,))
+                    kept[i : bisect_left(kept, (periods.stop,), i)] = found
             if band.due < due:
                 due = band.due
         self._due = due
         return due
-
-    def _survivors(self, n: int, band: _Band) -> list[tuple[int, int]]:
-        """(P, at) in ascending P for the band's periods whose run reaches
-        the keep threshold need(P) - every + 1: the candidates come from
-        one bytes search over a strided copy of the band's stretch, each is
-        checked on its whole threshold, and only those that pass have their
-        run measured."""
-        word, floor, every, step, a, b, q = self._word, band.floor, band.every, self._step, self._a, self._b, self._q
-        # a run of ``floor`` letters needs P <= n - floor; the lowest period
-        # always meets it, as it opened with P + need(P) <= n and floor <= need(P)
-        first = band.periods.start
-        top = min(first + (n - floor - first) // step * step, band.periods[-1])
-        # a kept period P repeats every step-th of the last ``floor`` letters
-        # from ``end``, in the residue of the largest (the rarest on greedy
-        # words); the i-th letter of ``near`` is word[end - P], P = top - i * step.
-        # A match inside a letter, none at its start, fails P's threshold
-        last = word[n - floor :]
-        end = n - floor + last.index(max(last)) % step
-        tail, size = word[end:n:step].tobytes(), word.itemsize
-        near = word[end - top : n - first : step].tobytes()
-        found, j = [], near.find(tail)
-        while j >= 0:
-            i = j // size
-            j = near.find(tail, (i + 1) * size)
-            P = top - i * step
-            need = -(-(a * P + b) // q)
-            keep = need - every + 1
-            if keep <= n - P and word[n - keep - P : n - P] == word[n - keep : n]:
-                found.append((P, n + need - _run(word, n, P, need, keep)))
-        found.reverse()
-        return found
 
 
 def _run(word: array, n: int, period: int, cap: int, known: int = 0) -> int:

@@ -366,3 +366,19 @@ def test_negative_length_is_rejected(check, source):
         kwargs = {"exponent": E32, "mode": THRESHOLD}
     with pytest.raises(ValueError, match="length must be non-negative, got -5"):
         check(source=source, length=-5, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "check, bounds, bound",
+    [
+        pytest.param(check, fast, key, id="-".join(filter(None, (check.__name__, fast.get("source"), key))))
+        for check, _, fast in checks.BATTERY
+        for key in fast
+        if key != "source"
+    ],
+)
+def test_every_negative_battery_bound_is_rejected(check, bounds, bound):
+    # a negative bound names an empty range, over which a check would pass
+    # without looking at anything
+    with pytest.raises(ValueError, match=f"{bound} must be non-negative, got -{bounds[bound]}"):
+        check(**{**bounds, bound: -bounds[bound]})
