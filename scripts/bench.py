@@ -12,10 +12,10 @@ checkout's ``src`` and, given ``--parent``, the ``src`` of another checkout
 ``BENCH_<label>-parent.json``.  The workers take turns call by call, the
 order alternating from one call to the next, so both files of a run see the
 same machine.  Each row times one call at each size, as many times as it
-takes to time ``LETTERS`` letters in all, never fewer than ``REPEATS``
-times, and until each tree's worker has spent ``SECONDS`` on the size,
-reference loops included; it fits the slope of log time against log size
-(1 means linear in the letters):
+takes to time ``LETTERS`` (200,000) letters in all, never fewer than
+``REPEATS`` (9) times, and until each tree's worker has spent ``SECONDS``
+(2 s) on the size, reference loops included; it fits the slope of log time
+against log size (1 means linear in the letters):
 
 * ``GreedyState(...).extend_to(n)`` for w32 (3/2, threshold) and x32
   (3/2, exact) at 10^4, 3*10^4, 10^5 and 10^6 letters, for 5/4 exact and 4/3
@@ -76,9 +76,10 @@ GREEDY_GENERATE_SIZES = (10_000, 100_000)
 # the letters timed at each size: 20 calls at 10^4 letters, where one call
 # of about 30 ms is too short to resolve 10% over 3 calls
 LETTERS = 200_000
-# and at least 5 calls and 2 s of each worker's time, its reference loops
-# included: 3 calls of 0.1-0.3 s at 10^5 letters read 1.26 on unchanged code
-REPEATS = 5
+# and at least 9 calls and 2 s of each worker's time, its reference loops
+# included: 3 calls of 0.1-0.3 s at 10^5 letters read 1.26 on unchanged
+# code, and 5 at 10^6 read 1.08, then 0.74, on the same scan loop
+REPEATS = 9
 SECONDS = 2.0
 
 # The rows import ``lexleast`` only when a worker prepares a call.

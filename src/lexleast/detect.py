@@ -39,8 +39,8 @@ There are no hashes: every verdict rests on letter comparisons.
 ``LceIndex`` keeps the letters in an ``array("I")``, 4 bytes a letter,
 and, for its one need rule, the runs that can still reach their need.
 
-* Below S (32, doubled until need(S) >= 1, then while the run slots of
-  twice S, 2S * need(2S) bits, fit in 2048: 64 at 3/2) the run of every
+* Below S (32, doubled while need(S) < 1 or the run slots of twice S,
+  2S * need(2S) bits, fit in 2048: 64 at 3/2) the run of every
   period with need(P) <= 4S (every period, up to exponent 5) is kept in
   bits, in the Shift-And style of Baeza-Yates and Gonnet.  For each letter
   c, a mask holds the periods P < S with ``word[n - P] == c``.  It is
@@ -73,14 +73,17 @@ and, for its one need rule, the runs that can still reach their need.
   word when a call of the loop starts and kept along its appends (the mask
   dict tells when ``word[n - Z]`` leaves); the window's letters from S to
   lim are read from the word only when every letter below S is blocked.
-* A band [S * 2**i, S * 2**(i+1)) opens with its lowest period and is kept
-  sparsely; the first one also takes the periods below S left out of the
-  bits.  Let nu be that period's need, L = max(1, 2 * nu // 3) and
-  F = nu - L + 1.  Every L letters a refresh keeps the band's periods with
-  slack need(P) - run(P) < L, i.e. whose run reaches the keep threshold
-  need(P) - L + 1 (F at the lowest period, at least F above it), in one
-  pass.  Every keep threshold reaches F, so a kept period P repeats the
-  last F letters at n - F - P, and so every step-th of them from ``end``:
+* Above the bits the periods are kept sparsely, in bands, each from its
+  lowest period P (the first left out of the bits, or the one after the
+  band before) to the first S * 2**k, k >= 1, above P, so none is empty.
+  A band waits at the end of their list until its first refresh, due at
+  P + need(P), opens it and adds the next.  Let nu = need(P),
+  L = max(1, 2 * nu // 3) and F = nu - L + 1.  Every L letters a refresh
+  keeps the band's periods with slack need(P) - run(P) < L, i.e. whose run
+  reaches the keep threshold need(P) - L + 1 (F at the lowest period, at
+  least F above it), in one pass.  Every keep threshold reaches F, so a
+  kept period P repeats the last F letters at n - F - P, and so every
+  step-th of them from ``end``:
   the first of the residue mod step of their largest letter (the rarest
   on greedy words), n - F itself in threshold mode.  One ``bytes.find`` of
   those letters' bytes over the bytes of the strided copy
@@ -114,7 +117,8 @@ unbroken run of more than need(P) - L at r: the refresh kept it, no append
 dropped it, and its ``at``, unchanged while the run grows, is exact while
 above the length.  A period not kept had slack L or more at r and reaches
 at most need(P) - L + m - r < need(P); a dropped one restarts from 0 and
-reaches at most L - 2 < nu.  (Any 1 <= L <= nu would do.)  So after a
+reaches at most L - 2 < nu.  (Any 1 <= L <= nu would do.)  No period of
+the waiting band can block yet, as P + need(P) grows with P.  So after a
 query a band period P <= n is kept exactly when need(P) - run(P) < due - n.
 Along the greedy words few periods pass a refresh: the tests hold the
 periods kept above S at or below log2 n up to 2 * 10**4 letters of w32, x32
@@ -129,7 +133,7 @@ from array import array
 from bisect import bisect_left
 from enum import Enum
 from operator import index
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .words import Exponent, Occurrence, Word
 
@@ -157,16 +161,18 @@ def _checked(letter: int) -> int:
 
 class _Band:
     """One band of the module docstring: its ``periods``, refreshed every
-    ``every`` (L) letters, next at length ``due``, keeping those whose run
-    reaches need(P) - every + 1, at least ``floor`` (F)."""
+    ``every`` (L) letters, next at length ``due`` (it waits in the list until
+    the first refresh, at first + need(first), opens it), keeping runs that
+    reach need(P) - every + 1 >= ``floor`` (F)."""
 
     __slots__ = ("periods", "every", "floor", "due")
 
-    def __init__(self, periods: range, nu: int, due: int) -> None:
-        self.periods = periods
+    def __init__(self, first: int, size: int, step: int, need: Callable[[int], int]) -> None:
+        self.periods = range(first, size << max(1, (first // size).bit_length()), step)
+        nu = need(first)
         self.every = max(1, 2 * nu // 3)
         self.floor = nu - self.every + 1
-        self.due = due
+        self.due = first + nu
 
 
 class LceIndex:
@@ -182,7 +188,7 @@ class LceIndex:
     """
 
     __slots__ = ("_word", "_args", "_a", "_b", "_q", "_step", "_size", "_zero", "_ones", "_rep", "_needmask",
-                 "_masks", "_runs", "_lo", "_first", "_open", "_bands", "_kept", "_due", "_window")
+                 "_masks", "_runs", "_bands", "_kept", "_due", "_window")
 
     def __init__(
         self, p: int, q: int, strict: bool = False, first: int = 1, step: int = 1, letters: Iterable[int] = ()
@@ -192,10 +198,8 @@ class LceIndex:
         self._args = (p, q, strict, first, step)
         self._a, self._b, self._q, self._step = p - q, bool(strict) - q, q, step
         S = 32
-        while self.need(S) < 1:
-            S *= 2
-        # a wider window leaves fewer bands to refresh, at 2S * need(2S) bits
-        while 2 * S * self.need(2 * S) <= 2048:
+        # need(S) >= 1, and a wider window leaves fewer bands to refresh, at 2S * need(2S) bits
+        while self.need(S) < 1 or 2 * S * self.need(2 * S) <= 2048:
             S *= 2
         # the periods kept in bits: those below S with need(P) <= 4S (all of
         # them up to exponent 5), so that the run slots hold at most 4S**2
@@ -214,13 +218,10 @@ class LceIndex:
         # letter -> [periods P < S with word[at - P] == letter, at]
         self._masks: dict[int, list[int]] = {}
         self._runs = 0
-        # the next band's first period and lower bound S * 2**i, and the
-        # length at which it opens, first + need(first)
-        self._first, self._lo = first + len(small) * step, S
-        self._open = self._first + self.need(self._first)
-        self._bands: list[_Band] = []
+        # the first band starts at the first period left out of the bits
+        self._bands = [_Band(first + len(small) * step, S, step, self.need)]
         self._kept: list[tuple[int, int]] = []
-        # the length at which the next band opens or one is refreshed
+        # the length at which the next band is refreshed
         self._due = 0
         self._word = word = array("I", map(_checked, letters))
         # the bits at n rest on the last top + need(top) letters alone: replay those
@@ -398,28 +399,23 @@ class LceIndex:
     exact_hit = threshold_hit
 
     def _refresh(self, n: int, kept: list[tuple[int, int]]) -> int:
-        """Open every band whose lowest period can block at length n
-        (P + need(P) <= n), then refresh every band that is due: the (P, at)
-        of its periods whose run reaches the keep threshold, found by one
-        bytes search and checked on their whole threshold, replace its slice
-        of ``kept``, the caller's kept list, in place.  Set ``_due`` to the
+        """Refresh every band that is due, the waiting last one too, which
+        opens so and is followed by the next band: the (P, at) of its
+        periods whose run reaches the keep threshold, found by one bytes
+        search and checked on their whole threshold, replace its slice of
+        ``kept``, the caller's kept list, in place.  Set ``_due`` to the
         length of the next refresh and return it."""
-        while self._open <= n:
-            P = self._first
-            periods = range(P, 2 * self._lo, self._step)
-            if periods:
-                self._bands.append(_Band(periods, self._open - P, n))
-            self._lo *= 2
-            self._first += len(periods) * self._step
-            self._open = self._first + self.need(self._first)
-        word, step, a, b, q = self._word, self._step, self._a, self._b, self._q
+        word, step, a, b, q, bands = self._word, self._step, self._a, self._b, self._q, self._bands
         size = word.itemsize
-        # each band is one slice of the kept list, ascending in P
-        due = self._open
-        for band in self._bands:
+        # each band is one slice of the kept list, ascending in P; a band
+        # appended here is visited too, and refreshed if it is due already
+        due = float("inf")
+        for band in bands:
             if band.due <= n:
                 floor, every, periods = band.floor, band.every, band.periods
                 band.due = n + every
+                if band is bands[-1]:
+                    bands.append(_Band(periods[-1] + step, self._size, step, self.need))
                 # a run of ``floor`` letters needs P <= n - floor; the lowest period
                 # always meets it, as it opened with P + need(P) <= n and floor <= need(P)
                 first = periods.start
@@ -428,8 +424,10 @@ class LceIndex:
                 # from ``end``, in the residue of the largest (the rarest on greedy
                 # words); the i-th letter of ``near`` is word[end - P], P = top - i * step.
                 # A match inside a letter, none at its start, fails P's threshold
-                last = word[n - floor :]
-                end = n - floor + last.index(max(last)) % step
+                end = n - floor
+                if step > 1:
+                    last = word[end:]
+                    end += last.index(max(last)) % step
                 tail = word[end:n:step].tobytes()
                 near = word[end - top : n - first : step].tobytes()
                 found, j = [], near.find(tail)

@@ -376,7 +376,8 @@ X32_RULES = [((2, 1, False, 2, 1), "2/1 from 2"), ((2, 1, True, 1, 1), "2/1 stri
 
 
 def _tracked_state(idx):
-    return idx._masks, idx._runs, idx._kept, idx._due, idx._open
+    bands = [(band.periods, band.due) for band in idx._bands]
+    return idx._masks, idx._runs, idx._kept, idx._due, bands
 
 
 def _follow_dense(word, rules, seed, quiet=0):
@@ -388,8 +389,8 @@ def _follow_dense(word, rules, seed, quiet=0):
     (``oracle.scan_map``), and the run of a few seeded periods must be the
     dense table's.  A twin of each index, built with it and advanced by
     one-letter scans (and by ``append`` after a hit), must hold the masks,
-    runs, kept list, next refresh and next band opening of the index that
-    ``append`` advances."""
+    runs, kept list, next refresh and every band's periods and due, the
+    waiting last band's included, of the index that ``append`` advances."""
     rng = random.Random(seed)
     dense, letters = oracle.DenseRunTable(), []
     indexes, twins = [], []
@@ -550,9 +551,9 @@ def test_blocked_maps_equal_dense_table_past_a_wide_window(exponent, mode):
 
 @pytest.mark.parametrize("kind", ["greedy", "near-periodic"])
 def test_blocked_maps_equal_dense_table_past_an_empty_band(kind):
-    # 1000/101 exact: S = 32 and the periods are 101t, so the band [32, 64)
-    # holds none and opens no _Band; the first band, [64, 128) with period
-    # 101, opens at about 999 letters
+    # 1000/101 exact: S = 32 and the periods are 101t, so no period lies in
+    # [32, 64) and the first band, [101, 128) with period 101 alone, opens
+    # at about 999 letters
     _follow_dense_past_the_window(Exponent(1000, 101), EXACT, kind)
 
 
@@ -769,6 +770,43 @@ def _after_each_query(kind, check):
         oracle.refresh(state._idx)
         check(state._idx, dense)
         dense.append(state.step())
+
+
+@pytest.mark.parametrize(
+    "exponent,mode,length",
+    [(E32, THRESHOLD, 20_000), (E32, EXACT, 20_000), (Exponent(11, 2), EXACT, 20_000),
+     (Exponent(1000, 101), EXACT, 20_000), (Exponent(401, 400), THRESHOLD, 10_000)],
+    ids=["w32", "x32", "11/2 exact", "1000/101 exact", "401/400"],
+)
+def test_bands_tile_the_periods_above_the_bits_along_greedy_words(exponent, mode, length):
+    # after each query the bands run from the first period left out of the
+    # bits (P >= S, or need(P) > 4S: from 30 at 11/2 exact) with no gap, each
+    # from one step past the last period of the band before it to the first
+    # S * 2**k, k >= 1, above its first period (at 1000/101 exact, whose
+    # periods are 101t, [101, 128) and then [202, 256)), so none is empty.
+    # Every band but the last has opened, P + need(P) <= n, and is due again
+    # within L letters; the last waits until P + need(P)
+    state = GreedyState(exponent, mode)
+    idx = state._idx
+    S, (start, step) = idx._size, mode.periods(exponent.q)
+    while start < S and idx.need(start) <= 4 * S:
+        start += step
+    while len(state) < length:
+        oracle.refresh(idx)
+        n, bands, P = len(idx), idx._bands, start
+        for band in bands:
+            end = 2 * S
+            while end <= P:
+                end *= 2
+            assert band.periods and band.periods == range(P, end, step), (n, band.periods)
+            P = band.periods[-1] + step
+            opening = band.periods[0] + idx.need(band.periods[0])
+            if band is bands[-1]:
+                assert band.due == opening > n, (n, band.periods)
+            else:
+                assert opening <= n < band.due <= n + band.every, (n, band.periods)
+        state.step()
+    assert len(idx._bands) >= 4
 
 
 def _assert_kept_ascending(idx, dense):
