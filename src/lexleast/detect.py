@@ -83,20 +83,19 @@ and, for its one need rule, the runs that can still reach their need.
   reaches the keep threshold need(P) - L + 1 (F at the lowest period, at
   least F above it), in one pass.  Every keep threshold reaches F, so a
   kept period P repeats the last F letters at n - F - P, and so every
-  step-th of them from ``end``:
-  the first of the residue mod step of their largest letter (the rarest
-  on greedy words), n - F itself in threshold mode.  One ``bytes.find`` of
-  those letters' bytes over the bytes of the strided copy
-  ``word[end - top : n - first : step]`` (top the band's largest period at
-  most n - F) finds the candidates, P = top - i * step for a match at the
-  i-th letter, so in exact mode only the band's periods are read; the
-  search goes on at the next letter.  Each candidate is checked on the
-  whole of its keep threshold, which rejects a match that starts inside a
-  letter (at an offset that is not a multiple of 4), and only those that
-  pass have their run measured up to need(P).  A kept period is stored as
-  (P, at), ``at`` = n + need(P) - run(P) being the length from which it
-  blocks; the kept periods form one list ascending in P, and a refresh
-  replaces the band's slice of it.
+  step-th of them from ``end``: the first of the residue mod step of their
+  largest letter (the rarest on greedy words), n - F itself in threshold
+  mode.  One ``bytes.find`` of those letters' bytes over the bytes of the
+  strided copy ``word[end - top : n - first : step]`` (top the band's
+  largest period at most n - F) finds the candidates, P = top - i * step
+  for a match at the i-th letter, so in exact mode only the band's periods
+  are read; the search goes on at the next letter.  Each candidate is
+  checked on the whole of its keep threshold, which rejects a match that
+  starts inside a letter (at an offset that is not a multiple of 4), and
+  only those that pass have their run measured up to need(P).  A kept
+  period is stored as (P, at), ``at`` = n + need(P) - run(P) being the
+  length from which it blocks; the kept periods form one list ascending in
+  P, and a refresh replaces the band's slice of it.
   Between refreshes, an append grows a kept period's run when the new
   letter repeats ``word[n - P]``, which leaves ``at`` as it is, and drops
   the period otherwise, so the list is rebuilt only when a run breaks.
@@ -408,8 +407,9 @@ class LceIndex:
         word, step, a, b, q, bands = self._word, self._step, self._a, self._b, self._q, self._bands
         size = word.itemsize
         # each band is one slice of the kept list, ascending in P; a band
-        # appended here is visited too, and refreshed if it is due already
-        due = float("inf")
+        # appended here is visited too, and refreshed if it is due already.
+        # The least due starts past any length (float("inf") cost 5-10% a refresh)
+        due = 1 << 62
         for band in bands:
             if band.due <= n:
                 floor, every, periods = band.floor, band.every, band.periods
