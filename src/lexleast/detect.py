@@ -39,10 +39,10 @@ There are no hashes: every verdict rests on letter comparisons.
 ``LceIndex`` keeps the letters in an ``array("I")``, 4 bytes a letter,
 and, for its one need rule, the runs that can still reach their need.
 
-* Below S (32, doubled while need(S) < 1 or the run slots of twice S,
-  2S * need(2S) bits, fit in 2048: 64 at 3/2) the run of every
-  period with need(P) <= 4S (every period, up to exponent 5) is kept in
-  bits, in the Shift-And style of Baeza-Yates and Gonnet.  For each letter
+* Below S (the least power of 2 with need(S) >= 1 at which the run slots
+  of twice S, 2S * need(2S) bits, no longer fit in 2048: 64 at 3/2, 1 at
+  1000/1) the run of every period is kept in bits, in the Shift-And style
+  of Baeza-Yates and Gonnet.  For each letter
   c, a mask holds the periods P < S with ``word[n - P] == c``.  It is
   stored as of the length at which c was last appended and shifted when next
   read, so an append touches only the new letter's mask.  Once c last
@@ -73,9 +73,9 @@ and, for its one need rule, the runs that can still reach their need.
   word when a call of the loop starts and kept along its appends (the mask
   dict tells when ``word[n - Z]`` leaves); the window's letters from S to
   lim are read from the word only when every letter below S is blocked.
-* Above the bits the periods are kept sparsely, in bands, each from its
-  lowest period P (the first left out of the bits, or the one after the
-  band before) to the first S * 2**k, k >= 1, above P, so none is empty.
+* From S on the periods are kept sparsely, in bands, each from its
+  lowest period P (the first at or above S, or the one after the band
+  before) to the first S * 2**k, k >= 1, above P, so none is empty.
   A band waits at the end of their list until its first refresh, due at
   P + need(P), opens it and adds the next.  Let nu = need(P),
   L = max(1, 2 * nu // 3) and F = nu - L + 1.  Every L letters a refresh
@@ -110,9 +110,10 @@ mask is that of a letter absent from the last S - 1 positions.  Every need
 there is at most K, so P blocks exactly when it sits in slot need(P),
 need 0 included.  In a band (any range of periods of lowest need
 nu >= 1), a query at length m comes fewer than L letters after the band's
-last refresh at r, as a query at or past r + L refreshes it first, however many letters came since the last query.  A run
-grows by at most one letter per append, so a period that blocks at m had an
-unbroken run of more than need(P) - L at r: the refresh kept it, no append
+last refresh at r, as a query at or past r + L refreshes it first, however
+many letters came since the last query.  A run grows by at most one letter
+per append, so a period that blocks at m had an unbroken run of more than
+need(P) - L at r: the refresh kept it, no append
 dropped it, and its ``at``, unchanged while the run grows, is exact while
 above the length.  A period not kept had slack L or more at r and reaches
 at most need(P) - L + m - r < need(P); a dropped one restarts from 0 and
@@ -159,7 +160,8 @@ def _checked(letter: int) -> int:
 
 
 class _Band:
-    """One band of the module docstring: its ``periods``, refreshed every
+    """One band of the module docstring: its ``periods``, from ``first`` (at
+    or above S = ``size``) to the first S * 2**k above it, refreshed every
     ``every`` (L) letters, next at length ``due`` (it waits in the list until
     the first refresh, at first + need(first), opens it), keeping runs that
     reach need(P) - every + 1 >= ``floor`` (F)."""
@@ -167,7 +169,7 @@ class _Band:
     __slots__ = ("periods", "every", "floor", "due")
 
     def __init__(self, first: int, size: int, step: int, need: Callable[[int], int]) -> None:
-        self.periods = range(first, size << max(1, (first // size).bit_length()), step)
+        self.periods = range(first, size << (first // size).bit_length(), step)
         nu = need(first)
         self.every = max(1, 2 * nu // 3)
         self.floor = nu - self.every + 1
@@ -196,15 +198,12 @@ class LceIndex:
             raise ValueError(f"need p > q >= 1, first >= 1 and step >= 1, got {p}/{q}, {first}, {step}")
         self._args = (p, q, strict, first, step)
         self._a, self._b, self._q, self._step = p - q, bool(strict) - q, q, step
-        S = 32
+        S = 1
         # need(S) >= 1, and a wider window leaves fewer bands to refresh, at 2S * need(2S) bits
         while self.need(S) < 1 or 2 * S * self.need(2 * S) <= 2048:
             S *= 2
-        # the periods kept in bits: those below S with need(P) <= 4S (all of
-        # them up to exponent 5), so that the run slots hold at most 4S**2
-        # bits whatever the exponent; the others join the first band
+        # every period below S is kept in bits: S * need(S) <= 2048 unless need(S // 2) < 1
         small = range(first, S, step)
-        small = small[: sum(self.need(P) <= 4 * S for P in small)]
         # the periods of need 0, which block word[n - P] as soon as P <= n
         self._zero = small[: sum(self.need(P) == 0 for P in small)]
         # from Z = 3 on (two are read faster than kept) greedy's loop keeps the
@@ -217,7 +216,7 @@ class LceIndex:
         # letter -> [periods P < S with word[at - P] == letter, at]
         self._masks: dict[int, list[int]] = {}
         self._runs = 0
-        # the first band starts at the first period left out of the bits
+        # the first band starts at the first period at or above S
         self._bands = [_Band(first + len(small) * step, S, step, self.need)]
         self._kept: list[tuple[int, int]] = []
         # the length at which the next band is refreshed

@@ -551,9 +551,9 @@ def test_blocked_maps_equal_dense_table_past_a_wide_window(exponent, mode):
 
 @pytest.mark.parametrize("kind", ["greedy", "near-periodic"])
 def test_blocked_maps_equal_dense_table_past_an_empty_band(kind):
-    # 1000/101 exact: S = 32 and the periods are 101t, so no period lies in
-    # [32, 64) and the first band, [101, 128) with period 101 alone, opens
-    # at about 999 letters
+    # 1000/101 exact: S = 8 and the periods are 101t, so none lies below S
+    # and the first band, [101, 128) with period 101 alone, opens at about
+    # 999 letters
     _follow_dense_past_the_window(Exponent(1000, 101), EXACT, kind)
 
 
@@ -571,9 +571,9 @@ def test_blocked_maps_equal_dense_table_when_first_asked_on_a_long_word(kind):
 @pytest.mark.parametrize("kind", ["greedy threshold", "greedy exact", "near-periodic", "period 30"])
 @pytest.mark.parametrize("exponent", [Exponent(6, 1), Exponent(11, 2)], ids=str)
 def test_blocked_maps_equal_dense_table_above_exponent_five(exponent, kind):
-    # the periods below S = 32 whose need exceeds 4S = 128 (from 26 at 6/1,
-    # from 29 at 11/2) are left out of the bits and join the first band;
-    # 30 distinct letters repeated make 30 the smallest blocking period
+    # S = 16 at both, and the bits hold every period below it, of needs up
+    # to 74 at 6/1; 30 distinct letters repeated make 30, in the first band
+    # [16, 32), the smallest blocking period
     rng = random.Random(f"dense/{exponent}")
     if kind == "near-periodic":
         word = _near_periodic(rng, 2_000)
@@ -587,13 +587,37 @@ def test_blocked_maps_equal_dense_table_above_exponent_five(exponent, kind):
 
 
 def test_large_exponent_keeps_no_run_slots():
-    # at 1000/1 even period 1 needs a run of 998 > 4S, so no period is kept
-    # in bits, and the cost of an index does not grow with its needs
+    # at 1000/1 even period 1 needs a run of 998, so S = 1: no period lies
+    # below S, every period is in the bands, and the cost of an index does
+    # not grow with its needs
     exponent = Exponent(1000, 1)
     assert generate(exponent, THRESHOLD, 500) == [0] * 500
     idx, blocked = _mode_index(exponent, EXACT, [0] * 500), _dense([0] * 500).blocked(*_mode_options(exponent, EXACT))
     assert oracle.scan_map(idx, blocked) == blocked == {}
     assert idx._runs == idx._needmask == 0
+
+
+def test_bits_hold_every_period_below_S_and_the_bands_start_at_S():
+    # one rule sets the boundary: every period below S sits in the bits, in
+    # run slot need(P), the first band starts at the least period at or
+    # above S, and the run slots stay within 2048 + S bits unless S was
+    # doubled past need(S // 2) < 1.  Every p/q with q <= 12 and
+    # 1 < p/q <= 8 in both modes, and a few rules off that grid
+    grid = [(p, q, False, *mode.periods(q)) for q in range(1, 13) for p in range(q + 1, 8 * q + 1)
+            if math.gcd(p, q) == 1 for mode in (THRESHOLD, EXACT)]
+    others = [(2, 1, True, 1, 1), (2, 1, False, 2, 1), (101, 100, False, 1, 1), (401, 400, False, 1, 1),
+              (1000, 101, False, 101, 101), (1000, 1, False, 1, 1)]
+    sizes = {}
+    for p, q, strict, first, step in grid + others:
+        idx = LceIndex(p, q, strict, first, step)
+        S, below = idx._size, range(first, idx._size, step)
+        bits = [k for k in range(idx._needmask.bit_length()) if idx._needmask >> k & 1]
+        assert bits == sorted(idx.need(P) * S + P for P in below), (p, q, strict, first)
+        assert idx._bands[0].periods.start == (below[-1] + step if below else first), (p, q, strict, first)
+        if below:
+            assert S * idx.need(below[-1]) <= 2048 or idx.need(S // 2) < 1, (p, q, strict, first)
+        sizes[p, q, first] = S
+    assert (sizes[5, 1, 1], sizes[11, 2, 2], sizes[1000, 101, 101], sizes[1000, 1, 1]) == (16, 16, 8, 1)
 
 
 def test_blocked_maps_equal_dense_table_for_x32_checks():
@@ -779,17 +803,17 @@ def _after_each_query(kind, check):
     ids=["w32", "x32", "11/2 exact", "1000/101 exact", "401/400"],
 )
 def test_bands_tile_the_periods_above_the_bits_along_greedy_words(exponent, mode, length):
-    # after each query the bands run from the first period left out of the
-    # bits (P >= S, or need(P) > 4S: from 30 at 11/2 exact) with no gap, each
-    # from one step past the last period of the band before it to the first
-    # S * 2**k, k >= 1, above its first period (at 1000/101 exact, whose
-    # periods are 101t, [101, 128) and then [202, 256)), so none is empty.
+    # after each query the bands run from the least period at or above S
+    # (16 at 11/2 exact, where S = 16) with no gap, each from one step past
+    # the last period of the band before it to the first S * 2**k, k >= 1,
+    # above its first period (at 1000/101 exact, whose periods are 101t,
+    # [101, 128) and then [202, 256)), so none is empty.
     # Every band but the last has opened, P + need(P) <= n, and is due again
     # within L letters; the last waits until P + need(P)
     state = GreedyState(exponent, mode)
     idx = state._idx
     S, (start, step) = idx._size, mode.periods(exponent.q)
-    while start < S and idx.need(start) <= 4 * S:
+    while start < S:
         start += step
     while len(state) < length:
         oracle.refresh(idx)
