@@ -23,9 +23,11 @@ against log size (1 means linear in the letters):
   16) at 10^4 and 3*10^4, and for 401/400 and 101/100, threshold and exact,
   at 3*10^3, 10^4 and 3*10^4, so that their slopes span a decade;
 * ``contains_forbidden`` on w32 and on x32 at 10^4, 3*10^4, 10^5 and 10^6
-  letters, on the greedy words of 5/4 exact, 4/3 threshold, 5/1 threshold
-  and 11/2 exact at 10^4 and 3*10^4, and on those of 401/400 and 101/100,
-  threshold and exact, at 3*10^3, 10^4 and 3*10^4, each a clean verdict;
+  letters, on w32 with each letter times 257 (2 bytes a letter in the
+  scan's word) at 10^4 and 3*10^4, on the greedy words of 5/4 exact, 4/3
+  threshold, 5/1 threshold and 11/2 exact at 10^4 and 3*10^4, and on those
+  of 401/400 and 101/100, threshold and exact, at 3*10^3, 10^4 and 3*10^4,
+  each a clean verdict;
 * ``check_x_squares`` and ``check_x_overlapfree`` on x32 at 10^4 and 10^5;
 * ``lexleast generate --method closed|morphism`` at 3/2 threshold, in
   ``lines``, ``csv`` and ``json``, at 10^4, 10^5 and 10^6 letters, and
@@ -112,10 +114,11 @@ def _greedy(exponent: str, mode: str) -> Callable[[int], Callable[[], bool]]:
     return prepare
 
 
-def _scan(exponent: str, mode: str, word: str | None = None) -> Callable[[int], Callable[[], bool]]:
+def _scan(exponent: str, mode: str, word: str | None = None, times: int = 1) -> Callable[[int], Callable[[], bool]]:
     """A ``contains_forbidden`` row: the word of n letters, ``word``'s prefix
-    from ``lexleast.formulas`` or else the rule's greedy word, is built
-    first, and the timed call is True on a clean verdict."""
+    from ``lexleast.formulas`` or else the rule's greedy word, each letter
+    times ``times``, is built first, and the timed call is True on a clean
+    verdict."""
 
     def prepare(n: int) -> Callable[[], bool]:
         from lexleast import formulas
@@ -123,7 +126,7 @@ def _scan(exponent: str, mode: str, word: str | None = None) -> Callable[[int], 
         from lexleast.greedy import generate
 
         rule = _rule(exponent, mode)
-        letters = getattr(formulas, word)(n) if word else generate(*rule, n)
+        letters = [v * times for v in (getattr(formulas, word)(n) if word else generate(*rule, n))]
         return lambda: contains_forbidden(letters, *rule) is None
 
     return prepare
@@ -180,6 +183,7 @@ ROWS: dict[str, tuple[Callable[[int], Callable[[], bool]], Sequence[int]]] = {
     "greedy 101/100 exact": (_greedy("101/100", "exact"), NEAR_ONE_SIZES),
     "contains_forbidden w32 threshold": (_scan("3/2", "threshold", "w32_prefix"), SCAN_SIZES),
     "contains_forbidden x32 exact": (_scan("3/2", "exact", "x32_prefix"), SCAN_SIZES),
+    "contains_forbidden w32×257 threshold": (_scan("3/2", "threshold", "w32_prefix", 257), MID_SIZES),
     "contains_forbidden 5/4 exact": (_scan("5/4", "exact"), MID_SIZES),
     "contains_forbidden 4/3 threshold": (_scan("4/3", "threshold"), MID_SIZES),
     "contains_forbidden 5/1 threshold": (_scan("5/1", "threshold"), MID_SIZES),

@@ -36,8 +36,11 @@ chosen in one place, ``AvoidanceMode.periods`` (first period and step), so
 a mode that is not an ``AvoidanceMode`` fails at once.
 There are no hashes: every verdict rests on letter comparisons.
 
-``LceIndex`` keeps the letters in an ``array("I")``, 4 bytes a letter,
-and, for its one need rule, the runs that can still reach their need.
+``LceIndex`` keeps the letters in the narrowest of 1, 2 or 4 bytes a
+letter (an ``array`` of typecode "B", "H" or "I"; the first letter that
+does not fit has it rebuilt in the narrowest that holds that letter, at
+most two O(n) copies), and, for its one need rule, the runs that can
+still reach their need.
 
 * Below S (the least power of 2 with need(S) >= 1 at which the run slots
   of twice S, 2S * need(2S) bits, no longer fit in 2048: 64 at 3/2, 1 at
@@ -91,7 +94,8 @@ and, for its one need rule, the runs that can still reach their need.
   for a match at the i-th letter, so in exact mode only the band's periods
   are read; the search goes on at the next letter.  Each candidate is
   checked on the whole of its keep threshold, which rejects a match that
-  starts inside a letter (at an offset that is not a multiple of 4), and
+  starts inside a letter (at an offset that is not a multiple of the item
+  size, 2 or 4; with 1 byte a letter every match starts at one), and
   only those that pass have their run measured up to need(P).  A kept
   period is stored as (P, at), ``at`` = n + need(P) - run(P) being the
   length from which it blocks; the kept periods form one list ascending in
@@ -148,6 +152,16 @@ class AvoidanceMode(Enum):
         return (1, 1) if self is AvoidanceMode.THRESHOLD else (q, q)
 
 
+def _narrowest(top: int) -> str:
+    """The typecode of the narrowest array that holds letters up to ``top``."""
+    return "B" if top < 1 << 8 else "H" if top < 1 << 16 else "I"
+
+
+def _bound(word: array) -> int:
+    """The least letter that ``word`` cannot hold, or 2**31, the supported width."""
+    return min(1 << 8 * word.itemsize, 1 << 31)
+
+
 def _checked(letter: int) -> int:
     # an integer of any kind (numpy's too) as an int; a float raises TypeError
     letter = index(letter)
@@ -182,10 +196,11 @@ class LceIndex:
     first, first + step, ...: the run slots below S and the bands' kept
     (P, at) pairs of the module docstring.
 
-    Letters are natural numbers below 2**31, kept in an ``array("I")``
-    (``to_list`` reads them out as a list).  Given ``letters``, the index
-    checks each and replays only the last ones that the bits rest on; bands
-    open and refresh at queries, and every append follows the state.
+    Letters are natural numbers below 2**31, kept in the narrowest of 1, 2
+    or 4 bytes a letter that holds the largest (``to_list`` reads them out
+    as a list).  Given ``letters``, the index checks each and replays only
+    the last ones that the bits rest on; bands open and refresh at queries,
+    and every append follows the state.
     """
 
     __slots__ = ("_word", "_args", "_a", "_b", "_q", "_step", "_size", "_zero", "_ones", "_rep", "_needmask",
@@ -221,7 +236,8 @@ class LceIndex:
         self._kept: list[tuple[int, int]] = []
         # the length at which the next band is refreshed
         self._due = 0
-        self._word = word = array("I", map(_checked, letters))
+        word = array("I", map(_checked, letters))
+        self._word = word = array(_narrowest(max(word, default=0)), word)
         # the bits at n rest on the last top + need(top) letters alone: replay those
         cut = max(0, len(word) - top - self.need(top))
         tail = word[cut:]
@@ -257,7 +273,16 @@ class LceIndex:
             if word[n - P] != letter:
                 self._kept = [e for e in kept if word[n - e[0]] == letter]
                 break
-        word.append(letter)
+        try:
+            word.append(letter)
+        except OverflowError:
+            self._widen(letter).append(letter)
+
+    def _widen(self, letter: int) -> array:
+        """Rebuild the word in the narrowest array that holds ``letter`` too,
+        and return it."""
+        self._word = word = array(_narrowest(letter), self._word)
+        return word
 
     def pop(self) -> int:
         """Remove and return the last letter.  The index is built again on
@@ -284,11 +309,15 @@ class LceIndex:
         meanwhile."""
         S, ONES, REP, NEEDMASK = self._size, self._ones, self._rep, self._needmask
         word, masks, runs, kept, due = self._word, self._masks, self._runs, self._kept, self._due
-        n, append, get = len(word), word.append, masks.get
+        n, append, get, bound = len(word), word.append, masks.get, _bound(word)
         try:
             for v in letters:
-                if not (type(v) is int and 0 <= v < 1 << 31):
+                if not (type(v) is int and 0 <= v < bound):
                     v = _checked(v)
+                    if v >= bound:
+                        # no letter of the word reaches v, so none blocks it
+                        word = self._widen(v)
+                        append, bound = word.append, _bound(word)
                 if n >= due:
                     due = self._refresh(n, kept)
                 last = get(v)
@@ -388,7 +417,12 @@ class LceIndex:
                         old = word[n - Z]
                         if old < S and get(old, (0, 0))[1] <= n + 1 - Z:
                             win ^= 1 << old
-                append(letter)
+                try:
+                    append(letter)
+                except OverflowError:
+                    word = self._widen(letter)
+                    append = word.append
+                    append(letter)
             return letter
         finally:
             self._runs, self._kept = runs, kept

@@ -167,14 +167,21 @@ def scan_put_back(idx: LceIndex, letter: int) -> int | None:
     Refreshed first when due, the index's scan refreshes nothing; a clean
     letter is appended, changes its mask in place or adds it (a new letter
     at 2S masks first drops the stale ones), and sets the runs and the kept
-    list."""
+    list.  A letter too wide for the word has the word rebuilt wider: the
+    wider copy must hold the word and the letter, and the narrower array,
+    which the scan left as it was, is put back."""
     refresh(idx)
     word, masks = idx._word, idx._masks
     own = masks.get(letter)
     saved, runs, kept = own[:] if own else dict(masks), idx._runs, idx._kept
     period = idx.scan((letter,))
-    if period is None:
+    if idx._word is not word:
+        assert period is None and idx._word.itemsize > word.itemsize
+        assert idx._word.tolist() == [*word, letter]
+        idx._word = word
+    elif period is None:
         assert word.pop() == letter
+    if period is None:
         if own:
             own[:] = saved
         else:

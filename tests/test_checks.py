@@ -136,7 +136,8 @@ def test_cross_reports_the_first_tampered_letter(monkeypatch, route):
 
 def test_cross_holds_only_greedy_word():
     # the three routes are zipped letter by letter: no prefix of any route
-    # is built as a list beside greedy's own word
+    # is built as a list beside greedy's own word, kept at 1 byte a letter
+    # (about 9.5 bytes a letter in all at 5,000 letters; 12.1 at 4 bytes)
     check_cross(length=100)  # warm up: imports, caches
     tracemalloc.start()
     try:
@@ -144,7 +145,7 @@ def test_cross_holds_only_greedy_word():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 5_000, peak
+    assert peak < 12 * 5_000, peak
 
 
 def test_ell_claim_small():

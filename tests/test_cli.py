@@ -389,8 +389,9 @@ def test_scan_bad_token_after_a_violation_is_a_usage_error(capsys, monkeypatch, 
 
 def test_scan_holds_only_the_scanned_word(capsys, tmp_path):
     # the input is streamed into the scan, which keeps the word it has read
-    # at 4 bytes a letter and nothing of the text: about 10.5 bytes a letter
-    # in all at 2 * 10**4 letters, where a list of the word took 15.9
+    # at 1 byte a letter (w32's letters stay below 256) and nothing of the
+    # text: about 5.8 bytes a letter in all at 2 * 10**4 letters, where 4
+    # bytes a letter took 10.3 and a list of the word 15.9
     n = 20_000
     path = tmp_path / "w32.csv"
     path.write_text(",".join(str(w32_term(i)) for i in range(n)))
@@ -404,7 +405,7 @@ def test_scan_holds_only_the_scanned_word(capsys, tmp_path):
     finally:
         tracemalloc.stop()
     assert (code, capsys.readouterr().out) == (0, "clean\nclean\n")
-    assert peak <= 12 * n, peak / n
+    assert peak <= 8 * n, peak / n
 
 
 def test_verify_pass_and_fail_exit_codes(capsys):

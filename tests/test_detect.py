@@ -19,6 +19,7 @@ from lexleast.greedy import GreedyState, generate
 from lexleast.words import Exponent, Occurrence
 
 import golden
+import index_machine
 import oracle
 
 E32 = Exponent(3, 2)
@@ -1084,3 +1085,11 @@ def test_greedy_step_reads_the_window_past_S_when_every_letter_below_S_is_blocke
     assert scans == {**{v: 200 - v for v in range(137)}, 137: 3, 138: 2, 139: 1}
     assert idx.threshold_hit() == _least_missing(scans) == 140
     assert idx.to_list() == [*range(197), 137, 138, 139, 140]
+
+
+def test_index_follows_the_dense_table_in_any_order_of_calls():
+    # the stateful machine of tests/index_machine.py from a fixed seed:
+    # appends, scans, greedy's loop, rebuilds and pops in the orders that
+    # hypothesis draws, at rules from 3/2 to 401/400 and letters on either
+    # side of each width; CI runs a larger profile
+    index_machine.run(50, 20)

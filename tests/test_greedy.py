@@ -239,10 +239,11 @@ def test_loop_between_other_appends_reads_the_state_they_left(kind):
 
 
 def test_extending_greedy_grows_by_the_word_alone():
-    # the word is kept at 4 bytes a letter: extending w32 to 2 * 10**4
-    # letters peaks at about 8.3 bytes a letter above the state it started
-    # from (the word's spare room and a refresh's copies), where a list of
-    # the word took 13.6
+    # the word is kept at 1 byte a letter, as w32's letters stay below 256:
+    # extending w32 to 2 * 10**4 letters peaks at about 2.2 bytes a letter
+    # above the state it started from (the word's spare room and a
+    # refresh's copies), where 4 bytes a letter took 8.1 and a list of the
+    # word 13.6
     state = GreedyState(E32, THRESHOLD)
     state.extend(100)  # warm up: the first masks and bands
     n = 20_000
@@ -254,7 +255,7 @@ def test_extending_greedy_grows_by_the_word_alone():
     finally:
         tracemalloc.stop()
     assert state.word == w32_prefix(n)
-    assert peak - start <= 10 * n, (peak - start) / n
+    assert peak - start <= 4 * n, (peak - start) / n
 
 
 def test_loop_of_no_letters_appends_nothing():
