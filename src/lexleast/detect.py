@@ -37,10 +37,11 @@ a mode that is not an ``AvoidanceMode`` fails at once.
 There are no hashes: every verdict rests on letter comparisons.
 
 ``LceIndex`` keeps the letters in the narrowest of 1, 2 or 4 bytes a
-letter (an ``array`` of typecode "B", "H" or "I"; the first letter that
-does not fit has it rebuilt in the narrowest that holds that letter, at
-most two O(n) copies), and, for its one need rule, the runs that can
-still reach their need.
+letter (an ``array`` of typecode "B", "H" or "I"; only the array decides
+whether a letter fits: an append it refuses with ``OverflowError`` has the
+word rebuilt in the narrowest that holds that letter, at most two O(n)
+copies), and, for its one need rule, the runs that can still reach their
+need.
 
 * Below S (the least power of 2 with need(S) >= 1 at which the run slots
   of twice S, 2S * need(2S) bits, no longer fit in 2048: 64 at 3/2, 1 at
@@ -157,11 +158,6 @@ def _narrowest(top: int) -> str:
     return "B" if top < 1 << 8 else "H" if top < 1 << 16 else "I"
 
 
-def _bound(word: array) -> int:
-    """The least letter that ``word`` cannot hold, or 2**31, the supported width."""
-    return min(1 << 8 * word.itemsize, 1 << 31)
-
-
 def _checked(letter: int) -> int:
     # an integer of any kind (numpy's too) as an int; a float raises TypeError
     letter = index(letter)
@@ -197,10 +193,12 @@ class LceIndex:
     (P, at) pairs of the module docstring.
 
     Letters are natural numbers below 2**31, kept in the narrowest of 1, 2
-    or 4 bytes a letter that holds the largest (``to_list`` reads them out
-    as a list).  Given ``letters``, the index checks each and replays only
-    the last ones that the bits rest on; bands open and refresh at queries,
-    and every append follows the state.
+    or 4 bytes a letter that holds the largest: ``append``, ``scan`` and
+    greedy's loop append first and call ``_widen`` when the array raises
+    ``OverflowError`` (``to_list`` reads the letters out as a list).  Given
+    ``letters``, the index checks each and replays only the last ones that
+    the bits rest on; bands open and refresh at queries, and every append
+    follows the state.
     """
 
     __slots__ = ("_word", "_args", "_a", "_b", "_q", "_step", "_size", "_zero", "_ones", "_rep", "_needmask",
@@ -276,12 +274,13 @@ class LceIndex:
         try:
             word.append(letter)
         except OverflowError:
-            self._widen(letter).append(letter)
+            self._widen(letter)
 
     def _widen(self, letter: int) -> array:
-        """Rebuild the word in the narrowest array that holds ``letter`` too,
-        and return it."""
+        """Rebuild the word in the narrowest array that holds ``letter``,
+        which its array refused, append the letter and return the word."""
         self._word = word = array(_narrowest(letter), self._word)
+        word.append(letter)
         return word
 
     def pop(self) -> int:
@@ -309,15 +308,11 @@ class LceIndex:
         meanwhile."""
         S, ONES, REP, NEEDMASK = self._size, self._ones, self._rep, self._needmask
         word, masks, runs, kept, due = self._word, self._masks, self._runs, self._kept, self._due
-        n, append, get, bound = len(word), word.append, masks.get, _bound(word)
+        n, append, get = len(word), word.append, masks.get
         try:
             for v in letters:
-                if not (type(v) is int and 0 <= v < bound):
+                if not (type(v) is int and 0 <= v < 1 << 31):
                     v = _checked(v)
-                    if v >= bound:
-                        # no letter of the word reaches v, so none blocks it
-                        word = self._widen(v)
-                        append, bound = word.append, _bound(word)
                 if n >= due:
                     due = self._refresh(n, kept)
                 last = get(v)
@@ -344,7 +339,12 @@ class LceIndex:
                     runs = (full << S) & rep
                 if broken:
                     kept = [e for e in kept if word[n - e[0]] == v]
-                append(v)
+                try:
+                    append(v)
+                except OverflowError:
+                    # no letter of the word reaches v, so none blocked it
+                    word = self._widen(v)
+                    append = word.append
                 n += 1
             return None
         finally:
@@ -422,7 +422,6 @@ class LceIndex:
                 except OverflowError:
                     word = self._widen(letter)
                     append = word.append
-                    append(letter)
             return letter
         finally:
             self._runs, self._kept = runs, kept

@@ -59,8 +59,9 @@ class IndexMachine(RuleBasedStateMachine):
     """One ``LceIndex`` and the dense run table on the same word."""
 
     # half the runs are at NEAR_ONE, and half start from the rule's greedy
-    # word of 260 letters, which NEAR_ONE's loop rebuilds at letter 256
-    @initialize(options=st.just(NEAR_ONE) | st.sampled_from(RULES), greedy=st.sampled_from((0, 260)))
+    # word of 700 letters: NEAR_ONE's loop rebuilds it at letter 256 and
+    # goes on past Z = 400, where it reads word[n - 400], in the same call
+    @initialize(options=st.just(NEAR_ONE) | st.sampled_from(RULES), greedy=st.sampled_from((0, 700)))
     def start(self, options: tuple, greedy: int) -> None:
         self.options, self.word = options, []
         self.idx, self.dense = LceIndex(*options), oracle.DenseRunTable()
@@ -126,15 +127,13 @@ class IndexMachine(RuleBasedStateMachine):
     def rebuild(self) -> None:
         self.idx, self.built = LceIndex(*self.options, letters=iter(self.word)), len(self.word)
 
-    # the dense table has no pop and is built again on the rest, O(n**2):
-    # only words of up to 700 letters are popped
-    @precondition(lambda self: 0 < len(self.word) <= 700)
+    # at any length, after greedy's longest calls and on widened words too,
+    # which the index rebuilds at the narrowest width
+    @precondition(lambda self: self.word)
     @rule()
     def pop(self) -> None:
-        assert self.idx.pop() == self.word.pop()
-        self.dense, self.built = oracle.DenseRunTable(), len(self.word)
-        for v in self.word:
-            self.dense.append(v)
+        assert self.idx.pop() == self.dense.pop() == self.word.pop()
+        self.built = len(self.word)
 
     @rule(start=st.integers(-5, 5_000))
     def to_list(self, start: int) -> None:

@@ -132,6 +132,29 @@ class DenseRunTable:
         self._rev[cap - 1 - n] = letter
         self._n = n + 1
 
+    def pop(self) -> int:
+        """Remove and return the last letter, O(n).  run(P) of the rest is
+        the longest common prefix of the rest read backwards and its shift
+        by P, so one Z-function pass over it gives every run again: those
+        that the letter lengthened lose it, and those it broke come back."""
+        if not self._n:
+            raise IndexError("pop from empty table")
+        letter = int(self._backwards()[0])
+        self._n = m = self._n - 1
+        rest = self._backwards().tolist()
+        z = [0] * m
+        left = right = 0
+        for i in range(1, m):
+            k = min(right - i, z[i - left]) if i < right else 0
+            while i + k < m and rest[k] == rest[i + k]:
+                k += 1
+            z[i] = k
+            if i + k > right:
+                left, right = i, i + k
+        # run[P] = z[P] below the new length, 0 from it on
+        self._run[: m + 1] = z + [0]
+        return letter
+
     def blocked(self, p: int, q: int, strict: bool = False, first: int = 1, step: int = 1) -> dict[int, int]:
         """Each blocked letter with its smallest period: P blocks ``word[n - P]``
         when q * run(P) >= (p - q) * P - q (+1 when ``strict``), for every

@@ -14,7 +14,7 @@ from lexleast.detect import (
     contains_forbidden,
     forbidden_suffix,
 )
-from lexleast.formulas import x32_prefix
+from lexleast.formulas import w32_prefix, x32_prefix
 from lexleast.greedy import GreedyState, generate
 from lexleast.words import Exponent, Occurrence
 
@@ -209,6 +209,29 @@ def test_blocked_letters_match_naive_oracle(word, exponent, mode):
         if occ is not None:
             expected[m] = occ.period
     assert oracle.scan_map(_mode_index(exponent, mode, word), expected) == expected
+
+
+@settings(max_examples=60)
+@given(st.lists(st.one_of(st.none(), st.integers(0, 2)), max_size=60), st.integers(0, 40))
+def test_dense_table_pop_equals_a_table_built_on_the_shorter_word(steps, periodic):
+    # a letter appends and None pops, on a word that starts with a periodic
+    # stretch so that pops break long runs: after every step each run, the
+    # word and a blocked map equal those of a table built on the word
+    word = [i % 3 for i in range(periodic)]
+    dense = _dense(word)
+    for step in steps:
+        if step is None:
+            if word:
+                assert dense.pop() == word.pop()
+        else:
+            dense.append(step)
+            word.append(step)
+        built, n = _dense(word), len(word)
+        assert len(dense) == n and dense._backwards().tolist() == word[::-1]
+        assert dense.runs(np.arange(n + 1)).tolist() == built.runs(np.arange(n + 1)).tolist()
+        assert dense.blocked(4, 3) == built.blocked(4, 3)
+    with pytest.raises(IndexError):
+        oracle.DenseRunTable().pop()
 
 
 @given(
@@ -1031,6 +1054,30 @@ def test_greedy_steps_mixed_with_other_appends_on_one_index():
             dense.append(letter)
             word.append(letter)
         assert idx.to_list() == word
+
+
+@pytest.mark.parametrize("prefix, mode, times, typecode", [(w32_prefix, THRESHOLD, 257, "H"), (x32_prefix, EXACT, 65537, "I")])
+def test_scan_widens_partway_through_a_long_word(prefix, mode, times, typecode):
+    # 5,000 letters of the word and then 5,000 more times ``times``: only 0
+    # keeps its value, so equal letters stay equal and the word stays clean.
+    # One scan widens at letter 5,000 while bands keep periods, and it must
+    # go on reading and appending to the wide word.  With a letter set to 0
+    # past the switch, the verdict rests on which letters are equal alone,
+    # so it must equal that of the word renamed by rank into 1-byte letters
+    word = prefix(10_000)
+    word[5_000:] = [v * times for v in word[5_000:]]
+    idx = _mode_index(E32, mode)
+    assert idx.scan(iter(word)) is None
+    assert idx._word.typecode == typecode and idx.to_list() == word
+    for at in (5_001, 6_000, 7_500, 9_999):
+        bad = list(word)
+        bad[at] = 0
+        rank = {v: i for i, v in enumerate(sorted(set(bad)))}
+        renamed = [rank[v] for v in bad]
+        wide, narrow = _mode_index(E32, mode), _mode_index(E32, mode)
+        assert (wide.scan(iter(bad)), len(wide)) == (narrow.scan(iter(renamed)), len(narrow)), at
+        assert narrow._word.typecode == "B" and wide.to_list() == bad[: len(wide)]
+        assert contains_forbidden(bad, E32, mode) == contains_forbidden(renamed, E32, mode)
 
 
 def test_greedy_step_after_letters_near_the_width():
