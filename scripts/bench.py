@@ -2,7 +2,7 @@
 """Time greedy, the scan path and ``generate`` at several sizes and write
 ``BENCH_<label>.json``.
 
-    python scripts/bench.py --label NAME [--parent SRC] [--out DIR]
+    python scripts/bench.py --label NAME [--parent SRC] [--out DIR] [--rows PATTERN]
     python scripts/bench.py --compare PARENT.json CHANGE.json
 
 Standard library only, and run from any checkout: only the workers import
@@ -15,7 +15,9 @@ same machine.  Each row times one call at each size, as many times as it
 takes to time ``LETTERS`` (200,000) letters in all, never fewer than
 ``REPEATS`` (9) times, and until each tree's worker has spent ``SECONDS``
 (2 s) on the size, reference loops included; it fits the slope of log time
-against log size (1 means linear in the letters):
+against log size (1 means linear in the letters).  ``--rows PATTERN`` times
+only the rows whose name contains PATTERN, to try a change quickly; the
+file names the pattern.  The rows:
 
 * ``GreedyState(...).extend_to(n)`` for w32 (3/2, threshold) and x32
   (3/2, exact) at 10^4, 3*10^4, 10^5 and 10^6 letters, for 5/4 exact, 4/3
@@ -424,6 +426,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--label", help="the file is BENCH_<label>.json")
     parser.add_argument("--parent", type=Path, help="the src of a second checkout, timed beside this one")
     parser.add_argument("--out", type=Path, default=ROOT, help="directory of the file (default: the repository)")
+    parser.add_argument("--rows", metavar="PATTERN", help="time only the rows whose name contains PATTERN")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("PARENT", "CHANGE"),
                         help="print CHANGE/PARENT per row and size of two BENCH files, and run nothing")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
@@ -437,9 +440,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
     if not args.label:
         parser.error("--label is required")
+    plan = [(name, sizes) for name, (_, sizes) in ROWS.items() if args.rows is None or args.rows in name]
+    if not plan:
+        parser.error(f"--rows {args.rows!r} matches no row")
     trees = [(ROOT / "src", args.label), *([(args.parent, f"{args.label}-parent")] if args.parent else [])]
     revisions = [revision(src) for src, _ in trees]
-    results = measure([src for src, _ in trees], [(name, sizes) for name, (_, sizes) in ROWS.items()])
+    results = measure([src for src, _ in trees], plan)
     for i, ((_, label), rows) in enumerate(zip(trees, results)):
         for entry in rows:
             print(f"{label} {entry['row']}: " + ", ".join(f"{us:.2f}" for us in entry["us_per_letter"]) + " us/letter",
@@ -457,6 +463,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "min_repeats": REPEATS,
                 "min_seconds": SECONDS,
                 "scaled_to_reference_s": _perfbench().REFERENCE_S,
+                "rows_matching": args.rows,
             },
             "rows": rows,
         }

@@ -96,11 +96,13 @@ need.
   are read; the search goes on at the next letter.  Each candidate is
   checked on the whole of its keep threshold, which rejects a match that
   starts inside a letter (at an offset that is not a multiple of the item
-  size, 2 or 4; with 1 byte a letter every match starts at one), and
-  only those that pass have their run measured up to need(P).  A kept
-  period is stored as (P, at), ``at`` = n + need(P) - run(P) being the
-  length from which it blocks; the kept periods form one list ascending in
-  P, and a refresh replaces the band's slice of it.
+  size, 2 or 4; with 1 byte a letter every match starts at one), and only
+  those that pass have their run measured up to need(P), by one XOR of the
+  stretch past the threshold and its copy P letters back as little-endian
+  ints, whose highest set bit names the letter where the run breaks, in
+  any byte order (``_run``).  A kept period is stored as (P, at), ``at`` =
+  n + need(P) - run(P) being the length from which it blocks; the kept
+  periods form one list ascending in P; a refresh replaces the band's slice.
   Between refreshes, an append grows a kept period's run when the new
   letter repeats ``word[n - P]``, which leaves ``at`` as it is, and drops
   the period otherwise, so the list is rebuilt only when a run breaks.
@@ -483,28 +485,26 @@ class LceIndex:
 
 def _run(word: array, n: int, period: int, cap: int, known: int = 0) -> int:
     """run(period) of ``word[:n]``, capped at ``cap``, given that it is at
-    least ``known``.  Compares slices, doubling their length while they
-    match and halving it on a mismatch."""
+    least ``known``: one XOR of ``word[n - cap : n - known]`` and the
+    stretch ``period`` letters before it as little-endian ints, whose
+    highest set bit lies in the letter where the run breaks, in any byte
+    order, as a differing byte lies within its own letter."""
     cap = min(cap, n - period)
-    run, step = known, 8
-    while run < cap:
-        step = min(step, cap - run)
-        end = n - run
-        if word[end - step : end] == word[end - step - period : end - period]:
-            run += step
-            step *= 2
-        elif step > 1:
-            step //= 2
-        else:
-            break
-    return run
+    start, end = n - cap, n - known
+    x = int.from_bytes(word[start:end].tobytes(), "little")
+    x ^= int.from_bytes(word[start - period : end - period].tobytes(), "little")
+    return cap - 1 - (x.bit_length() - 1) // (8 * word.itemsize) if x else cap
 
 
 def _occurrence(word: array, exponent: Exponent, mode: AvoidanceMode, period: int) -> Occurrence:
-    """The forbidden factor, of smallest period ``period``, that appending a letter to ``word`` would complete."""
+    """The forbidden factor, of smallest period ``period``, that appending a letter to ``word`` would complete; a
+    run is measured in windows doubling from 64 letters, each from where the last ended: O(run) memory, not O(n)."""
     n = len(word)
     if mode is AvoidanceMode.THRESHOLD:
-        length = period + _run(word, n, period, n) + 1
+        run, cap = 0, 64
+        while (run := _run(word, n, period, cap, run)) == cap:
+            cap = 2 * cap + 64
+        length = period + run + 1
     else:
         length = period // exponent.q * exponent.p
     return Occurrence(n + 1 - length, period, length)

@@ -102,6 +102,8 @@ class DenseRunTable:
         self._rev = np.zeros(64, dtype=np.int64)
         # run[P] for P in 0..capacity; entries from P = n on stay 0
         self._run = np.zeros(65, dtype=np.int64)
+        # (p, q, strict) -> need[P] for P in 0..capacity, built once per capacity
+        self._needs: dict[tuple[int, int, bool], np.ndarray] = {}
 
     def __len__(self) -> int:
         return self._n
@@ -155,27 +157,34 @@ class DenseRunTable:
         self._run[: m + 1] = z + [0]
         return letter
 
+    def _hits(self, p: int, q: int, strict: bool, first: int, step: int) -> np.ndarray:
+        """Whether each period P in first, first + step, ... up to n blocks:
+        q * run(P) >= (p - q) * P - q (+1 when ``strict``), i.e. run(P) >=
+        need(P), read from strided views of the runs and of the rule's needs,
+        which are built again only when the capacity grows."""
+        need = self._needs.get((p, q, strict))
+        if need is None or len(need) < len(self._run):
+            ps = np.arange(len(self._run), dtype=np.int64)
+            need = self._needs[p, q, strict] = -((q - strict - (p - q) * ps) // q)
+        return self._run[first : self._n + 1 : step] >= need[first : self._n + 1 : step]
+
     def blocked(self, p: int, q: int, strict: bool = False, first: int = 1, step: int = 1) -> dict[int, int]:
         """Each blocked letter with its smallest period: P blocks ``word[n - P]``
-        when q * run(P) >= (p - q) * P - q (+1 when ``strict``), for every
-        P in first, first + step, ... up to n."""
-        ps = np.arange(first, self._n + 1, step, dtype=np.int64)
-        hits = q * self._run[ps] >= (p - q) * ps - q + strict
+        when run(P) >= need(P) (``_hits``)."""
         backwards = self._backwards()
         found: dict[int, int] = {}
-        for period in ps[hits].tolist():
+        for period in (np.flatnonzero(self._hits(p, q, strict, first, step)) * step + first).tolist():
             found.setdefault(int(backwards[period - 1]), period)
         return found
 
     def least_free(self, p: int, q: int, strict: bool = False, first: int = 1, step: int = 1) -> int:
         """The least letter missing from ``blocked``'s map, found without
-        building it: k blocked letters leave one of 0..k free."""
-        ps = np.arange(first, self._n + 1, step, dtype=np.int64)
-        hits = q * self._run[ps] >= (p - q) * ps - q + strict
-        letters = self._backwards()[ps[hits] - 1]
-        seen = np.zeros(len(letters) + 1, dtype=bool)
-        seen[letters[letters <= len(letters)]] = True
-        return int(np.argmin(seen))
+        building it: k blocked letters leave one of 0..k free, so the
+        letters above k count as k + 1."""
+        letters = self._backwards()[first - 1 :: step][self._hits(p, q, strict, first, step)]
+        seen = np.zeros(len(letters) + 2, dtype=bool)
+        seen[np.minimum(letters, len(letters) + 1)] = True
+        return int(seen.argmin())
 
 
 def refresh(idx: LceIndex) -> None:

@@ -6,6 +6,7 @@ are asserted.  Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
 import time
+from array import array
 from contextlib import contextmanager
 
 import numpy as np
@@ -138,7 +139,7 @@ def _tracked_witness(idx, mode, letter):
     """The E32 witness that appending ``letter`` to ``idx`` would complete,
     named by a one-letter scan of ``idx``, which is then put back."""
     period = oracle.scan_put_back(idx, letter)
-    return None if period is None else detect._occurrence(idx.to_list(), E32, mode, period)
+    return None if period is None else detect._occurrence(array("I", idx.to_list()), E32, mode, period)
 
 
 def test_criterion_10_oracle_equivalence():

@@ -305,6 +305,17 @@ def test_scan_stdin(capsys, monkeypatch):
     assert (code, out) == (0, "clean\n")
 
 
+@pytest.mark.parametrize("times", [1, 257, 65_537])
+def test_scan_witness_whose_run_crosses_three_windows(capsys, tmp_path, times):
+    # (0 1 2) 400 times at exponent 101/1: the first forbidden factor ends at
+    # letter 303, and its run of 299 letters is measured in windows of 64,
+    # 128 and 256, at 1, 2 and 4 bytes a letter
+    path = tmp_path / "word.txt"
+    path.write_text(" ".join(str(v * times) for v in [0, 1, 2] * 400))
+    code, out, _ = run_cli(capsys, "scan", str(path), "--exponent", "101/1")
+    assert (code, out) == (1, "forbidden start=0 period=3 length=303\n")
+
+
 W32_TEXT = [w32_term(i) for i in range(300)]
 # lowering a letter of w32 completes a forbidden factor there
 LOWERED = next(i for i in range(250, 300) if W32_TEXT[i])

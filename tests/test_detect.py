@@ -262,8 +262,9 @@ def test_run_table_follows_append_pop_walks(steps, exponent, mode):
             word.append(step)
         n = len(word)
         assert idx.to_list() == overlaps.to_list() == word
+        letters = array("B", word)
         for period in range(1, n + 1):
-            assert detect._run(word, n, period, n) == oracle.lce_backward_scan(word, n - 1, n - 1 - period)
+            assert detect._run(letters, n, period, n) == oracle.lce_backward_scan(word, n - 1, n - 1 - period)
         expected = {}
         for m in range(max(word, default=-1) + 2):
             occ = oracle.naive_forbidden_suffix(word + [m], exponent, mode)
@@ -271,6 +272,91 @@ def test_run_table_follows_append_pop_walks(steps, exponent, mode):
                 expected[m] = occ.period
         fresh = _mode_index(exponent, mode, word)
         assert oracle.scan_map(idx, expected) == oracle.scan_map(fresh, expected) == expected
+
+
+# _run's word at each width: letters below 256; letters below 65,536 that
+# differ in one byte only (1 and 257, 256 and 257); multiples of 65,537
+RUN_WIDTHS = {"B": (0, 1, 2, 255), "H": (0, 1, 256, 257, 65_535), "I": (0, 65_537, 2 * 65_537, 256 * 65_537)}
+
+
+@pytest.mark.parametrize("typecode", RUN_WIDTHS)
+def test_run_equals_the_backward_scan_at_every_width(typecode):
+    # runs of any length, ended anywhere in the XORed stretch, with any cap
+    # and any known part of the run
+    rng, alphabet = random.Random(f"run/{typecode}"), RUN_WIDTHS[typecode]
+    for _ in range(60):
+        word = []
+        while len(word) < 600:
+            back = rng.choice((rng.randint(1, 8), rng.randint(60, 70), rng.randint(1, 500)))
+            if back <= len(word):
+                word += [word[-back + i % back] for i in range(rng.randint(1, 3 * back))]
+            word += [rng.choice(alphabet) for _ in range(rng.randint(1, 4))]
+        letters = array(typecode, word)
+        for _ in range(30):
+            n = rng.randint(1, len(word))
+            P = rng.randint(1, n)
+            true = oracle.lce_backward_scan(word, n - 1, n - 1 - P)
+            cap = rng.choice((n, rng.randint(0, n)))
+            known = rng.randint(0, min(cap, true))
+            assert detect._run(letters, n, P, cap, known) == min(cap, true), (n, P, cap, known)
+
+
+@pytest.mark.parametrize("typecode", RUN_WIDTHS)
+def test_run_at_the_ends_of_its_stretch(typecode):
+    # period 5 over 160 letters: word[i] == word[i - 5] from i = 5 on, so
+    # the run is 155; a new letter at n - 1 - k - P breaks it at k alone
+    new, base = RUN_WIDTHS[typecode][-1], RUN_WIDTHS[typecode][:-1]
+    word, P, n = [base[i % len(base)] for i in (0, 1, 2, 1, 0)] * 32, 5, 160
+
+    def run(cap, known=0, breaks=None):
+        letters = array(typecode, word)
+        if breaks is not None:
+            letters[n - 1 - breaks - P] = new
+        return detect._run(letters, n, P, cap, known)
+
+    assert run(n) == run(155) == 155
+    assert run(40) == run(40, 39) == 40  # cap below the true run
+    assert run(0) == 0 and run(1, 1) == 1
+    assert run(n, 0, 0) == 0  # a run of 0
+    # the stretch of cap 40, known 12 is k = 12..39: a mismatch at its
+    # first letter (k = 39, farthest back) and at its last (k = 12)
+    assert run(40, 12, 39) == 39 and run(40, 12, 12) == 12
+    assert run(40, 12, 38) == 38 and run(40, 12, 13) == 13
+    assert run(n, 7, 100) == 100 and run(n, 100, 100) == 100
+    # only the stretch past ``known`` is read, so a refresh copies at most
+    # need(P) - keep letters: a mismatch before it is not seen
+    assert run(40, 12, 5) == 40
+
+
+@pytest.mark.parametrize("typecode", RUN_WIDTHS)
+@pytest.mark.parametrize("length", [63, 64, 65, 191, 192, 193, 447, 448, 449])
+def test_occurrence_across_its_windows(typecode, length):
+    # a witness's run is measured in windows of 64, 128, 256, ... letters:
+    # runs that end just before, at and just after their edges, stopped by a
+    # letter or by the word's start
+    alphabet, P = RUN_WIDTHS[typecode], 3
+    periodic = [alphabet[i % P] for i in range(P + length)]
+    word = array(typecode, periodic)
+    assert detect._occurrence(word, E32, THRESHOLD, P) == Occurrence(0, P, P + length + 1)
+    word.insert(0, alphabet[3])
+    assert detect._run(word, len(word), P, len(word)) == length
+    assert detect._occurrence(word, E32, THRESHOLD, P) == Occurrence(1, P, P + length + 1)
+
+
+def test_occurrence_measures_in_windows_that_double_from_64(monkeypatch):
+    # a witness's run of 999 letters is read in windows of 64, 128, 256,
+    # 512 and 1,024 letters, each from where the last ended, so no copy is
+    # longer than about twice the run, however long the word
+    calls, run = [], detect._run
+
+    def recorded(word, n, period, cap, known=0):
+        calls.append((cap, known))
+        return run(word, n, period, cap, known)
+
+    monkeypatch.setattr(detect, "_run", recorded)
+    word = array("B", [3] + [0, 1, 2] * 334)
+    assert detect._occurrence(word, E32, THRESHOLD, 3) == Occurrence(1, 3, 1_003)
+    assert calls == [(64, 0), (192, 64), (448, 192), (960, 448), (1_984, 960)]
 
 
 @given(words, st.sampled_from([THRESHOLD, EXACT]))
@@ -332,7 +418,7 @@ def _tracked_witness(idx, mode, letter):
     """The E32 witness that appending ``letter`` to ``idx`` would complete,
     named by a one-letter scan of ``idx``, which is then put back."""
     period = oracle.scan_put_back(idx, letter)
-    return None if period is None else detect._occurrence(idx.to_list(), E32, mode, period)
+    return None if period is None else detect._occurrence(array("I", idx.to_list()), E32, mode, period)
 
 
 def test_detectors_against_oracle_small_exhaustive():
@@ -416,7 +502,7 @@ def _follow_dense(word, rules, seed, quiet=0):
     runs, kept list, next refresh and every band's periods and due, the
     waiting last band's included, of the index that ``append`` advances."""
     rng = random.Random(seed)
-    dense, letters = oracle.DenseRunTable(), []
+    dense, letters = oracle.DenseRunTable(), array("I")
     indexes, twins = [], []
     for v in word:
         for twin in twins:

@@ -161,6 +161,29 @@ def test_bench_compare_reads_a_pair(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == bench.compare(parent, change)
 
 
+def test_bench_rows_times_only_the_rows_it_names(tmp_path, monkeypatch, capsys):
+    # --rows PATTERN plans the rows whose name contains PATTERN, in their
+    # order, and the file names the pattern; one that matches no row is a
+    # usage error
+    bench, plans = _bench(), []
+
+    def measure(sources, plan):
+        plans.append(plan)
+        return [[bench.summary(name, sizes, [[(0.01, 0.01)]] * len(sizes)) for name, sizes in plan] for _ in sources]
+
+    monkeypatch.setattr(bench, "measure", measure)
+    assert bench.main(["--label", "x", "--rows", "401/400", "--out", str(tmp_path)]) == 0
+    names = [name for name in bench.ROWS if "401/400" in name]
+    assert len(names) == 4 and plans == [[(name, bench.ROWS[name][1]) for name in names]]
+    report = json.loads((tmp_path / "BENCH_x.json").read_text())
+    assert [row["row"] for row in report["rows"]] == names and report["environment"]["rows_matching"] == "401/400"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as stop:
+        bench.main(["--label", "x", "--rows", "no such row", "--out", str(tmp_path)])
+    assert stop.value.code == 2 and "--rows 'no such row' matches no row" in capsys.readouterr().err
+    assert len(plans) == 1
+
+
 def test_bench_times_two_trees_call_by_call(tmp_path):
     # one worker per tree, each timing every call of the run; a worker
     # whose lexleast does not come from its tree is refused
