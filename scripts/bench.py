@@ -31,6 +31,10 @@ file names the pattern.  The rows:
   of 401/400 and 101/100, threshold and exact, at 3*10^3, 10^4 and 3*10^4,
   each a clean verdict;
 * ``check_x_squares`` and ``check_x_overlapfree`` on x32 at 10^4 and 10^5;
+* the checks on the helper sequence b, their size not in letters:
+  ``check_b_inequality`` at s_max = j_max = 100, 300 and 1000, sized by
+  its s_max * j_max pairs (10^4, 9*10^4 and 10^6), and
+  ``check_eq6_intervals`` at n_max = 10^4 and 10^5;
 * ``lexleast generate --method closed|morphism`` at 3/2 threshold, in
   ``lines``, ``csv`` and ``json``, at 10^4, 10^5 and 10^6 letters, and
   ``--method greedy`` at 10^4 and 10^5, written to the null device; and
@@ -76,6 +80,7 @@ MID_SIZES = (10_000, 30_000)
 NEAR_ONE_SIZES = (3_000, 10_000, 30_000)
 SCAN_SIZES = (10_000, 30_000, 100_000, 1_000_000)
 CHECK_SIZES = (10_000, 100_000)
+B_GRID_SIZES = (10_000, 90_000, 1_000_000)
 GENERATE_SIZES = (10_000, 100_000, 1_000_000)
 GREEDY_GENERATE_SIZES = (10_000, 100_000)
 # the letters timed at each size: 20 calls at 10^4 letters, where one call
@@ -147,6 +152,18 @@ def _check(check: str) -> Callable[[int], Callable[[], bool]]:
     return prepare
 
 
+def _b_check(check: str, bounds: Callable[[int], dict]) -> Callable[[int], Callable[[], bool]]:
+    """A row of a check on b: the timed call runs it at ``bounds(n)``."""
+
+    def prepare(n: int) -> Callable[[], bool]:
+        from lexleast import checks
+
+        kwargs = bounds(n)
+        return lambda: getattr(checks, check)(**kwargs).passed
+
+    return prepare
+
+
 def _generate(
     method: str, fmt: str, exponent: str = "3/2", mode: str = "threshold"
 ) -> Callable[[int], Callable[[], bool]]:
@@ -196,6 +213,10 @@ ROWS: dict[str, tuple[Callable[[int], Callable[[], bool]], Sequence[int]]] = {
     "contains_forbidden 101/100 exact": (_scan("101/100", "exact"), NEAR_ONE_SIZES),
     "check_x_squares": (_check("check_x_squares"), CHECK_SIZES),
     "check_x_overlapfree": (_check("check_x_overlapfree"), CHECK_SIZES),
+    "check_b_inequality": (
+        _b_check("check_b_inequality", lambda n: {"s_max": math.isqrt(n), "j_max": math.isqrt(n)}), B_GRID_SIZES
+    ),
+    "check_eq6_intervals": (_b_check("check_eq6_intervals", lambda n: {"n_max": n}), CHECK_SIZES),
     **{
         f"generate {method} {fmt}": (_generate(method, fmt), GENERATE_SIZES)
         for method in ("closed", "morphism")

@@ -11,11 +11,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, count, islice
+from operator import eq
 from typing import Callable, Mapping, Sequence
 
 from .detect import AvoidanceMode, LceIndex, contains_forbidden
 from .formulas import (
-    b_rec,
+    b_prefix,
     c_term,
     d_term,
     ell_m,
@@ -220,10 +221,10 @@ def check_cross(length: int = 10_000) -> CheckReport:
     return CheckReport("cross", params, violation)
 
 
-def _b_slot_decrements(n_max: int):
-    """(n, b, m, ell) for every decrement target m >= 5 at a b-slot, b = b(n)."""
-    for n in range(n_max + 1):
-        b = b_rec(n)
+def _b_slot_decrements(bs: bytearray):
+    """(n, b, m, ell) for every decrement target m >= 5 at a b-slot, b = b(n),
+    for n over the table ``bs`` of b."""
+    for n, b in enumerate(bs):
         for m in range(5, b):
             yield n, b, m, ell_m(b, m)
 
@@ -245,7 +246,7 @@ def check_ell_claim(n_max: int = 2_000) -> CheckReport:
     skipped = 0
     by_case: Counter[str] = Counter()
     by_ell: Counter[int] = Counter()
-    for n, b, m, ell in _b_slot_decrements(n_max):
+    for n, b, m, ell in _b_slot_decrements(b_prefix(n_max + 1)):
         end = 10 * n + 9
         if 3 * ell > end + 1:
             skipped += 1
@@ -277,29 +278,30 @@ def check_ell_claim(n_max: int = 2_000) -> CheckReport:
 def check_eq6_intervals(n_max: int = 2_000) -> CheckReport:
     """The b-interval identity behind the decrement witnesses: with L =
     ell/10, the L-1 values of b starting at n+1-3L equal those starting at
-    n+1-L, and b(n-2L) = m.  Windows reaching below 0 are skipped."""
+    n+1-L, and b(n-2L) = m.  Windows reaching below 0 are skipped.  Both
+    intervals are slices of one table of b, compared whole."""
     params = _bounds(n_max=n_max)
+    bs = b_prefix(n_max + 1)
     violation = None
     checked = 0
     skipped = 0
-    for n, _, m, ell in _b_slot_decrements(n_max):
+    for n, _, m, ell in _b_slot_decrements(bs):
         block = ell // 10
         low = n + 1 - 3 * block
         if low < 0:
             skipped += 1
             continue
         mid = n + 1 - block
-        for i in range(block - 1):
-            if b_rec(low + i) != b_rec(mid + i):
-                violation = Violation(
-                    "interval-mismatch", low + i, {"n": n, "m": m, "offset": i}
-                )
-                break
-        if violation is not None:
-            break
-        if b_rec(n - 2 * block) != m:
+        left, right = bs[low : low + block - 1], bs[mid : mid + block - 1]
+        if left != right:
+            i = list(map(eq, left, right)).index(False)
             violation = Violation(
-                "anchor-mismatch", n - 2 * block, {"n": n, "m": m, "found": b_rec(n - 2 * block)}
+                "interval-mismatch", low + i, {"n": n, "m": m, "offset": i}
+            )
+            break
+        if bs[n - 2 * block] != m:
+            violation = Violation(
+                "anchor-mismatch", n - 2 * block, {"n": n, "m": m, "found": bs[n - 2 * block]}
             )
             break
         checked += 1
@@ -310,17 +312,21 @@ def check_eq6_intervals(n_max: int = 2_000) -> CheckReport:
 
 
 def check_b_inequality(s_max: int = 300, j_max: int = 300) -> CheckReport:
-    """b(d(s)j + c(s)) differs from b(d(s)j + c(s) + 6s) for all s, j in range."""
+    """b(d(s)j + c(s)) differs from b(d(s)j + c(s) + 6s) for all s, j in range.
+
+    For each s, the values at j = 0, ..., j_max on both sides are two
+    strided slices of one table of b, compared pairwise in C; only a
+    collision is located by its j."""
     params = _bounds(s_max=s_max, j_max=j_max)
+    grid = [(s, c_term(s), d_term(s)) for s in range(1, s_max + 1)]
+    bs = b_prefix(max((c + d * j_max + 6 * s + 1 for s, c, d in grid), default=0))
     violation = None
-    for s in range(1, s_max + 1):
-        cs, ds = c_term(s), d_term(s)
-        for j in range(j_max + 1):
-            pos = ds * j + cs
-            if b_rec(pos) == b_rec(pos + 6 * s):
-                violation = Violation("b-values-collide", pos, {"s": s, "j": j})
-                break
-        if violation is not None:
+    for s, c, d in grid:
+        stop = c + d * j_max + 1
+        left, right = bs[c:stop:d], bs[c + 6 * s : stop + 6 * s : d]
+        if any(map(eq, left, right)):
+            j = list(map(eq, left, right)).index(True)
+            violation = Violation("b-values-collide", c + d * j, {"s": s, "j": j})
             break
     return CheckReport("b-inequality", params, violation)
 
@@ -333,7 +339,7 @@ def check_b_window(n_max: int = 2_000, r_max: int = 200) -> CheckReport:
     window in range, and every other window that fits in it too.
     """
     params = _bounds(n_max=n_max, r_max=r_max)
-    occ = contains_forbidden([b_rec(i) for i in range(n_max + 3 * r_max)], E32, EXACT)
+    occ = contains_forbidden(b_prefix(n_max + 3 * r_max), E32, EXACT)
     violation = None
     if occ is not None:
         violation = Violation("window-repeats", occ.start, {"n": occ.start, "r": occ.period // 2})

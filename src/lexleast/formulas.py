@@ -7,6 +7,11 @@ and the letters in the free slots reduce to the helper sequence ``b`` whose
 value is read off the base-6 digits of the index.  All evaluators run in
 O(log n) per term with plain iteration, no call-stack recursion.
 
+``b_prefix`` reads b over a whole range at once, as the checks on b do: the
+slots 6m + r with r < 5 repeat with period 12, and each slot 6m + 5 takes
+b(m) + 2, so the table is a 12-byte pattern repeated, with its slots
+6m + 5 filled from its own earlier bytes in strided slices.
+
 ``by_blocks`` reads such a word a block of six template blocks at a time
 (60 letters of w32, 72 of x32; 64 of the ruler word): the letters before a
 block's last one depend only on the block index modulo a short cycle, so
@@ -64,6 +69,33 @@ def b_rec(n: int) -> int:
             return (5 if m % 2 == 0 else 6) + add
         add += 2
         n = m
+
+
+# b at residues 0-11 of 12, the slots 5 and 11 left for b(m) + 2
+_B_HEADS = bytes((3, 4, 5, 3, 4, 0, 3, 4, 6, 3, 4, 0))
+
+
+def b_prefix(n: int) -> bytearray:
+    """b(0), ..., b(n - 1), one byte each, by the recurrence of ``b_rec``
+    applied to whole slices.
+
+    The slots 6m + 5 are filled upward in chunks of indices m in [lo, hi).
+    The first slot a chunk fills is 6 lo + 5, so with hi <= 6 lo + 5 every
+    b(m) it reads is already final; a chunk holds at most 4,096 indices, so
+    that the copies it makes stay small.  b(n) is at most 2 log_6(n + 1) + 6,
+    so a byte holds it in any table that fits in memory.
+    """
+    if n < 0:
+        raise ValueError(f"length must be non-negative, got {n}")
+    b = bytearray(_B_HEADS) * -(-n // 12)
+    del b[n:]
+    plus_2 = bytes(range(2, 256)) + bytes(2)  # 254 and 255 never occur
+    lo, top = 0, n // 6
+    while lo < top:
+        hi = min(top, 6 * lo + 5, lo + 4096)
+        b[6 * lo + 5 : 6 * hi : 6] = b[lo:hi].translate(plus_2)
+        lo = hi
+    return b
 
 
 def b_closed(n: int) -> int:

@@ -26,6 +26,7 @@ from lexleast import detect
 from lexleast.detect import AvoidanceMode, LceIndex, forbidden_suffix
 from lexleast.formulas import (
     b_closed,
+    b_prefix,
     b_rec,
     c_closed,
     c_term,
@@ -80,6 +81,8 @@ def test_criterion_03_three_way_agreement():
 def test_criterion_04_closed_form_consistency():
     with criterion("criterion 4: recurrences vs closed forms and suffix-family partition", 10.0):
         assert all(b_rec(n) == b_closed(n) for n in range(10**6))
+        # the table that the checks on b read
+        assert b_prefix(10**6) == bytes(map(b_closed, range(10**6)))
         assert all(
             c_term(s) == c_closed(s) and d_term(s) == d_closed(s) for s in range(1, 10**5)
         )

@@ -183,6 +183,21 @@ def test_ell_claim_reports_a_broken_witness(monkeypatch, pos):
     assert report.violation == Violation("decrement-witness-broken", 89, {"n": 8, "m": 5, "ell": 30})
 
 
+def _plant_b(monkeypatch, values):
+    """Make ``checks`` read b from the real table with ``values`` (index ->
+    value) planted wherever the table reaches."""
+    real = checks.b_prefix
+
+    def planted(n):
+        bs = real(n)
+        for i, v in values.items():
+            if i < n:
+                bs[i] = v
+        return bs
+
+    monkeypatch.setattr(checks, "b_prefix", planted)
+
+
 def test_eq6_intervals_small():
     report = check_eq6_intervals(n_max=250)
     assert report.passed
@@ -201,8 +216,7 @@ def test_eq6_intervals_small():
 )
 def test_eq6_intervals_reports_a_planted_value(monkeypatch, planted, value, violation):
     # the planted value is below 6, so it adds no decrement of its own
-    real = checks.b_rec
-    monkeypatch.setattr(checks, "b_rec", lambda i: value if i == planted else real(i))
+    _plant_b(monkeypatch, {planted: value})
     assert check_eq6_intervals(n_max=8).violation == violation
     assert check_eq6_intervals(n_max=7).passed
 
@@ -220,11 +234,40 @@ def test_b_inequalities_small():
 
 def test_b_inequality_reports_a_planted_collision(monkeypatch):
     # s = 1: c = 2, d = 3; b(11) = 6 lowered to b(5) = 5 collides at j = 1
-    real = checks.b_rec
-    monkeypatch.setattr(checks, "b_rec", lambda i: 5 if i == 11 else real(i))
+    _plant_b(monkeypatch, {11: 5})
     report = check_b_inequality(s_max=3, j_max=3)
     assert report.violation == Violation("b-values-collide", 5, {"s": 1, "j": 1})
     assert check_b_inequality(s_max=3, j_max=0).passed
+
+
+@pytest.mark.parametrize(
+    "planted,value,violation",
+    [
+        # s = 6: c = 17, d = 18; b(125) = 8 lowered to b(89) = 7 collides at
+        # j = 4, the last pair of the grid, read from the table's last byte
+        (125, 7, Violation("b-values-collide", 89, {"s": 6, "j": 4})),
+        # b(53) = 8 lowered to b(17) = 7 collides at j = 0, the first pair of s = 6
+        (53, 7, Violation("b-values-collide", 17, {"s": 6, "j": 0})),
+    ],
+    ids=["last-j", "first-j"],
+)
+def test_b_inequality_reports_a_collision_at_the_grid_edges(monkeypatch, planted, value, violation):
+    # each side of a pair is a strided slice of the table: a stop one short,
+    # a stride of d +- 1 or a shift of 6s +- 1 misses one of these
+    _plant_b(monkeypatch, {planted: value})
+    assert check_b_inequality(s_max=6, j_max=4).violation == violation
+    assert check_b_inequality(s_max=5, j_max=4).passed
+
+
+def test_b_inequality_memory_stays_near_its_table():
+    # the table of b to index 196,343 and two slices of 301 bytes at a time
+    tracemalloc.start()
+    try:
+        assert check_b_inequality(s_max=300, j_max=300).passed
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024, peak
 
 
 def test_b_window_at_scale():
@@ -234,7 +277,7 @@ def test_b_window_at_scale():
 def test_b_window_reports_a_planted_repeat(monkeypatch):
     # distinct letters but for b(15..18) = b(7..10): one xyx with |x| = |y| = 4
     # at n = 7, the last window that n_max = 7, r_max = 4 reaches
-    monkeypatch.setattr(checks, "b_rec", lambda i: i - 8 if 15 <= i < 19 else i)
+    monkeypatch.setattr(checks, "b_prefix", lambda n: bytearray(i - 8 if 15 <= i < 19 else i for i in range(n)))
     report = check_b_window(n_max=7, r_max=4)
     assert report.violation == Violation("window-repeats", 7, {"n": 7, "r": 4})
     assert report.summary() == "FAIL b-window (n_max=7, r_max=4) -- window-repeats at position 7 n=7, r=4"

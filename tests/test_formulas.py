@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from lexleast.formulas import (
     BLOCKS,
     b_closed,
+    b_prefix,
     b_rec,
     by_blocks,
     c_closed,
@@ -85,6 +86,25 @@ def test_b_examples():
     assert b_closed(35) == 7  # base-6 "55", two trailing 5s after padding
     assert b_closed(8) == 6  # base-6 "12"
     assert b_closed(1) == 4
+
+
+def test_b_prefix_reads_b_rec_over_a_range():
+    for n in range(501):
+        assert b_prefix(n) == bytes(map(b_rec, range(n))), n
+    assert b_prefix(10**5) == bytes(map(b_rec, range(10**5)))
+    with pytest.raises(ValueError, match="length must be non-negative, got -1"):
+        b_prefix(-1)
+
+
+def test_b_prefix_holds_its_table_and_small_chunks():
+    n = 10**6
+    tracemalloc.start()
+    try:
+        b_prefix(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n + 64 * 1024, peak
 
 
 def test_b_rec_equals_b_closed_small():
