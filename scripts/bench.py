@@ -30,6 +30,10 @@ file names the pattern.  The rows:
   threshold, 5/1 threshold and 11/2 exact at 10^4 and 3*10^4, and on those
   of 401/400 and 101/100, threshold and exact, at 3*10^3, 10^4 and 3*10^4,
   each a clean verdict;
+* ``forbidden_suffix`` on the greedy words of 3/2 threshold (w32) and
+  401/400 threshold at 10^4 and 3*10^4, a clean verdict: an index built
+  on all but the last letter, which replays the tail its bits rest on,
+  and one scan of the last;
 * ``check_x_squares`` and ``check_x_overlapfree`` on x32 at 10^4 and 10^5;
 * the checks on the helper sequence b, their size not in letters:
   ``check_b_inequality`` at s_max = j_max = 100, 300 and 1000, sized by
@@ -121,20 +125,22 @@ def _greedy(exponent: str, mode: str) -> Callable[[int], Callable[[], bool]]:
     return prepare
 
 
-def _scan(exponent: str, mode: str, word: str | None = None, times: int = 1) -> Callable[[int], Callable[[], bool]]:
-    """A ``contains_forbidden`` row: the word of n letters, ``word``'s prefix
-    from ``lexleast.formulas`` or else the rule's greedy word, each letter
-    times ``times``, is built first, and the timed call is True on a clean
+def _scan(
+    exponent: str, mode: str, word: str | None = None, times: int = 1, find: str = "contains_forbidden"
+) -> Callable[[int], Callable[[], bool]]:
+    """A ``contains_forbidden`` row (or one of ``find``, another function of
+    ``lexleast.detect``): the word of n letters, ``word``'s prefix from
+    ``lexleast.formulas`` or else the rule's greedy word, each letter times
+    ``times``, is built first, and the timed call is True on a clean
     verdict."""
 
     def prepare(n: int) -> Callable[[], bool]:
-        from lexleast import formulas
-        from lexleast.detect import contains_forbidden
+        from lexleast import detect, formulas
         from lexleast.greedy import generate
 
         rule = _rule(exponent, mode)
         letters = [v * times for v in (getattr(formulas, word)(n) if word else generate(*rule, n))]
-        return lambda: contains_forbidden(letters, *rule) is None
+        return lambda: getattr(detect, find)(letters, *rule) is None
 
     return prepare
 
@@ -211,6 +217,8 @@ ROWS: dict[str, tuple[Callable[[int], Callable[[], bool]], Sequence[int]]] = {
     "contains_forbidden 101/100 threshold": (_scan("101/100", "threshold"), NEAR_ONE_SIZES),
     "contains_forbidden 401/400 exact": (_scan("401/400", "exact"), NEAR_ONE_SIZES),
     "contains_forbidden 101/100 exact": (_scan("101/100", "exact"), NEAR_ONE_SIZES),
+    "forbidden_suffix w32 threshold": (_scan("3/2", "threshold", find="forbidden_suffix"), MID_SIZES),
+    "forbidden_suffix 401/400 threshold": (_scan("401/400", "threshold", find="forbidden_suffix"), MID_SIZES),
     "check_x_squares": (_check("check_x_squares"), CHECK_SIZES),
     "check_x_overlapfree": (_check("check_x_overlapfree"), CHECK_SIZES),
     "check_b_inequality": (

@@ -21,7 +21,8 @@ lowest clear bit.  Callers that know their letters (``contains_forbidden``,
 ``forbidden_suffix`` and the x32 structure checks) make one
 ``LceIndex.scan`` call, one loop that appends each letter up to the first
 that a period blocks, read with its smallest period from that letter's
-own mask.
+own mask; an unchecked scan (``check`` false) appends them all, whatever
+they complete, and ``append`` is one of one letter.
 
 Let run(P) be the length of the longest suffix of the word with period P.
 Every query asks one need rule: P blocks ``word[n - P]`` when
@@ -68,7 +69,7 @@ need.
   Greedy's loop reads ``runs & NEEDMASK``, slots 1..K, and the need-0
   periods from the word.  The bits at length n rest on the last
   T + need(T) letters only, T the largest period kept in bits, so an index
-  built on a long word replays those.
+  built on a long word replays those, in one unchecked scan.
 * Each step of greedy's loop sets a bit for each blocked letter below
   lim = S + (the number of kept periods): the periods below S block at
   most S - 1 letters and each kept period one more, so a letter below lim
@@ -81,7 +82,10 @@ need.
   lowest period P (the first at or above S, or the one after the band
   before) to the first S * 2**k, k >= 1, above P, so none is empty.
   A band waits at the end of their list until its first refresh, due at
-  P + need(P), opens it and adds the next.  Let nu = need(P),
+  P + need(P), opens it and adds the next.  Scans, unchecked ones too, and
+  greedy's loop refresh what is due before each letter they append; the
+  replay holds every refresh (or an L = 1 band would refresh at each of its
+  letters), so the first query opens the bands.  Let nu = need(P),
   L = max(1, 2 * nu // 3) and F = nu - L + 1.  Every L letters a refresh
   keeps the band's periods with slack need(P) - run(P) < L, i.e. whose run
   reaches the keep threshold need(P) - L + 1 (F at the lowest period, at
@@ -124,7 +128,8 @@ need(P) - L at r: the refresh kept it, no append
 dropped it, and its ``at``, unchanged while the run grows, is exact while
 above the length.  A period not kept had slack L or more at r and reaches
 at most need(P) - L + m - r < need(P); a dropped one restarts from 0 and
-reaches at most L - 2 < nu.  (Any 1 <= L <= nu would do.)  No period of
+reaches at most L - 2 < nu.  (Any 1 <= L <= nu would do, and a refresh
+may come at any length at or past its due.)  No period of
 the waiting band can block yet, as P + need(P) grows with P.  So after a
 query a band period P <= n is kept exactly when need(P) - run(P) < due - n.
 Along the greedy words few periods pass a refresh: the tests hold the
@@ -195,12 +200,13 @@ class LceIndex:
     (P, at) pairs of the module docstring.
 
     Letters are natural numbers below 2**31, kept in the narrowest of 1, 2
-    or 4 bytes a letter that holds the largest: ``append``, ``scan`` and
-    greedy's loop append first and call ``_widen`` when the array raises
-    ``OverflowError`` (``to_list`` reads the letters out as a list).  Given
-    ``letters``, the index checks each and replays only the last ones that
-    the bits rest on; bands open and refresh at queries, and every append
-    follows the state.
+    or 4 bytes a letter that holds the largest: ``scan`` (``append`` is an
+    unchecked one of one letter) and greedy's loop append first and call
+    ``_widen`` when the array raises ``OverflowError`` (``to_list`` reads
+    the letters out as a list).  Given ``letters``, the index checks each
+    and replays only the last ones that the bits rest on, in one unchecked
+    ``scan`` that holds every refresh: the first query opens the bands, and
+    every later letter is followed, refreshing what is due.
     """
 
     __slots__ = ("_word", "_args", "_a", "_b", "_q", "_step", "_size", "_zero", "_ones", "_rep", "_needmask",
@@ -242,8 +248,10 @@ class LceIndex:
         cut = max(0, len(word) - top - self.need(top))
         tail = word[cut:]
         del word[cut:]
-        for v in tail:
-            self.append(v)
+        # hold every refresh while replaying: the first query opens the bands
+        self._due = 1 << 62
+        self.scan(tail, check=False)
+        self._due = 0
 
     def __len__(self) -> int:
         return len(self._word)
@@ -257,26 +265,8 @@ class LceIndex:
         return max(0, -(-(self._a * period + self._b) // self._q))
 
     def append(self, letter: int) -> None:
-        letter, S, masks, word = _checked(letter), self._size, self._masks, self._word
-        n = len(word)
-        last = masks.get(letter)
-        if last is None:
-            self._add(n, letter)
-            self._runs = 0
-        else:
-            # the periods P < S with word[n - P] == letter
-            mask = last[0] << (n - last[1]) & self._ones
-            last[0], last[1] = mask << 1 | 2, n + 1
-            self._runs = ((self._runs | self._ones) << S) & mask * self._rep
-        kept = self._kept
-        for P, _ in kept:
-            if word[n - P] != letter:
-                self._kept = [e for e in kept if word[n - e[0]] == letter]
-                break
-        try:
-            word.append(letter)
-        except OverflowError:
-            self._widen(letter)
+        """Append ``letter`` and follow it, whatever it completes."""
+        self.scan((letter,), check=False)
 
     def _widen(self, letter: int) -> array:
         """Rebuild the word in the narrowest array that holds ``letter``,
@@ -303,11 +293,11 @@ class LceIndex:
                 del masks[v]
         masks[letter] = [2, n + 1]
 
-    def scan(self, letters: Iterable[int]) -> int | None:
-        """Append ``letters`` in turn, each followed as ``append`` does, up to
+    def scan(self, letters: Iterable[int], *, check: bool = True) -> int | None:
+        """Append ``letters`` in turn, each followed with its own mask, up to
         the first that a period blocks: return its smallest period, read
         from its own mask (None once all are in), the state kept in locals
-        meanwhile."""
+        meanwhile.  With ``check`` false no letter stops it."""
         S, ONES, REP, NEEDMASK = self._size, self._ones, self._rep, self._needmask
         word, masks, runs, kept, due = self._word, self._masks, self._runs, self._kept, self._due
         n, append, get = len(word), word.append, masks.get
@@ -324,14 +314,14 @@ class LceIndex:
                     mask = last[0] << (n - last[1]) & ONES
                     full, rep = runs | ONES, mask * REP
                     hits = full & NEEDMASK & rep
-                    if hits:
+                    if hits and check:
                         return ((hits & -hits).bit_length() - 1) & (S - 1)
                 # the kept periods, ascending: the first that blocks is the smallest
                 broken = False
                 for P, at in kept:
                     if word[n - P] != v:
                         broken = True
-                    elif at <= n:
+                    elif at <= n and check:
                         return P
                 if last is None:
                     self._add(n, v)
@@ -399,7 +389,7 @@ class LceIndex:
                         if v < lim:
                             free |= 1 << v
                     letter = (~free & (free + 1)).bit_length() - 1
-                # follow the append as ``append`` does, without the call
+                # follow the append as ``scan`` does, without the call
                 last = get(letter)
                 if last is None:
                     self._add(n, letter)

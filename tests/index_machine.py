@@ -7,7 +7,8 @@ and keep its word in the narrowest array that holds the largest letter.
 
 The letters are a small alphabet, so that runs grow and periods block,
 and the letters on either side of the widths of 1, 2 and 4 bytes, so that
-the word is rebuilt one width up in each place that appends.
+the word is rebuilt one width up in each place that appends: ``scan``
+(checked or not, and so ``append``) and greedy's loop.
 
 Tier-1 runs a fixed-seed profile (``test_detect``); CI runs a larger one
 outside tier-1::
@@ -77,10 +78,16 @@ class IndexMachine(RuleBasedStateMachine):
         self.dense.append(letter)
         self.word.append(letter)
 
-    @rule(letter=LETTERS)
-    def append(self, letter: int) -> None:
-        self.idx.append(letter)
-        self.put(letter)
+    # whatever they complete: one unchecked scan, or ``append`` letter by letter
+    @rule(letters=st.lists(LETTERS, min_size=1, max_size=12), one_scan=st.booleans())
+    def append(self, letters: list[int], one_scan: bool) -> None:
+        if one_scan:
+            assert self.idx.scan(iter(letters), check=False) is None
+        else:
+            for v in letters:
+                self.idx.append(v)
+        for v in letters:
+            self.put(v)
 
     @rule(letters=st.lists(LETTERS, min_size=1, max_size=12), clean=st.booleans())
     def scan(self, letters: list[int], clean: bool) -> None:

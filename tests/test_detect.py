@@ -135,6 +135,19 @@ def test_lce_index_append_pop():
         idx.append(1 << 40)
 
 
+@pytest.mark.parametrize(
+    "exponent, mode",
+    [(E32, THRESHOLD), (Exponent(401, 400), THRESHOLD), (Exponent(101, 100), EXACT)],
+    ids=["3/2 threshold", "401/400 threshold", "101/100 exact"],
+)
+def test_replay_on_a_long_word_leaves_every_band_to_the_first_query(exponent, mode):
+    # the constructor's replay holds every refresh (else an L = 1 band would
+    # refresh at each replayed letter and open the bands after it): until the
+    # first query the index waits on its first band, keeps nothing, and is due at once
+    idx = _mode_index(exponent, mode, generate(exponent, mode, 30_000))
+    assert (len(idx._bands), idx._kept, idx._due) == (1, [], 0)
+
+
 def test_exact_mode_witness_pairs():
     # 001001001 is a whole-word exact 3/2-power with t=3 (no smaller t fires)
     assert forbidden_suffix([0, 0, 1, 0, 0, 1, 0, 0, 1], E32, EXACT) == Occurrence(0, 6, 9)

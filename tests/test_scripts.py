@@ -174,7 +174,7 @@ def test_bench_rows_times_only_the_rows_it_names(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(bench, "measure", measure)
     assert bench.main(["--label", "x", "--rows", "401/400", "--out", str(tmp_path)]) == 0
     names = [name for name in bench.ROWS if "401/400" in name]
-    assert len(names) == 4 and plans == [[(name, bench.ROWS[name][1]) for name in names]]
+    assert len(names) == 5 and plans == [[(name, bench.ROWS[name][1]) for name in names]]
     report = json.loads((tmp_path / "BENCH_x.json").read_text())
     assert [row["row"] for row in report["rows"]] == names and report["environment"]["rows_matching"] == "401/400"
     capsys.readouterr()
